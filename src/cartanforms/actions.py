@@ -40,6 +40,7 @@ from .calculus import (
     exterior_d,
     integrate,
     lie_bracket_forms,
+    multi_indices,
     random_form,
     _rng_for,
 )
@@ -282,79 +283,92 @@ def _mm_pieces(conn, couplings):
 # ---------------------------------------------------------------------------
 
 _PAIRS3 = ((0, 1), (0, 2), (1, 2))
-# (direction, complementary pair, sign) entering a top 3-form component
-_TOP3 = ((0, 2, 1.0), (1, 1, -1.0), (2, 0, 1.0))
+_PAIR_MU, _PAIR_NU = (0, 0, 1), (1, 2, 2)
+# the top 3-form component of beta(1-form ^ 2-form) pairs direction mu with
+# its complementary 2-form component: (0, (1,2), +), (1, (0,2), -), (2, (0,1), +)
+_TOP_PAIR = [2, 1, 0]
+_TOP_SIGN = np.array([1.0, -1.0, 1.0])[:, None]
+
+# grid points per block of the TMG quadrature: bounds the pointwise arrays
+# (a few MB per block) whatever the grid size
+QUADRATURE_BLOCK = 4096
 
 
 class _Grid3:
-    """Uniform tensor grid on T^3 with vectorized pointwise Lie algebra."""
+    """Uniform tensor grid on T^3 with vectorized pointwise Lie algebra.
+
+    Pointwise arrays carry a leading axis over any set of points.
+    """
 
     def __init__(self, alg, n):
         self.alg = alg
-        self.n = n
         ax = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         mesh = np.meshgrid(ax, ax, ax, indexing="ij")
         self.axes = [m.ravel() for m in mesh]
         self.npts = self.axes[0].size
-        self.c = np.array([[[float(alg.structure[a][b][c])
-                             for c in range(alg.dim)]
-                            for b in range(alg.dim)]
-                           for a in range(alg.dim)])
+        d = alg.dim
+        # c[a, b*d + c] = C_ab^c, so u @ c contracts the first bracket slot
+        self.c = np.array([[float(alg.structure[a][b][c])
+                            for b in range(d) for c in range(d)]
+                           for a in range(d)])
 
-    def points(self):
-        return np.stack(self.axes, axis=1)
-
-    def eval_poly(self, poly):
-        return poly.evaluate_mesh(self.axes)
-
-    def eval_1form(self, w):
-        out = np.zeros((self.npts, 3, self.alg.dim))
-        for (alpha, idx), poly in w.comps.items():
-            out[:, idx[0], alpha] = self.eval_poly(poly)
-        return out
-
-    def eval_2form(self, w):
-        out = np.zeros((self.npts, 3, self.alg.dim))
-        pair_pos = {p: i for i, p in enumerate(_PAIRS3)}
-        for (alpha, idx), poly in w.comps.items():
-            out[:, pair_pos[idx], alpha] = self.eval_poly(poly)
-        return out
-
-    def bracket(self, u, v):
-        """Pointwise algebra bracket of coefficient arrays (..., dim)."""
-        return np.einsum("abc,xa,xb->xc", self.c, u, v)
+    def blocks(self):
+        """The grid axes in consecutive slices of QUADRATURE_BLOCK points."""
+        for start in range(0, self.npts, QUADRATURE_BLOCK):
+            yield [ax[start:start + QUADRATURE_BLOCK] for ax in self.axes]
 
     def two_form_bracket(self, u, v):
         """[u, v] for 1-form arrays (npts, 3, dim) -> (npts, 3 pairs, dim)."""
-        out = np.empty((self.npts, 3, self.alg.dim))
-        for i, (mu, nu) in enumerate(_PAIRS3):
-            out[:, i] = (self.bracket(u[:, mu], v[:, nu])
-                         - self.bracket(u[:, nu], v[:, mu]))
-        return out
+        d = self.alg.dim
+        ad_u = (u @ self.c).reshape(u.shape + (d,))  # [u_mu, v]^c = v^b ad_u[mu, b, c]
+        uv = v[:, None] @ ad_u                       # [x, mu, nu] = [u_mu, v_nu]
+        return uv[:, _PAIR_MU, _PAIR_NU] - uv[:, _PAIR_NU, _PAIR_MU]
 
     def pair_top(self, one, two, gram):
         """beta(1-form ^ 2-form) top component, shape (npts,)."""
-        g = np.array([[float(x) for x in row] for row in gram])
-        vals = np.zeros(self.npts)
-        for mu, pair_idx, sign in _TOP3:
-            vals += sign * np.einsum("xa,ab,xb->x", one[:, mu], g,
-                                     two[:, pair_idx])
-        return vals
+        g = np.asarray(gram, dtype=float)
+        signed = two[:, _TOP_PAIR] * _TOP_SIGN
+        return ((one @ g) * signed).reshape(len(one), -1).sum(1)
 
     def mean(self, vals):
         """Grid quadrature, reported as a multiple of (2 pi)^3."""
         return float(vals.mean())
 
 
-def _eval_forms_at(alg, w, pts_axes, degree):
-    """Evaluate a LieForm on arbitrary points; (npts, ncomp, dim)."""
-    from .calculus import multi_indices
-    idx_list = multi_indices(w.dim, degree)
-    pos = {idx: i for i, idx in enumerate(idx_list)}
-    npts = pts_axes[0].size
-    out = np.zeros((npts, len(idx_list), alg.dim))
-    for (alpha, idx), poly in w.comps.items():
-        out[:, pos[idx], alpha] = poly.evaluate_mesh(pts_axes)
+def _eval_forms_at(forms, axes):
+    """Evaluate LieForms at points given as one coordinate array per axis.
+
+    Every component of every form comes from one cos/sin table over the
+    union of their frequencies, followed by one matmul; each +-k Hermitian
+    pair enters once, at double weight.  Returns one (npts, ncomp, dim)
+    array per form, components in multi_indices order.
+    """
+    freqs = sorted({k for w in forms for poly in w.comps.values()
+                    for k in poly.nums if k >= tuple(-x for x in k)})
+    row = {k: i for i, k in enumerate(freqs)}
+    nf = len(freqs)
+    coefs = []
+    for w in forms:
+        pos = {idx: i for i, idx in enumerate(multi_indices(w.dim, w.degree))}
+        c = np.zeros((2 * nf, len(pos), w.algebra.dim))
+        for (alpha, idx), poly in w.comps.items():
+            for k, (a, b) in poly.nums.items():
+                i = row.get(k)
+                if i is None:
+                    continue
+                weight = 2 if any(k) else 1
+                c[i, pos[idx], alpha] = weight * a / poly.den
+                c[nf + i, pos[idx], alpha] = -weight * b / poly.den
+        coefs.append(c)
+    k_mat = np.array(freqs, dtype=float).reshape(nf, len(axes))
+    phase = np.stack(axes, axis=1) @ k_mat.T
+    table = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    flat = table @ np.concatenate([c.reshape(2 * nf, -1) for c in coefs], axis=1)
+    out, start = [], 0
+    for c in coefs:
+        stop = start + c[0].size
+        out.append(flat[:, start:stop].reshape((-1,) + c.shape[1:]))
+        start = stop
     return out
 
 
@@ -368,10 +382,11 @@ class LeviCivitaConnection:
     At each point the linear system (de)^a_{mu nu} + [w_mu, e_nu]^a
     - [w_nu, e_mu]^a = 0 is solved for the stabilizer coefficients of w;
     derivatives of w come from differentiating the same system, so no
-    finite differencing enters anywhere.
+    finite differencing enters anywhere.  A solve refuses points where
+    |det e| <= tol.
     """
 
-    def __init__(self, e):
+    def __init__(self, e, tol=1e-8):
         alg = e.algebra
         if alg.spacetime_dim != 3 or e.dim != 3:
             raise CartanError("torsion-free solve implemented on T^3")
@@ -379,16 +394,25 @@ class LeviCivitaConnection:
             raise CartanError("coframe must be translation-valued")
         self.e = e
         self.alg = alg
+        self.tol = tol
         self.de = exterior_d(e)
-        # d(de)/dx_sigma arrives via exact spectral derivatives
-        self._de_deriv = [self._deriv_form(self.de, s) for s in range(3)]
-        self._e_deriv = [self._deriv_form(e, s) for s in range(3)]
+        # e, de and their d/dx_sigma (exact spectral derivatives), in the
+        # order solve unpacks them
+        self._forms = ([e, self.de]
+                       + [self._deriv_form(e, s) for s in range(3)]
+                       + [self._deriv_form(self.de, s) for s in range(3)])
         # C[h_i, p_b -> p_a] as float tensor
         h, p = alg.h_indices, alg.p_indices
         self.c_hpp = np.array([[[float(alg.structure[hi][pb][pa])
                                  for pa in p] for pb in p] for hi in h])
-        self.c_hhh = np.array([[[float(alg.structure[ha][hb][hc])
-                                 for hc in h] for hb in h] for ha in h])
+        # the torsion system is linear in e: sel[row, rho, nu] = +1 / -1
+        # where pair row = (rho, nu) / (nu, rho), and
+        # e.reshape(..., 9) @ _sys gives the system matrix of _system
+        sel = np.zeros((3, 3, 3))
+        for row, (mu, nu) in enumerate(_PAIRS3):
+            sel[row, mu, nu] = 1.0
+            sel[row, nu, mu] = -1.0
+        self._sys = np.einsum("rpn,iba->nbrapi", sel, self.c_hpp).reshape(9, 81)
 
     @staticmethod
     def _deriv_form(w, sigma):
@@ -402,10 +426,14 @@ class LeviCivitaConnection:
         out.comps = comps
         return out
 
-    def _eval_p_valued(self, w, axes, degree):
-        """(npts, ncomp, 3) in translation coordinates."""
-        full = _eval_forms_at(self.alg, w, axes, degree)
-        return full[:, :, list(self.alg.p_indices)]
+    def _system(self, e_arr):
+        """Matrix of w -> [w_mu, e_nu] - [w_nu, e_mu] for coframe values.
+
+        (..., mu, a) -> (..., 9, 9); rows (pair, a), columns (rho, i) with
+        the unknown w[rho, i] at column rho*3 + i.
+        """
+        lead = e_arr.shape[:-2]
+        return (e_arr.reshape(lead + (9,)) @ self._sys).reshape(lead + (9, 9))
 
     def solve(self, axes):
         """Solve for w and its coordinate derivatives on given points.
@@ -413,49 +441,31 @@ class LeviCivitaConnection:
         Returns dict with E (npts,3,3), w (npts,3,3  [mu, h-coeff]),
         dw (npts,3,3 [pair, h-coeff]), plus raw derivative arrays.
         """
-        npts = axes[0].size
-        e_arr = self._eval_p_valued(self.e, axes, 1)        # (npts, mu, a)
-        de_arr = self._eval_p_valued(self.de, axes, 2)      # (npts, pair, a)
-        e_d = [self._eval_p_valued(f, axes, 1) for f in self._e_deriv]
-        de_d = [self._eval_p_valued(f, axes, 2) for f in self._de_deriv]
+        p = list(self.alg.p_indices)
+        vals = [f[:, :, p] for f in _eval_forms_at(self._forms, axes)]
+        e_arr, de_arr = vals[0], vals[1]          # (npts, mu, a), (npts, pair, a)
+        e_d = np.stack(vals[2:5], axis=1)         # (npts, sigma, mu, a)
+        de_d = np.stack(vals[5:8], axis=1)        # (npts, sigma, pair, a)
+        npts = e_arr.shape[0]
+        dets = np.abs(np.linalg.det(e_arr))
+        if npts and dets.min() <= self.tol:
+            k = int(dets.argmin())
+            where = ", ".join(f"{float(ax[k]):.6g}" for ax in axes)
+            raise CartanError(f"degenerate coframe: min |det e| = "
+                              f"{dets[k]:.3e} at x = ({where})")
 
-        # ad[x, i, nu, a] = [h_i, e_nu]^a
-        def ad_of(earr):
-            return np.einsum("iba,xnb->xina", self.c_hpp, earr)
-
-        ad_e = ad_of(e_arr)
-        mat = np.zeros((npts, 9, 9))
-        for row, (mu, nu) in enumerate(_PAIRS3):
-            for a in range(3):
-                r = row * 3 + a
-                # unknown ordering: w[rho, i] -> column rho*3 + i
-                mat[:, r, mu * 3:mu * 3 + 3] += ad_e[:, :, nu, a]
-                mat[:, r, nu * 3:nu * 3 + 3] -= ad_e[:, :, mu, a]
-        rhs = np.zeros((npts, 9))
-        for row in range(3):
-            for a in range(3):
-                rhs[:, row * 3 + a] = -de_arr[:, row, a]
-        w_flat = np.linalg.solve(mat, rhs[..., None])[..., 0]
-        w = w_flat.reshape(npts, 3, 3)
-
-        # derivatives: mat . dw_sigma = -d_sigma(de) - d_sigma(mat) . w
-        dw_sigma = []
-        for s in range(3):
-            ad_es = ad_of(e_d[s])
-            rhs_s = np.zeros((npts, 9))
-            for row, (mu, nu) in enumerate(_PAIRS3):
-                for a in range(3):
-                    r = row * 3 + a
-                    rhs_s[:, r] = -de_d[s][:, row, a]
-                    rhs_s[:, r] -= np.einsum("xi,xi->x", w[:, mu], ad_es[:, :, nu, a])
-                    rhs_s[:, r] += np.einsum("xi,xi->x", w[:, nu], ad_es[:, :, mu, a])
-            dw_sigma.append(np.linalg.solve(mat, rhs_s[..., None])[..., 0]
-                            .reshape(npts, 3, 3))
+        mat = self._system(e_arr)
+        w_flat = np.linalg.solve(mat, -de_arr.reshape(npts, 9, 1))[..., 0]
+        # derivatives: mat . dw_sigma = -d_sigma(de) - d_sigma(mat) . w,
+        # the three sigma as one stacked right-hand side
+        rhs = (-de_d.reshape(npts, 3, 9)
+               - (self._system(e_d) @ w_flat[:, None, :, None])[..., 0])
+        dw_sigma = (np.linalg.solve(mat, rhs.transpose(0, 2, 1))
+                    .transpose(0, 2, 1).reshape(npts, 3, 3, 3))
         # curl -> dw as a 2-form (pair, i)
-        dw = np.empty((npts, 3, 3))
-        for row, (mu, nu) in enumerate(_PAIRS3):
-            dw[:, row] = dw_sigma[mu][:, nu] - dw_sigma[nu][:, mu]
-        return {"E": e_arr, "dE": de_arr, "w": w, "dw": dw}
+        dw = dw_sigma[:, _PAIR_MU, _PAIR_NU] - dw_sigma[:, _PAIR_NU, _PAIR_MU]
+        return {"E": e_arr, "dE": de_arr, "w": w_flat.reshape(npts, 3, 3),
+                "dw": dw}
 
     def omega_at(self, points):
         """Stabilizer coefficients of w at points, shape (npts, 3 mu, 3 i)."""
@@ -483,38 +493,66 @@ def levi_civita_connection(e, grid=16, tol=1e-8):
     if not check["nondegenerate"]:
         raise CartanError(
             f"degenerate coframe: min |det e| = {check['min_abs_det']:.3e}")
-    return LeviCivitaConnection(e)
+    return LeviCivitaConnection(e, tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # TMG and the numeric Chern-Simons pipeline
 # ---------------------------------------------------------------------------
 
-def _tmg_grid_data(lc, grid):
-    """All pointwise fields entering the TMG-family functionals."""
-    g3 = _Grid3(lc.alg, grid)
-    sol = lc.solve(g3.axes)
+def _block_fields(lc, axes):
+    """w, e, dw, de on the given points, each (npts, 3, alg.dim)."""
+    sol = lc.solve(axes)
     alg = lc.alg
-    dim = alg.dim
-    npts = g3.npts
-    h_idx = list(alg.h_indices)
-    p_idx = list(alg.p_indices)
-
-    w_full = np.zeros((npts, 3, dim))
-    w_full[:, :, h_idx] = sol["w"]
-    e_full = np.zeros((npts, 3, dim))
-    e_full[:, :, p_idx] = sol["E"]
-    dw_full = np.zeros((npts, 3, dim))
-    dw_full[:, :, h_idx] = sol["dw"]
-    de_full = np.zeros((npts, 3, dim))
-    de_full[:, :, p_idx] = sol["dE"]
-    return g3, w_full, e_full, dw_full, de_full
+    out = []
+    for key, idx in (("w", alg.h_indices), ("E", alg.p_indices),
+                     ("dw", alg.h_indices), ("dE", alg.p_indices)):
+        full = np.zeros(sol[key].shape[:2] + (alg.dim,))
+        full[:, :, list(idx)] = sol[key]
+        out.append(full)
+    return out
 
 
-def _cs_value_pointwise(g3, a, da, gram):
+def _tmg_grid_data(lc, grid):
+    """All pointwise fields entering the TMG-family functionals, whole grid."""
+    g3 = _Grid3(lc.alg, grid)
+    return (g3, *_block_fields(lc, g3.axes))
+
+
+def _cs_density(g3, a, da, gram):
     aa = g3.two_form_bracket(a, a)
-    vals = 0.5 * g3.pair_top(a, da, gram) + g3.pair_top(a, aa, gram) / 6.0
-    return g3.mean(vals)
+    return 0.5 * g3.pair_top(a, da, gram) + g3.pair_top(a, aa, gram) / 6.0
+
+
+def _tmg_quadrature(lc, grid, mu, cs_terms=()):
+    """Grid quadrature of S_TMG(e) and of S_CS^beta at A(e) or ~A(e).
+
+    cs_terms lists (s, form) pairs: s = +1 for A(e) = w + e, s = -1 for
+    ~A(e) = w - e.  The grid is walked in QUADRATURE_BLOCK-point blocks and
+    each block's densities are summed.  Returns (S_TMG, [S_CS per term]),
+    each a multiple of (2 pi)^3.
+    """
+    alg = lc.alg
+    g3 = _Grid3(alg, grid)
+    s_gram = np.array(star_form(alg).gram, dtype=float)
+    k_gram = np.array(killing_form(alg).gram, dtype=float)
+    cs_grams = [(float(s), np.array(form.gram, dtype=float))
+                for s, form in cs_terms]
+    inv_mu = float(1 / Fraction(mu))
+    sums = np.zeros(1 + len(cs_grams))
+    for axes in g3.blocks():
+        w, e, dw, de = _block_fields(lc, axes)
+        ww = g3.two_form_bracket(w, w)
+        ee = g3.two_form_bracket(e, e)
+        pal = (g3.pair_top(e, dw + 0.5 * ww, s_gram)
+               + g3.pair_top(e, ee, s_gram) / 6.0)
+        cs_w = (0.5 * g3.pair_top(w, dw, k_gram)
+                + g3.pair_top(w, ww, k_gram) / 6.0)
+        sums[0] += (inv_mu * cs_w - pal).sum()
+        for i, (s, gram) in enumerate(cs_grams, 1):
+            sums[i] += _cs_density(g3, w + s * e, dw + s * de, gram).sum()
+    means = sums / g3.npts
+    return float(means[0]), [float(m) for m in means[1:]]
 
 
 def tmg_action(e, mu, grid=32, lc=None):
@@ -523,18 +561,7 @@ def tmg_action(e, mu, grid=32, lc=None):
     if mu == 0:
         raise ValueError("topological mass mu must be nonzero")
     lc = lc or levi_civita_connection(e)
-    g3, w, e_arr, dw, de = _tmg_grid_data(lc, grid)
-    alg = lc.alg
-    s_gram = star_form(alg).gram
-    k_gram = killing_form(alg).gram
-    ww = g3.two_form_bracket(w, w)
-    r = dw + 0.5 * ww
-    ee = g3.two_form_bracket(e_arr, e_arr)
-    pal = g3.mean(g3.pair_top(e_arr, r, s_gram)
-                  + g3.pair_top(e_arr, ee, s_gram) / 6.0)
-    cs_w = g3.mean(0.5 * g3.pair_top(w, dw, k_gram)
-                   + g3.pair_top(w, ww, k_gram) / 6.0)
-    val = -pal + float(1 / mu) * cs_w
+    val, _ = _tmg_quadrature(lc, grid, mu)
     return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
                        quadrature_grid=grid)
 
@@ -555,22 +582,8 @@ def cs_action_numeric(a, form, grid=32):
     if a.dim != 3:
         raise CartanError("numeric CS evaluation lives on T^3")
     g3 = _Grid3(a.algebra, grid)
-    a_arr = g3.eval_1form(a)
-    da_arr = g3.eval_2form(exterior_d(a))
-    val = _cs_value_pointwise(g3, a_arr, da_arr, form.gram)
-    return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
-                       quadrature_grid=grid)
-
-
-def palatini_action_numeric(omega, e, grid=32):
-    g3 = _Grid3(omega.algebra, grid)
-    s_gram = star_form(omega.algebra).gram
-    w = g3.eval_1form(omega)
-    e_arr = g3.eval_1form(e)
-    r = g3.eval_2form(_curvature_of(omega))
-    ee = g3.two_form_bracket(e_arr, e_arr)
-    val = g3.mean(g3.pair_top(e_arr, r, s_gram)
-                  + g3.pair_top(e_arr, ee, s_gram) / 6.0)
+    a_arr, da_arr = _eval_forms_at([a, exterior_d(a)], g3.axes)
+    val = g3.mean(_cs_density(g3, a_arr, da_arr, form.gram))
     return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
                        quadrature_grid=grid)
 
@@ -712,38 +725,21 @@ def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
              f"{identity_id} needs so31, so22 or so4, got {alg.name}")
     _require(couplings.mu is not None, f"{identity_id} needs mu")
     mu = couplings.mu
-    e = analytic_coframe(alg, seed=seed)
-    lc = levi_civita_connection(e)
-    g3, w, e_arr, dw, de = _tmg_grid_data(lc, grid)
-    s_gram = star_form(alg).gram
-    k_gram = killing_form(alg).gram
-    ww = g3.two_form_bracket(w, w)
-    r = dw + 0.5 * ww
-    ee = g3.two_form_bracket(e_arr, e_arr)
-    pal = g3.mean(g3.pair_top(e_arr, r, s_gram)
-                  + g3.pair_top(e_arr, ee, s_gram) / 6.0)
-    cs_w = g3.mean(0.5 * g3.pair_top(w, dw, k_gram)
-                   + g3.pair_top(w, ww, k_gram) / 6.0)
-    tmg = -pal + float(1 / mu) * cs_w
+    lc = levi_civita_connection(analytic_coframe(alg, seed=seed))
     digest += f"/grid={grid}"
 
     if identity_id == "CS_TMG":
         # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S
         form = invariant_form(alg, 1 / mu, -1)
-        a_arr = w + e_arr
-        da_arr = dw + de
-        rhs = _cs_value_pointwise(g3, a_arr, da_arr, form.gram)
+        tmg, (rhs,) = _tmg_quadrature(lc, grid, mu, [(1, form)])
     else:  # TWO_CS_TMG
         c0 = couplings.c0
         _require(c0 != 0, "TWO_CS_TMG needs c0 != 0 in the normalized form")
         form = invariant_form(alg, c0, 1)
-        a_arr = w + e_arr
-        at_arr = w - e_arr
-        da_arr = dw + de
-        dat_arr = dw - de
+        tmg, (cs_a, cs_at) = _tmg_quadrature(lc, grid, mu,
+                                             [(1, form), (-1, form)])
         coeff = float(1 / (mu * c0))
-        rhs = (-0.5 * (1.0 - coeff) * _cs_value_pointwise(g3, a_arr, da_arr, form.gram)
-               + 0.5 * (1.0 + coeff) * _cs_value_pointwise(g3, at_arr, dat_arr, form.gram))
+        rhs = -0.5 * (1.0 - coeff) * cs_a + 0.5 * (1.0 + coeff) * cs_at
     scale = max(abs(tmg), abs(rhs), 1e-12)
     residual = abs(tmg - rhs) / scale
     return IdentityReport(identity_id, alg.name, seed, couplings, residual,

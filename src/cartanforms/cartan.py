@@ -150,8 +150,11 @@ def _float_basis(alg):
 class PointConnection:
     """Connection given by matrices A_i(x); the common currency of holonomy.
 
-    `matrices(x)` returns an array of shape (chart_dim, d, d) with the value
-    of A on each coordinate direction at the chart point x.
+    `matrices(x)` takes chart points x of shape (..., chart_dim) and returns
+    the value of A on each coordinate direction at every point: an array
+    that broadcasts to (..., chart_dim, d, d).  A constant connection may
+    return a single (chart_dim, d, d) array.  `holonomy` passes all the
+    midpoints of a path segment in one call.
     """
 
     def __init__(self, chart_dim, matrix_dim, matrices, group_defect, name=""):
@@ -201,10 +204,13 @@ def connection_on_torus(conn):
               if not a.component(alpha, (mu,)).is_zero()] for mu in range(a.dim)]
 
     def matrices(x):
-        out = np.zeros((a.dim, alg.matrix_dim, alg.matrix_dim))
+        x = np.asarray(x, dtype=float)
+        axes = [x[..., j] for j in range(a.dim)]
+        out = np.zeros(x.shape[:-1] + (a.dim, alg.matrix_dim, alg.matrix_dim))
         for mu in range(a.dim):
             for alpha, poly in comps[mu]:
-                out[mu] += poly.evaluate(x) * basis[alpha]
+                out[..., mu, :, :] += (poly.evaluate_mesh(axes)[..., None, None]
+                                       * basis[alpha])
         return out
 
     return PointConnection(a.dim, alg.matrix_dim, matrices,
@@ -212,9 +218,12 @@ def connection_on_torus(conn):
 
 
 def _mc_series(x_mat, t_mat, terms=26):
-    """g^{-1} dg along direction T for g = exp(X): sum (-ad_X)^m(T)/(m+1)!."""
-    acc = np.zeros_like(t_mat)
-    cur = t_mat.copy()
+    """g^{-1} dg along direction T for g = exp(X): sum (-ad_X)^m(T)/(m+1)!.
+
+    X and T are stacks of matrices (..., d, d) that broadcast together.
+    """
+    acc = np.zeros(np.broadcast_shapes(x_mat.shape, t_mat.shape))
+    cur = t_mat
     factorial = 1.0
     for m in range(terms):
         factorial *= (m + 1)
@@ -233,12 +242,13 @@ def maurer_cartan_connection(alg, generators=None):
     basis = _float_basis(alg)
     if generators is None:
         generators = list(alg.p_indices)
-    gens = [basis[i] for i in generators]
+    gens = basis[list(generators)]
     chart_dim = len(gens)
 
     def matrices(x):
-        x_mat = sum(xi * g for xi, g in zip(x, gens))
-        return np.array([_mc_series(x_mat, g) for g in gens])
+        x = np.asarray(x, dtype=float)
+        x_mat = sum(x[..., i, None, None] * g for i, g in enumerate(gens))
+        return _mc_series(x_mat[..., None, :, :], gens)
 
     return PointConnection(chart_dim, alg.matrix_dim, matrices,
                            group_defect_for(alg), name=f"mc:{alg.name}")
@@ -315,14 +325,13 @@ def sphere_spin_connection():
     p1 = _so3_gen(0, 2)
     p2 = _so3_gen(1, 2)
     l12 = _so3_gen(0, 1)
+    gens = np.array([p1, p2])
 
     def matrices(x):
-        x_mat = x[0] * p1 + x[1] * p2
-        out = np.empty((2, 3, 3))
-        for i, t in enumerate((p1, p2)):
-            full = _mc_series(x_mat, t)
-            out[i] = full[0, 1] * l12  # stabilizer projection
-        return out
+        x = np.asarray(x, dtype=float)
+        x_mat = x[..., 0, None, None] * p1 + x[..., 1, None, None] * p2
+        full = _mc_series(x_mat[..., None, :, :], gens)
+        return full[..., 0, 1, None, None] * l12  # stabilizer projection
 
     return PointConnection(2, 3, matrices, _orthogonality_defect(np.eye(3)),
                            name="sphere")
@@ -381,33 +390,38 @@ class Segment:
     kind: str
     data: dict
 
+    # point and velocity take a parameter t in [0, 1] or an array of them;
+    # an array of shape (...) gives results of shape (..., chart_dim)
+
     def point(self, t):
+        t = np.asarray(t, dtype=float)
         if self.kind == "line":
             a = np.asarray(self.data["start"], dtype=float)
             b = np.asarray(self.data["end"], dtype=float)
-            return a + t * (b - a)
+            return a + t[..., None] * (b - a)
         center = np.asarray(self.data["center"], dtype=float)
         r = float(self.data["radius"])
         i, j = self.data["plane"]
         th = self.data["start_angle"] + t * (self.data["end_angle"]
                                              - self.data["start_angle"])
-        x = center.copy()
-        x[i] += r * math.cos(th)
-        x[j] += r * math.sin(th)
+        x = np.broadcast_to(center, t.shape + center.shape).copy()
+        x[..., i] += r * np.cos(th)
+        x[..., j] += r * np.sin(th)
         return x
 
     def velocity(self, t):
+        t = np.asarray(t, dtype=float)
         if self.kind == "line":
             a = np.asarray(self.data["start"], dtype=float)
             b = np.asarray(self.data["end"], dtype=float)
-            return b - a
+            return np.broadcast_to(b - a, t.shape + a.shape).copy()
         r = float(self.data["radius"])
         i, j = self.data["plane"]
         span = self.data["end_angle"] - self.data["start_angle"]
         th = self.data["start_angle"] + t * span
-        v = np.zeros(len(self.data["center"]))
-        v[i] = -r * span * math.sin(th)
-        v[j] = r * span * math.cos(th)
+        v = np.zeros(t.shape + (len(self.data["center"]),))
+        v[..., i] = -r * span * np.sin(th)
+        v[..., j] = r * span * np.cos(th)
         return v
 
     def length_estimate(self):
@@ -471,11 +485,30 @@ class HolonomyResult:
         return math.acos(max(-1.0, min(1.0, (tr - 1.0) / 2.0)))
 
 
+def _matrices_at(model, x):
+    """model.matrices on points x (n, chart_dim), as an (n, chart_dim, d, d) view."""
+    name = model.name or "<unnamed>"
+    if x.shape[-1] != model.chart_dim:
+        raise CartanError(f"path points have {x.shape[-1]} coordinates; model "
+                          f"{name} has chart_dim {model.chart_dim}")
+    shape = x.shape[:1] + (model.chart_dim, model.matrix_dim, model.matrix_dim)
+    mats = np.asarray(model.matrices(x), dtype=float)
+    try:
+        return np.broadcast_to(mats, shape)
+    except ValueError:
+        raise CartanError(
+            f"model {name}: matrices returned shape "
+            f"{mats.shape} for points of shape {x.shape}; expected an array "
+            f"that broadcasts to {shape} (points, chart_dim, d, d)") from None
+
+
 def holonomy(model, path, steps):
     """Path-ordered product of exponentials, midpoint rule, order 2.
 
     Convention: parallel transport solves U' = -A(gamma') U, so each step
-    multiplies exp(-A(x_mid) . v_mid dt) on the left.
+    multiplies exp(-A(x_mid) . v_mid dt) on the left.  Each segment's
+    midpoints, connection matrices and step exponentials are computed as
+    stacks; only the ordered product runs step by step.
     """
     if isinstance(model, CartanConnection):
         model = connection_on_torus(model)
@@ -487,18 +520,20 @@ def holonomy(model, path, steps):
     total = sum(lengths)
     if total == 0:
         raise CartanError("degenerate path: zero total length")
-    u = np.eye(model.matrix_dim)
+    d = model.matrix_dim
+    u = np.eye(d)
     used = 0
     for seg, ln in zip(path.segments, lengths):
         n_seg = max(1, round(steps * ln / total))
         used += n_seg
         dt = 1.0 / n_seg
-        for k in range(n_seg):
-            t_mid = (k + 0.5) * dt
-            x = seg.point(t_mid)
-            v = seg.velocity(t_mid)
-            mats = model.matrices(x)
-            a_v = np.tensordot(v, mats, axes=(0, 0))
-            u = expm(-a_v * dt) @ u
+        t_mid = (np.arange(n_seg) + 0.5) * dt
+        mats = _matrices_at(model, seg.point(t_mid))
+        v = seg.velocity(t_mid)
+        # one (1, chart_dim) @ (chart_dim, d*d) product per step: the same
+        # contraction, in the same order, as a per-step tensordot
+        a_v = (v[:, None, :] @ mats.reshape(n_seg, model.chart_dim, d * d))
+        for step in expm(-a_v.reshape(n_seg, d, d) * dt):
+            u = step @ u
     drift = model.group_defect(u)
     return HolonomyResult(u, drift, used)
