@@ -25,9 +25,12 @@ with these, the split identities hold exactly:
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -154,8 +157,176 @@ _TMG_ALGEBRAS = ("so31", "so22", "so4")
 
 
 # ---------------------------------------------------------------------------
+# shared fields and the run scope
+# ---------------------------------------------------------------------------
+
+class ConnectionForms:
+    """The beta-independent forms of one Cartan connection omega + e.
+
+    Each is built on first use and kept: A = omega + e, ~A = omega - e,
+    their dA and [A,A], d omega, [omega, omega], R, [e,e] and d_omega e.
+    No invariant form enters, so every check still does its own pairings.
+    """
+
+    def __init__(self, omega, e):
+        self.omega, self.e = omega, e
+
+    @cached_property
+    def a(self):
+        return self.omega + self.e
+
+    @cached_property
+    def da(self):
+        return exterior_d(self.a)
+
+    @cached_property
+    def aa(self):
+        return lie_bracket_forms(self.a, self.a)
+
+    @cached_property
+    def a_t(self):
+        return self.omega - self.e
+
+    @cached_property
+    def da_t(self):
+        return exterior_d(self.a_t)
+
+    @cached_property
+    def aa_t(self):
+        return lie_bracket_forms(self.a_t, self.a_t)
+
+    @cached_property
+    def dw(self):
+        return exterior_d(self.omega)
+
+    @cached_property
+    def ww(self):
+        return lie_bracket_forms(self.omega, self.omega)
+
+    @cached_property
+    def r(self):
+        return self.dw + self.ww.scale(HALF)
+
+    @cached_property
+    def ee(self):
+        return lie_bracket_forms(self.e, self.e)
+
+    @cached_property
+    def dwe(self):
+        return covariant_d(self.omega, self.e)
+
+
+# field density of the random connection behind the 3d CS identities
+_CS_DENSITY = 0.6
+
+
+class FieldSet:
+    """The seeded fields of one (algebra, seed, cutoff), each built once.
+
+    Holds the random forms by (degree, support, density, dim), the random
+    Cartan connection of the 3d CS identities with its derived forms, and
+    the torsion-free connection of the analytic coframe (TMG identities).
+    """
+
+    def __init__(self, alg, seed, cutoff=1):
+        self.alg, self.seed, self.cutoff = alg, seed, cutoff
+        self._random = {}
+
+    def matches(self, alg, seed, cutoff):
+        return self.alg is alg and self.seed == seed and self.cutoff == cutoff
+
+    def random_form(self, degree, support, density, dim=None):
+        key = (degree, support, density, dim)
+        if key not in self._random:
+            self._random[key] = random_form(
+                self.seed, degree, self.alg, dim=dim, cutoff=self.cutoff,
+                support=support, density=density)
+        return self._random[key]
+
+    @cached_property
+    def connection(self):
+        """ConnectionForms of the random connection omega + e."""
+        return ConnectionForms(self.random_form(1, "h", _CS_DENSITY),
+                               self.random_form(1, "p", _CS_DENSITY))
+
+    @cached_property
+    def levi_civita(self):
+        return levi_civita_connection(analytic_coframe(self.alg, seed=self.seed))
+
+
+class _RunScope:
+    """What the identity_residual calls of one run share: invariant forms
+    per (algebra object, form, c0, c1) and the one live field set."""
+
+    def __init__(self):
+        self.forms = {}
+        self.fields = None
+
+
+_SCOPE = contextvars.ContextVar("cartanforms_run_scope", default=None)
+
+
+@contextlib.contextmanager
+def run_scope():
+    """Share fields and invariant forms between the checks run inside.
+
+    Only one field set is kept: a check on another (algebra, seed, cutoff)
+    replaces it, so callers group their checks by field set.  Everything
+    is dropped when the block exits.
+    """
+    token = _SCOPE.set(_RunScope())
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _field_set(alg, seed, cutoff):
+    scope = _SCOPE.get()
+    if scope is None:
+        return FieldSet(alg, seed, cutoff)
+    if scope.fields is None or not scope.fields.matches(alg, seed, cutoff):
+        scope.fields = FieldSet(alg, seed, cutoff)
+    return scope.fields
+
+
+def _scoped_form(build, alg, *args):
+    """build(alg, *args), cached per algebra object inside a run scope."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return build(alg, *args)
+    # the cached form references alg, so its id stays unique while cached
+    key = (build, id(alg)) + args
+    if key not in scope.forms:
+        scope.forms[key] = build(alg, *args)
+    return scope.forms[key]
+
+
+# ---------------------------------------------------------------------------
 # exact action functionals
 # ---------------------------------------------------------------------------
+
+def _cs_value(form, a, da, aa):
+    """1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A]) from A, dA and [A,A]."""
+    return (HALF * integrate(beta_pair(form, a, da))
+            + SIXTH * integrate(beta_pair(form, a, aa)))
+
+
+def _palatini_value(form, f):
+    """Int beta(e ^ R) + 1/6 Int beta(e ^ [e,e]) of ConnectionForms f."""
+    return (integrate(beta_pair(form, f.e, f.r))
+            + SIXTH * integrate(beta_pair(form, f.e, f.ee)))
+
+
+def _torsion_value(form, f):
+    """1/2 Int beta(e ^ d_omega e) of ConnectionForms f."""
+    return HALF * integrate(beta_pair(form, f.e, f.dwe))
+
+
+def _cs_omega_torsion_value(form, f):
+    """S_CS^beta(omega) plus the torsion pairing, of ConnectionForms f."""
+    return _cs_value(form, f.omega, f.dw, f.ww) + _torsion_value(form, f)
+
 
 def cs_action(a, form):
     """S_CS^beta(A) = 1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A])."""
@@ -163,9 +334,8 @@ def cs_action(a, form):
         raise CartanError("Chern-Simons argument must be a 1-form")
     if a.dim != 3:
         raise CartanError("Chern-Simons action lives on a 3-torus")
-    quad = integrate(beta_pair(form, a, exterior_d(a)))
-    cubic = integrate(beta_pair(form, a, lie_bracket_forms(a, a)))
-    return _exact_value(3, HALF * quad + SIXTH * cubic)
+    return _exact_value(3, _cs_value(form, a, exterior_d(a),
+                                     lie_bracket_forms(a, a)))
 
 
 def _curvature_of(omega):
@@ -174,28 +344,21 @@ def _curvature_of(omega):
 
 def palatini_action(omega, e):
     """Int S(e ^ R) + 1/6 Int S(e ^ [e,e]) with the pure star form S."""
-    s = star_form(omega.algebra)
-    r = _curvature_of(omega)
-    val = integrate(beta_pair(s, e, r))
-    val += SIXTH * integrate(beta_pair(s, e, lie_bracket_forms(e, e)))
-    return _exact_value(e.dim, val)
+    s = _scoped_form(star_form, omega.algebra)
+    return _exact_value(e.dim, _palatini_value(s, ConnectionForms(omega, e)))
 
 
 def torsion_pairing(omega, e):
     """1/2 Int K(e ^ d_omega e)."""
-    k = killing_form(omega.algebra)
-    val = integrate(beta_pair(k, e, covariant_d(omega, e)))
-    return _exact_value(e.dim, HALF * val)
+    k = _scoped_form(killing_form, omega.algebra)
+    return _exact_value(e.dim, _torsion_value(k, ConnectionForms(omega, e)))
 
 
 def cs_omega_torsion_action(omega, e):
     """S_CS(omega) + torsion pairing; the involution-even half of S_CS^K."""
-    k = killing_form(omega.algebra)
-    quad = integrate(beta_pair(k, omega, exterior_d(omega)))
-    cubic = integrate(beta_pair(k, omega, lie_bracket_forms(omega, omega)))
-    val = HALF * quad + SIXTH * cubic
-    val += torsion_pairing(omega, e).exact
-    return _exact_value(e.dim, val)
+    k = _scoped_form(killing_form, omega.algebra)
+    return _exact_value(e.dim,
+                        _cs_omega_torsion_value(k, ConnectionForms(omega, e)))
 
 
 def mm_action(conn, form_h):
@@ -241,7 +404,7 @@ def topological_terms(omega):
     alg = omega.algebra
     if alg.name not in _4D_ALGEBRAS:
         raise IdentityError("topological terms are checked on so41/so32")
-    k = killing_form(alg)
+    k = _scoped_form(killing_form, alg)
     r = _curvature_of(omega)
     t1 = integrate(beta_pair(k, r, r))
     t2 = integrate(beta_pair(k, r, r.h_block_star()))
@@ -265,7 +428,7 @@ def topological_variation_check(omega, delta, h=Fraction(1, 1000)):
 def _mm_pieces(conn, couplings):
     """Exact ingredients of the expansion of the generalized 4d action."""
     alg = conn.algebra
-    k = killing_form(alg)
+    k = _scoped_form(killing_form, alg)
     omega, e = conn.omega, conn.coframe
     r = _curvature_of(omega)
     ee = lie_bracket_forms(e, e)
@@ -534,8 +697,8 @@ def _tmg_quadrature(lc, grid, mu, cs_terms=()):
     """
     alg = lc.alg
     g3 = _Grid3(alg, grid)
-    s_gram = np.array(star_form(alg).gram, dtype=float)
-    k_gram = np.array(killing_form(alg).gram, dtype=float)
+    s_gram = np.array(_scoped_form(star_form, alg).gram, dtype=float)
+    k_gram = np.array(_scoped_form(killing_form, alg).gram, dtype=float)
     cs_grams = [(float(s), np.array(form.gram, dtype=float))
                 for s, form in cs_terms]
     inv_mu = float(1 / Fraction(mu))
@@ -628,13 +791,6 @@ def _gram_blocks_zero(form, rows, cols):
     return all(form.gram[i][j] == 0 for i in rows for j in cols)
 
 
-def _random_connection(alg, seed, cutoff, density):
-    omega = random_form(seed, 1, alg, cutoff=cutoff, support="h",
-                        density=density)
-    e = random_form(seed, 1, alg, cutoff=cutoff, support="p", density=density)
-    return CartanConnection(omega, e)
-
-
 def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
                       grid=32):
     """Evaluate both sides of one named identity on seeded random fields.
@@ -649,71 +805,62 @@ def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
               f"/c0={couplings.c0}/c1={couplings.c1}/mu={couplings.mu}"
               f"/K={cutoff}")
 
+    fields = _field_set(alg, seed, cutoff)
+
     if identity_id in ("CS_NULL", "CS_PERP", "EINSTEIN_CS", "TWO_CS_SUM",
                        "TWO_CS_DIFF"):
         _require(alg.name in _3D_ALGEBRAS,
                  f"{identity_id} needs a 3d algebra, got {alg.name}")
-        form = invariant_form(alg, couplings.c0, couplings.c1)
-        conn = _random_connection(alg, seed, cutoff, density=0.6)
-        omega, e = conn.omega, conn.coframe
-        a = conn.full()
+        form = _scoped_form(invariant_form, alg, couplings.c0, couplings.c1)
+        h, p = alg.h_indices, alg.p_indices
         if identity_id == "CS_NULL":
-            h, p = alg.h_indices, alg.p_indices
             _require(_gram_blocks_zero(form, h, h) and _gram_blocks_zero(form, p, p),
                      f"CS_NULL needs a form with h-h and p-p blocks zero; "
                      f"(c0, c1) = ({couplings.c0}, {couplings.c1}) on "
                      f"{alg.name} fails that hypothesis")
-            r = _curvature_of(omega)
-            rhs = integrate(beta_pair(form, e, r))
-            rhs += SIXTH * integrate(beta_pair(form, e, lie_bracket_forms(e, e)))
-            residual = cs_action(a, form).exact - rhs
         elif identity_id == "CS_PERP":
-            h, p = alg.h_indices, alg.p_indices
             _require(_gram_blocks_zero(form, h, p),
                      f"CS_PERP needs a form with the h-p block zero; "
                      f"(c0, c1) = ({couplings.c0}, {couplings.c1}) on "
                      f"{alg.name} fails that hypothesis")
-            quad = integrate(beta_pair(form, omega, exterior_d(omega)))
-            cubic = integrate(beta_pair(form, omega,
-                                        lie_bracket_forms(omega, omega)))
-            tors = integrate(beta_pair(form, e, covariant_d(omega, e)))
-            rhs = HALF * quad + SIXTH * cubic + HALF * tors
-            residual = cs_action(a, form).exact - rhs
-        elif identity_id == "EINSTEIN_CS":
-            rhs = (couplings.c1 * palatini_action(omega, e).exact
-                   + couplings.c0 * cs_action(omega, killing_form(alg)).exact
-                   + couplings.c0 * torsion_pairing(omega, e).exact)
-            residual = cs_action(a, form).exact - rhs
-        elif identity_id == "TWO_CS_SUM":
-            lhs = HALF * (cs_action(a, form).exact
-                          + cs_action(conn.involute().full(), form).exact)
-            residual = lhs - couplings.c0 * cs_omega_torsion_action(omega, e).exact
-        else:  # TWO_CS_DIFF
-            lhs = HALF * (cs_action(a, form).exact
-                          - cs_action(conn.involute().full(), form).exact)
-            residual = lhs - couplings.c1 * palatini_action(omega, e).exact
+        f = fields.connection
+        cs_a = _cs_value(form, f.a, f.da, f.aa)
+        if identity_id in ("TWO_CS_SUM", "TWO_CS_DIFF"):
+            cs_at = _cs_value(form, f.a_t, f.da_t, f.aa_t)
+        if identity_id == "CS_NULL":
+            residual = cs_a - _palatini_value(form, f)
+        elif identity_id == "CS_PERP":
+            residual = cs_a - _cs_omega_torsion_value(form, f)
+        else:
+            k = _scoped_form(killing_form, alg)
+            s = _scoped_form(star_form, alg)
+            if identity_id == "EINSTEIN_CS":
+                residual = cs_a - (couplings.c1 * _palatini_value(s, f)
+                                   + couplings.c0 * _cs_omega_torsion_value(k, f))
+            elif identity_id == "TWO_CS_SUM":
+                residual = (HALF * (cs_a + cs_at)
+                            - couplings.c0 * _cs_omega_torsion_value(k, f))
+            else:  # TWO_CS_DIFF
+                residual = (HALF * (cs_a - cs_at)
+                            - couplings.c1 * _palatini_value(s, f))
         return IdentityReport(identity_id, alg.name, seed, couplings,
                               residual, residual == 0, "exact", None, digest)
 
     if identity_id == "QUARTIC_ZERO":
         _require(alg.name in _4D_ALGEBRAS,
                  f"QUARTIC_ZERO needs so41 or so32, got {alg.name}")
-        e = random_form(seed, 1, alg, dim=4, cutoff=cutoff, support="p",
-                        density=0.5)
+        e = fields.random_form(1, "p", 0.5, dim=4)
         ee = lie_bracket_forms(e, e)
-        residual = integrate(beta_pair(killing_form(alg), ee, ee))
+        residual = integrate(beta_pair(_scoped_form(killing_form, alg), ee, ee))
         return IdentityReport(identity_id, alg.name, seed, couplings,
                               residual, residual == 0, "exact", None, digest)
 
     if identity_id == "MM_EXPANSION":
         _require(alg.name in _4D_ALGEBRAS,
                  f"MM_EXPANSION needs so41 or so32, got {alg.name}")
-        omega = random_form(seed, 1, alg, dim=4, cutoff=cutoff, support="h",
-                            density=0.35)
-        e = random_form(seed, 1, alg, dim=4, cutoff=cutoff, support="p",
-                        density=0.5)
-        conn = CartanConnection(omega, e)
-        form_h = invariant_form(alg, couplings.c0, couplings.c1)
+        conn = CartanConnection(fields.random_form(1, "h", 0.35, dim=4),
+                                fields.random_form(1, "p", 0.5, dim=4))
+        form_h = _scoped_form(invariant_form, alg, couplings.c0, couplings.c1)
         lhs = mm_action(conn, form_h).exact
         top, expansion = _mm_pieces(conn, couplings)
         residual = lhs - top - expansion
@@ -725,17 +872,17 @@ def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
              f"{identity_id} needs so31, so22 or so4, got {alg.name}")
     _require(couplings.mu is not None, f"{identity_id} needs mu")
     mu = couplings.mu
-    lc = levi_civita_connection(analytic_coframe(alg, seed=seed))
+    lc = fields.levi_civita
     digest += f"/grid={grid}"
 
     if identity_id == "CS_TMG":
         # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S
-        form = invariant_form(alg, 1 / mu, -1)
+        form = _scoped_form(invariant_form, alg, 1 / mu, -1)
         tmg, (rhs,) = _tmg_quadrature(lc, grid, mu, [(1, form)])
     else:  # TWO_CS_TMG
         c0 = couplings.c0
         _require(c0 != 0, "TWO_CS_TMG needs c0 != 0 in the normalized form")
-        form = invariant_form(alg, c0, 1)
+        form = _scoped_form(invariant_form, alg, c0, 1)
         tmg, (cs_a, cs_at) = _tmg_quadrature(lc, grid, mu,
                                              [(1, form), (-1, form)])
         coeff = float(1 / (mu * c0))

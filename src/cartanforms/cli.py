@@ -33,6 +33,20 @@ def _positive_int(text):
     return value
 
 
+def _seed_range(text):
+    """'a..b' or 'a' -> (a, b), refusing non-integers and reversed ranges."""
+    lo, sep, hi = text.partition("..")
+    try:
+        start, end = int(lo), int(hi if sep else lo)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"not a seed range a..b: {text!r}") from exc
+    if end < start:
+        raise argparse.ArgumentTypeError(
+            f"empty seed range {text!r}: {end} < {start}")
+    return start, end
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cartanforms",
@@ -41,7 +55,8 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--config", help="suite config JSON file")
-    p_verify.add_argument("--seeds", help="seed range a..b (overrides config)")
+    p_verify.add_argument("--seeds", type=_seed_range,
+                          help="seed range a..b (overrides config)")
     p_verify.add_argument("--out", help="report output path")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall_time_ms (breaks byte determinism)")
@@ -66,13 +81,13 @@ def build_parser():
 
 
 def _cmd_verify(args):
-    cfg = suites.load_config(args.config) if args.config else suites.default_config()
-    if args.seeds:
-        lo, _, hi = args.seeds.partition("..")
-        cfg.seed_start, cfg.seed_end = int(lo), int(hi or lo)
-    if args.out:
-        cfg.out = args.out
     try:
+        cfg = (suites.load_config(args.config) if args.config
+               else suites.default_config())
+        if args.seeds:
+            cfg.seed_start, cfg.seed_end = args.seeds
+        if args.out:
+            cfg.out = args.out
         results, ok = suites.run_suite(cfg)
     except suites.SuiteConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -83,6 +98,9 @@ def _cmd_verify(args):
         print(f"report written to {path}")
     else:
         print(text, end="")
+    if cfg.suites and not results:
+        print("FAILED: the requested suites ran no checks", file=sys.stderr)
+        return 1
     if not ok:
         for r in results:
             if not r.passed:

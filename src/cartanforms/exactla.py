@@ -40,17 +40,9 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, s):
     s = Fraction(s)
     return [[x * s for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def is_symmetric(m):

@@ -30,6 +30,7 @@ from .actions import (
     IDENTITY_IDS,
     NUMERIC_IDENTITIES,
     identity_residual,
+    run_scope,
 )
 from .calculus import (
     beta_pair,
@@ -107,6 +108,13 @@ def default_config():
 
 
 def load_config(path):
+    try:
+        return _read_config(path)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise SuiteConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _read_config(path):
     with open(path) as fh:
         doc = json.load(fh)
     cfg = SuiteConfig()
@@ -127,6 +135,9 @@ def load_config(path):
 
 
 def validate_config(cfg):
+    if cfg.seed_end < cfg.seed_start:
+        raise SuiteConfigError(
+            f"empty seed range {cfg.seed_start}..{cfg.seed_end}")
     for s in cfg.suites:
         if s not in SUITE_NAMES:
             raise SuiteConfigError(f"unknown suite {s!r}; known: {SUITE_NAMES}")
@@ -186,8 +197,20 @@ def _result_from_report(suite, rep, dt):
         inputs_digest=rep.inputs_digest, wall_time_ms=dt * 1000.0)
 
 
-def run_identity_battery(identity_id, cfg):
-    results = []
+@dataclass(frozen=True)
+class _PlannedCheck:
+    """One identity_residual call of a battery, in report order."""
+
+    identity_id: str
+    alg: object
+    seed: int
+    couplings: CouplingConstants
+    cutoff: int
+    grid: int
+
+
+def _plan_identity_battery(identity_id, cfg):
+    plan = []
     if identity_id in ("QUARTIC_ZERO", "MM_EXPANSION"):
         algebras = [a for a in cfg.algebras if a in _4D] or list(_4D)
     else:
@@ -196,14 +219,35 @@ def run_identity_battery(identity_id, cfg):
         alg = algebra_factory(name)
         for base in _couplings_for(cfg, name):
             cc = _identity_couplings(identity_id, base)
-            for seed in cfg.seeds():
-                t0 = time.perf_counter()
-                rep = identity_residual(identity_id, alg, seed, cc,
-                                        cutoff=cfg.cutoff, grid=cfg.grid)
-                results.append(_result_from_report(identity_id, rep,
-                                                   time.perf_counter() - t0))
+            plan.extend(_PlannedCheck(identity_id, alg, seed, cc, cfg.cutoff,
+                                      cfg.grid) for seed in cfg.seeds())
             if identity_id in NUMERIC_IDENTITIES:
                 break  # coframe family does not depend on couplings beyond mu
+    return plan
+
+
+def _run_planned(plan):
+    """Run planned checks grouped by field set; results in plan order.
+
+    Checks on one (algebra object, seed, cutoff) run back to back inside
+    one run scope, so each field set is built once and only one is alive
+    at a time.  A check's time includes the shared work it triggers first.
+    """
+    groups = {}
+    for i, check in enumerate(plan):
+        key = (id(check.alg), check.seed, check.cutoff)
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(plan)
+    with run_scope():
+        for members in groups.values():
+            for i in members:
+                check = plan[i]
+                t0 = time.perf_counter()
+                rep = identity_residual(check.identity_id, check.alg, check.seed,
+                                        check.couplings, cutoff=check.cutoff,
+                                        grid=check.grid)
+                results[i] = _result_from_report(check.identity_id, rep,
+                                                 time.perf_counter() - t0)
     return results
 
 
@@ -308,6 +352,7 @@ def run_appendix_star(cfg, random_pairs=100):
     results = []
     star_algebras = [a for a in cfg.algebras if a in _3D] or list(_3D)
     for name in star_algebras:
+        start = len(results)
         t0 = time.perf_counter()
         alg = algebra_factory(name)
         kf = killing_form(alg)
@@ -390,10 +435,10 @@ def run_appendix_star(cfg, random_pairs=100):
                         ok_sd = False
             results.append(_row("appendix_star", "selfdual_split", name, None,
                                 ok_sd, f"selfdual/{name}", 0))
+        rows = results[start:]
         dt = time.perf_counter() - t0
-        for row in results:
-            if row.algebra == name and row.suite == "appendix_star" and row.wall_time_ms == 0:
-                row.wall_time_ms = dt * 1000.0 / 7
+        for row in rows:
+            row.wall_time_ms = dt * 1000.0 / len(rows)
     return results
 
 
@@ -420,44 +465,59 @@ def run_invariant_forms(cfg):
     return results
 
 
-def run_mm_identities(cfg):
+def _plan_mm_identities(cfg):
     sub = SuiteConfig(suites=[], algebras=[a for a in cfg.algebras if a in _4D]
                       or list(_4D), seed_start=cfg.seed_start,
                       seed_end=cfg.seed_end, couplings=cfg.couplings,
                       cutoff=1, grid=cfg.grid)
-    return (run_identity_battery("QUARTIC_ZERO", sub)
-            + run_identity_battery("MM_EXPANSION", sub))
+    return (_plan_identity_battery("QUARTIC_ZERO", sub)
+            + _plan_identity_battery("MM_EXPANSION", sub))
 
 
-def run_tmg_identities(cfg):
+def _plan_tmg_identities(cfg):
     sub = SuiteConfig(suites=[],
                       algebras=[a for a in cfg.algebras
                                 if a in ("so31", "so22", "so4")] or ["so31", "so22"],
                       seed_start=cfg.seed_start,
                       seed_end=min(cfg.seed_end, cfg.seed_start + 2),
                       couplings=cfg.couplings, cutoff=cfg.cutoff, grid=cfg.grid)
-    return (run_identity_battery("CS_TMG", sub)
-            + run_identity_battery("TWO_CS_TMG", sub))
+    return (_plan_identity_battery("CS_TMG", sub)
+            + _plan_identity_battery("TWO_CS_TMG", sub))
 
 
 _RUNNERS = {
     "appendix_forms": run_appendix_forms,
     "appendix_star": run_appendix_star,
     "invariant_forms": run_invariant_forms,
-    "mm_identities": run_mm_identities,
-    "tmg_identities": run_tmg_identities,
+}
+
+_PLANNERS = {
+    "mm_identities": _plan_mm_identities,
+    "tmg_identities": _plan_tmg_identities,
 }
 
 
 def run_suite(cfg):
-    """Execute all requested suites; returns (results, all_passed)."""
+    """Execute all requested suites; returns (results, all_passed).
+
+    The identity batteries of all suites are planned first and run
+    together, grouped by field set (`_run_planned`); every row keeps its
+    place in the report.
+    """
     validate_config(cfg)
-    results = []
+    results, plan, slots = [], [], []
     for s in cfg.suites:
         if s in _RUNNERS:
             results.extend(_RUNNERS[s](cfg))
-        else:
-            results.extend(run_identity_battery(s, cfg))
+            continue
+        planned = (_PLANNERS[s](cfg) if s in _PLANNERS
+                   else _plan_identity_battery(s, cfg))
+        for check in planned:
+            slots.append(len(results))
+            results.append(None)
+            plan.append(check)
+    for slot, result in zip(slots, _run_planned(plan)):
+        results[slot] = result
     return results, all(r.passed for r in results)
 
 
