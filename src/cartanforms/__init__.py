@@ -36,6 +36,7 @@ from .calculus import (
     integrate,
     lie_bracket_forms,
     load_fields,
+    pair_integral,
     random_form,
     random_scalar_form,
     save_fields,

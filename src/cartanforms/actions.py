@@ -38,12 +38,11 @@ from .algebra import invariant_form, killing_form, star_form
 from .calculus import (
     LieForm,
     TrigPoly,
-    beta_pair,
     covariant_d,
     exterior_d,
-    integrate,
     lie_bracket_forms,
     multi_indices,
+    pair_integral,
     random_form,
     _rng_for,
 )
@@ -251,7 +250,8 @@ class FieldSet:
 
     @cached_property
     def levi_civita(self):
-        return levi_civita_connection(analytic_coframe(self.alg, seed=self.seed))
+        return levi_civita_connection(
+            analytic_coframe(self.alg, seed=self.seed, cutoff=self.cutoff))
 
 
 class _RunScope:
@@ -308,19 +308,19 @@ def _scoped_form(build, alg, *args):
 
 def _cs_value(form, a, da, aa):
     """1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A]) from A, dA and [A,A]."""
-    return (HALF * integrate(beta_pair(form, a, da))
-            + SIXTH * integrate(beta_pair(form, a, aa)))
+    return (HALF * pair_integral(form, a, da)
+            + SIXTH * pair_integral(form, a, aa))
 
 
 def _palatini_value(form, f):
     """Int beta(e ^ R) + 1/6 Int beta(e ^ [e,e]) of ConnectionForms f."""
-    return (integrate(beta_pair(form, f.e, f.r))
-            + SIXTH * integrate(beta_pair(form, f.e, f.ee)))
+    return (pair_integral(form, f.e, f.r)
+            + SIXTH * pair_integral(form, f.e, f.ee))
 
 
 def _torsion_value(form, f):
     """1/2 Int beta(e ^ d_omega e) of ConnectionForms f."""
-    return HALF * integrate(beta_pair(form, f.e, f.dwe))
+    return HALF * pair_integral(form, f.e, f.dwe)
 
 
 def _cs_omega_torsion_value(form, f):
@@ -371,7 +371,7 @@ def mm_action(conn, form_h):
     if form_h.support != "h_block":
         raise IdentityError("the 4d action takes a stabilizer-block form")
     f_h = curvature(conn).F_h
-    val = -HALF * integrate(beta_pair(form_h, f_h, f_h))
+    val = -HALF * pair_integral(form_h, f_h, f_h)
     return _exact_value(4, val)
 
 
@@ -383,7 +383,7 @@ def cs_variation(a, da, form, h=Fraction(1, 10000)):
     picks up exactly the h^2 cubic remainder.
     """
     f = exterior_d(a) + lie_bracket_forms(a, a).scale(HALF)
-    exact = integrate(beta_pair(form, da, f))
+    exact = pair_integral(form, da, f)
     h = Fraction(h)
     plus = cs_action(a + da.scale(h), form).exact
     minus = cs_action(a - da.scale(h), form).exact
@@ -406,8 +406,8 @@ def topological_terms(omega):
         raise IdentityError("topological terms are checked on so41/so32")
     k = _scoped_form(killing_form, alg)
     r = _curvature_of(omega)
-    t1 = integrate(beta_pair(k, r, r))
-    t2 = integrate(beta_pair(k, r, r.h_block_star()))
+    t1 = pair_integral(k, r, r)
+    t2 = pair_integral(k, r, r.h_block_star())
     return t1, t2
 
 
@@ -435,9 +435,9 @@ def _mm_pieces(conn, couplings):
     c0, c1 = couplings.c0, couplings.c1
     t_rr, t_rsr = topological_terms(omega)
     top = -HALF * (c0 * t_rr + c1 * t_rsr)
-    expansion = -(c1 * HALF * integrate(beta_pair(k, ee, r.h_block_star()))
-                  + c1 * Fraction(1, 8) * integrate(beta_pair(k, ee, ee.h_block_star()))
-                  + c0 * HALF * integrate(beta_pair(k, ee, r)))
+    expansion = -(c1 * HALF * pair_integral(k, ee, r.h_block_star())
+                  + c1 * Fraction(1, 8) * pair_integral(k, ee, ee.h_block_star())
+                  + c0 * HALF * pair_integral(k, ee, r))
     return top, expansion
 
 
@@ -851,7 +851,7 @@ def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
                  f"QUARTIC_ZERO needs so41 or so32, got {alg.name}")
         e = fields.random_form(1, "p", 0.5, dim=4)
         ee = lie_bracket_forms(e, e)
-        residual = integrate(beta_pair(_scoped_form(killing_form, alg), ee, ee))
+        residual = pair_integral(_scoped_form(killing_form, alg), ee, ee)
         return IdentityReport(identity_id, alg.name, seed, couplings,
                               residual, residual == 0, "exact", None, digest)
 

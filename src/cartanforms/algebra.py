@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import exactla
@@ -495,6 +495,13 @@ class BilinearForm:
     gram: tuple
     degenerate: bool
     support: str  # "full" | "h_block"
+
+    @cached_property
+    def gram_ratios(self):
+        """Per row a, the nonzero entries as {b: (numerator, denominator)}."""
+        return tuple({b: (c.numerator, c.denominator)
+                      for b, c in enumerate(row) if c != 0}
+                     for row in self.gram)
 
     def pair(self, x, y):
         _check_same(x, y)

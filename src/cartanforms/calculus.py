@@ -13,6 +13,7 @@ suites cheap.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -308,10 +309,12 @@ class TrigPoly:
 # multi-index helpers
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _merge_indices(i_idx, j_idx):
     """Sign and sorted concatenation of strictly increasing multi-indices.
 
-    Returns (0, None) when an index repeats.
+    Returns (0, None) when an index repeats.  Memoized: on T^n there are at
+    most 2^n x 2^n index pairs.
     """
     merged = list(i_idx) + list(j_idx)
     if len(set(merged)) != len(merged):
@@ -769,6 +772,60 @@ def beta_pair(form, w, m):
     out.dim, out.degree = w.dim, deg
     out.comps = _finish(w.dim, acc)
     return out
+
+
+@functools.cache
+def _complement(dim, idx):
+    return tuple(i for i in range(dim) if i not in idx)
+
+
+def pair_integral(form, w, m):
+    """Int beta(w ^ m) over T^n, as the rational multiple of (2 pi)^n.
+
+    The same Fraction as integrating the scalar form beta_pair(form, w, m),
+    but only the zero mode of each component product is formed: every
+    TrigPoly stores the Hermitian partner of each mode, so
+    (f g)_0 = sum_k Re(f_k conj(g_k)) = sum_k (a_k c_k + b_k d_k) over the
+    frequencies f and g share.  Terms are summed in integers per
+    denominator and the Fraction is built once.
+    """
+    w._check_mate(m)
+    if form.algebra is not w.algebra:
+        raise AlgebraError("bilinear form belongs to a different algebra")
+    if w.degree + m.degree != w.dim:
+        raise DegreeError(f"pairing degree {w.degree + m.degree} is not the "
+                          f"top degree on T^{w.dim}")
+    rows = form.gram_ratios
+    mates = {}
+    for (beta, j_idx), g in m.comps.items():
+        mates.setdefault(j_idx, []).append((beta, g))
+    sums = {}
+    for (alpha, i_idx), f in w.comps.items():
+        j_idx = _complement(w.dim, i_idx)
+        group = mates.get(j_idx)
+        if group is None:
+            continue
+        sign = _merge_indices(i_idx, j_idx)[0]
+        row = rows[alpha]
+        fnums = f.nums
+        for beta, g in group:
+            coeff = row.get(beta)
+            if coeff is None:
+                continue
+            small, big = ((fnums, g.nums) if len(fnums) <= len(g.nums)
+                          else (g.nums, fnums))
+            s = 0
+            for k, (a, b) in small.items():
+                other = big.get(k)
+                if other is not None:
+                    s += a * other[0] + b * other[1]
+            if s:
+                den = coeff[1] * f.den * g.den
+                sums[den] = sums.get(den, 0) + sign * coeff[0] * s
+    lcm = 1
+    for den in sums:
+        lcm = lcm // gcd(lcm, den) * den
+    return Fraction(sum(n * (lcm // den) for den, n in sums.items()), lcm)
 
 
 def integrate(w):

@@ -107,9 +107,15 @@ def default_config():
     return SuiteConfig()
 
 
+CONFIG_KEYS = ("suites", "algebras", "seeds", "couplings", "cutoff", "grid",
+               "out")
+
+
 def load_config(path):
     try:
         return _read_config(path)
+    except SuiteConfigError:
+        raise
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise SuiteConfigError(f"cannot read config {path}: {exc}") from exc
 
@@ -117,6 +123,12 @@ def load_config(path):
 def _read_config(path):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SuiteConfigError(f"config {path} is not a JSON object")
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise SuiteConfigError(f"unknown config key(s) {unknown} in {path}; "
+                               f"known: {list(CONFIG_KEYS)}")
     cfg = SuiteConfig()
     if "suites" in doc:
         cfg.suites = list(doc["suites"])
@@ -138,6 +150,11 @@ def validate_config(cfg):
     if cfg.seed_end < cfg.seed_start:
         raise SuiteConfigError(
             f"empty seed range {cfg.seed_start}..{cfg.seed_end}")
+    for key in ("cutoff", "grid"):
+        value = getattr(cfg, key)
+        if not isinstance(value, int) or value < 1:
+            raise SuiteConfigError(
+                f"{key} must be a positive integer, got {value!r}")
     for s in cfg.suites:
         if s not in SUITE_NAMES:
             raise SuiteConfigError(f"unknown suite {s!r}; known: {SUITE_NAMES}")
@@ -154,9 +171,9 @@ def validate_config(cfg):
                     f"suite {s} does not apply to algebra(s) {bad}: "
                     "it needs a 3d gravity algebra"
                     + (" with a semisimple star" if s in NUMERIC_IDENTITIES else ""))
-        if s in ("QUARTIC_ZERO", "MM_EXPANSION", "mm_identities"):
+        if s in ("QUARTIC_ZERO", "MM_EXPANSION"):
             bad = [a for a in cfg.algebras if a not in _4D]
-            if bad and s != "mm_identities":
+            if bad:
                 raise SuiteConfigError(
                     f"suite {s} needs so41/so32, got {bad}")
 
