@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import exactla
 from .algebra import invariant_form, killing_form, star_form
 from .calculus import (
     LieForm,
@@ -41,9 +42,10 @@ from .calculus import (
     covariant_d,
     exterior_d,
     lie_bracket_forms,
-    multi_indices,
     pair_integral,
     random_form,
+    _det_on_points,
+    _eval_on_points,
     _rng_for,
 )
 from .cartan import CartanConnection, CartanError, coframe_check, curvature
@@ -444,13 +446,19 @@ def _mm_pieces(conn, couplings):
 # ---------------------------------------------------------------------------
 # pointwise grid machinery (numeric pipeline)
 # ---------------------------------------------------------------------------
+#
+# Pointwise arrays are points-last (see calculus._eval_on_points): a 1-form
+# is (3 mu, dim, npts), a 2-form (3 pairs, dim, npts), a density (npts,).
 
 _PAIRS3 = ((0, 1), (0, 2), (1, 2))
-_PAIR_MU, _PAIR_NU = (0, 0, 1), (1, 2, 2)
+_PAIR_MU, _PAIR_NU = [0, 0, 1], [1, 2, 2]
 # the top 3-form component of beta(1-form ^ 2-form) pairs direction mu with
 # its complementary 2-form component: (0, (1,2), +), (1, (0,2), -), (2, (0,1), +)
 _TOP_PAIR = [2, 1, 0]
-_TOP_SIGN = np.array([1.0, -1.0, 1.0])[:, None]
+_TOP_SIGN = np.array([1.0, -1.0, 1.0])[:, None, None]
+# (-1)^(p+q) over pairs p, q: the signs of the complementary minors
+_MINOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
+                        [1.0, -1.0, 1.0]])[:, :, None]
 
 # grid points per block of the TMG quadrature: bounds the pointwise arrays
 # (a few MB per block) whatever the grid size
@@ -458,10 +466,7 @@ QUADRATURE_BLOCK = 4096
 
 
 class _Grid3:
-    """Uniform tensor grid on T^3 with vectorized pointwise Lie algebra.
-
-    Pointwise arrays carry a leading axis over any set of points.
-    """
+    """Uniform tensor grid on T^3 with vectorized pointwise Lie algebra."""
 
     def __init__(self, alg, n):
         self.alg = alg
@@ -470,10 +475,10 @@ class _Grid3:
         self.axes = [m.ravel() for m in mesh]
         self.npts = self.axes[0].size
         d = alg.dim
-        # c[a, b*d + c] = C_ab^c, so u @ c contracts the first bracket slot
+        # c[c, a*d + b] = C_ab^c: c @ (u_a v_b over a, b) is [u, v]^c
         self.c = np.array([[float(alg.structure[a][b][c])
-                            for b in range(d) for c in range(d)]
-                           for a in range(d)])
+                            for a in range(d) for b in range(d)]
+                           for c in range(d)])
 
     def blocks(self):
         """The grid axes in consecutive slices of QUADRATURE_BLOCK points."""
@@ -481,17 +486,24 @@ class _Grid3:
             yield [ax[start:start + QUADRATURE_BLOCK] for ax in self.axes]
 
     def two_form_bracket(self, u, v):
-        """[u, v] for 1-form arrays (npts, 3, dim) -> (npts, 3 pairs, dim)."""
+        """[u, v] for 1-form arrays (3, dim, npts) -> (3 pairs, dim, npts)."""
         d = self.alg.dim
-        ad_u = (u @ self.c).reshape(u.shape + (d,))  # [u_mu, v]^c = v^b ad_u[mu, b, c]
-        uv = v[:, None] @ ad_u                       # [x, mu, nu] = [u_mu, v_nu]
-        return uv[:, _PAIR_MU, _PAIR_NU] - uv[:, _PAIR_NU, _PAIR_MU]
+        # C_ab^c = -C_ba^c makes the two terms of [u, u]_{mu nu} equal
+        twice = v is u
+        out = np.empty(u.shape)
+        for row, (mu, nu) in enumerate(_PAIRS3):
+            # one (dim, dim, npts) product at a time, contracted by a matmul
+            outer = u[mu, :, None] * v[nu]
+            if not twice:
+                outer -= u[nu, :, None] * v[mu]
+            out[row] = self.c @ outer.reshape(d * d, -1)
+        return 2.0 * out if twice else out
 
     def pair_top(self, one, two, gram):
         """beta(1-form ^ 2-form) top component, shape (npts,)."""
         g = np.asarray(gram, dtype=float)
-        signed = two[:, _TOP_PAIR] * _TOP_SIGN
-        return ((one @ g) * signed).reshape(len(one), -1).sum(1)
+        signed = two[_TOP_PAIR] * _TOP_SIGN
+        return ((g.T @ one) * signed).sum(axis=(0, 1))
 
     def mean(self, vals):
         """Grid quadrature, reported as a multiple of (2 pi)^3."""
@@ -499,40 +511,8 @@ class _Grid3:
 
 
 def _eval_forms_at(forms, axes):
-    """Evaluate LieForms at points given as one coordinate array per axis.
-
-    Every component of every form comes from one cos/sin table over the
-    union of their frequencies, followed by one matmul; each +-k Hermitian
-    pair enters once, at double weight.  Returns one (npts, ncomp, dim)
-    array per form, components in multi_indices order.
-    """
-    freqs = sorted({k for w in forms for poly in w.comps.values()
-                    for k in poly.nums if k >= tuple(-x for x in k)})
-    row = {k: i for i, k in enumerate(freqs)}
-    nf = len(freqs)
-    coefs = []
-    for w in forms:
-        pos = {idx: i for i, idx in enumerate(multi_indices(w.dim, w.degree))}
-        c = np.zeros((2 * nf, len(pos), w.algebra.dim))
-        for (alpha, idx), poly in w.comps.items():
-            for k, (a, b) in poly.nums.items():
-                i = row.get(k)
-                if i is None:
-                    continue
-                weight = 2 if any(k) else 1
-                c[i, pos[idx], alpha] = weight * a / poly.den
-                c[nf + i, pos[idx], alpha] = -weight * b / poly.den
-        coefs.append(c)
-    k_mat = np.array(freqs, dtype=float).reshape(nf, len(axes))
-    phase = np.stack(axes, axis=1) @ k_mat.T
-    table = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
-    flat = table @ np.concatenate([c.reshape(2 * nf, -1) for c in coefs], axis=1)
-    out, start = [], 0
-    for c in coefs:
-        stop = start + c[0].size
-        out.append(flat[:, start:stop].reshape((-1,) + c.shape[1:]))
-        start = stop
-    return out
+    """Points-first values of LieForms: one (npts, ncomp, dim) array per form."""
+    return [np.moveaxis(v, -1, 0) for v in _eval_on_points(forms, axes)]
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +527,15 @@ class LeviCivitaConnection:
     derivatives of w come from differentiating the same system, so no
     finite differencing enters anywhere.  A solve refuses points where
     |det e| <= tol.
+
+    The solve is closed-form.  Writing w_mu = e^c_mu W_c turns the system
+    matrix into Lambda^2(e) K0, with K0 the constant 9x9 matrix of
+    W -> [W_c, P_b] - [W_b, P_c] on pairs c < b (fixed by C_hpp), so
+
+        w = e . K0^-1 . Lambda^2(e^-1) . (-de)
+
+    K0 is built and inverted exactly once per connection; Lambda^2(e^-1)
+    comes from the entries of e over det e (complementary minors).
     """
 
     def __init__(self, e, tol=1e-8):
@@ -564,18 +553,26 @@ class LeviCivitaConnection:
         self._forms = ([e, self.de]
                        + [self._deriv_form(e, s) for s in range(3)]
                        + [self._deriv_form(self.de, s) for s in range(3)])
-        # C[h_i, p_b -> p_a] as float tensor
+        # C[h_i, p_b -> p_a], exact
         h, p = alg.h_indices, alg.p_indices
-        self.c_hpp = np.array([[[float(alg.structure[hi][pb][pa])
-                                 for pa in p] for pb in p] for hi in h])
-        # the torsion system is linear in e: sel[row, rho, nu] = +1 / -1
-        # where pair row = (rho, nu) / (nu, rho), and
-        # e.reshape(..., 9) @ _sys gives the system matrix of _system
-        sel = np.zeros((3, 3, 3))
-        for row, (mu, nu) in enumerate(_PAIRS3):
-            sel[row, mu, nu] = 1.0
-            sel[row, nu, mu] = -1.0
-        self._sys = np.einsum("rpn,iba->nbrapi", sel, self.c_hpp).reshape(9, 81)
+        c_hpp = [[[alg.structure[hi][pb][pa] for pa in p] for pb in p]
+                 for hi in h]
+        # ad[mu, (b, a)] = sum_i w[mu, i] C[i, b, a] is self._ad @ w
+        self._ad = np.array(c_hpp, dtype=float).reshape(3, 9).T
+        # K0 rows (pair (c, b), a), columns (c', i):
+        # delta_{c'c} C[i, b, a] - delta_{c'b} C[i, c, a]
+        k0 = [[0] * 9 for _ in range(9)]
+        for row, (c, b) in enumerate(_PAIRS3):
+            for a in range(3):
+                for i in range(3):
+                    k0[3 * row + a][3 * c + i] += c_hpp[i][b][a]
+                    k0[3 * row + a][3 * b + i] -= c_hpp[i][c][a]
+        try:
+            self._k0_inv = np.array(exactla.inverse(k0), dtype=float)
+        except ZeroDivisionError:
+            raise CartanError(
+                f"{alg.name}: the torsion map K0 is singular, so a coframe "
+                f"does not determine a unique torsion-free connection") from None
 
     @staticmethod
     def _deriv_form(w, sigma):
@@ -589,65 +586,66 @@ class LeviCivitaConnection:
         out.comps = comps
         return out
 
-    def _system(self, e_arr):
-        """Matrix of w -> [w_mu, e_nu] - [w_nu, e_mu] for coframe values.
+    def _torsion_map(self, w, f):
+        """[w_mu, f_nu] - [w_nu, f_mu] in p-coordinates, (..., pair, a, npts).
 
-        (..., mu, a) -> (..., 9, 9); rows (pair, a), columns (rho, i) with
-        the unknown w[rho, i] at column rho*3 + i.
+        w is (3 mu, 3 i, npts); f is (..., 3 mu, 3 b, npts).
         """
-        lead = e_arr.shape[:-2]
-        return (e_arr.reshape(lead + (9,)) @ self._sys).reshape(lead + (9, 9))
+        ad = (self._ad @ w).reshape(3, 3, 3, -1)      # (mu, b, a, npts)
+        return (np.einsum("...qbn,qban->...qan", f[..., _PAIR_NU, :, :],
+                          ad[_PAIR_MU])
+                - np.einsum("...qbn,qban->...qan", f[..., _PAIR_MU, :, :],
+                            ad[_PAIR_NU]))
+
+    def _apply_inverse(self, e_arr, lam_inv, rhs):
+        """x with system(e) x = rhs, for rhs (..., pair, a, npts).
+
+        Returns (..., mu, i, npts): e . K0^-1 . Lambda^2(e^-1) . rhs.
+        """
+        y = np.einsum("pqn,...qan->...pan", lam_inv, rhs)
+        big_w = (self._k0_inv @ y.reshape(y.shape[:-3] + (9, -1))).reshape(y.shape)
+        return np.einsum("mcn,...cin->...min", e_arr, big_w)
 
     def solve(self, axes):
         """Solve for w and its coordinate derivatives on given points.
 
-        Returns dict with E (npts,3,3), w (npts,3,3  [mu, h-coeff]),
-        dw (npts,3,3 [pair, h-coeff]), plus raw derivative arrays.
+        Returns dict with points-last arrays E (3 mu, 3 a, npts), dE (3
+        pairs, 3 a, npts), w (3 mu, 3 h-coeff, npts) and dw (3 pairs, 3
+        h-coeff, npts).
         """
         p = list(self.alg.p_indices)
-        vals = [f[:, :, p] for f in _eval_forms_at(self._forms, axes)]
-        e_arr, de_arr = vals[0], vals[1]          # (npts, mu, a), (npts, pair, a)
-        e_d = np.stack(vals[2:5], axis=1)         # (npts, sigma, mu, a)
-        de_d = np.stack(vals[5:8], axis=1)        # (npts, sigma, pair, a)
-        npts = e_arr.shape[0]
-        dets = np.abs(np.linalg.det(e_arr))
-        if npts and dets.min() <= self.tol:
+        vals = [f[:, p] for f in _eval_on_points(self._forms, axes)]
+        e_arr, de_arr = vals[0], vals[1]          # (mu, a, npts), (pair, a, npts)
+        e_d = np.stack(vals[2:5])                 # (sigma, mu, a, npts)
+        de_d = np.stack(vals[5:8])                # (sigma, pair, a, npts)
+        det = _det_on_points(e_arr)
+        dets = np.abs(det)
+        if dets.size and dets.min() <= self.tol:
             k = int(dets.argmin())
             where = ", ".join(f"{float(ax[k]):.6g}" for ax in axes)
             raise CartanError(f"degenerate coframe: min |det e| = "
                               f"{dets[k]:.3e} at x = ({where})")
-
-        mat = self._system(e_arr)
-        w_flat = np.linalg.solve(mat, -de_arr.reshape(npts, 9, 1))[..., 0]
-        # derivatives: mat . dw_sigma = -d_sigma(de) - d_sigma(mat) . w,
+        # Lambda^2(e^-1)[p, q] = (-1)^(p+q) e[2-q, 2-p] / det e
+        lam_inv = e_arr[::-1, ::-1].transpose(1, 0, 2) * (_MINOR_SIGN / det)
+        w = self._apply_inverse(e_arr, lam_inv, -de_arr)
+        # derivatives: system(e) dw_sigma = -d_sigma(de) - system(d_sigma e) w,
         # the three sigma as one stacked right-hand side
-        rhs = (-de_d.reshape(npts, 3, 9)
-               - (self._system(e_d) @ w_flat[:, None, :, None])[..., 0])
-        dw_sigma = (np.linalg.solve(mat, rhs.transpose(0, 2, 1))
-                    .transpose(0, 2, 1).reshape(npts, 3, 3, 3))
+        rhs = -de_d - self._torsion_map(w, e_d)
+        dw_sigma = self._apply_inverse(e_arr, lam_inv, rhs)
         # curl -> dw as a 2-form (pair, i)
-        dw = dw_sigma[:, _PAIR_MU, _PAIR_NU] - dw_sigma[:, _PAIR_NU, _PAIR_MU]
-        return {"E": e_arr, "dE": de_arr, "w": w_flat.reshape(npts, 3, 3),
-                "dw": dw}
+        dw = dw_sigma[_PAIR_MU, _PAIR_NU] - dw_sigma[_PAIR_NU, _PAIR_MU]
+        return {"E": e_arr, "dE": de_arr, "w": w, "dw": dw}
 
     def omega_at(self, points):
         """Stabilizer coefficients of w at points, shape (npts, 3 mu, 3 i)."""
         axes = [np.asarray(points, dtype=float)[:, j] for j in range(3)]
-        return self.solve(axes)["w"]
+        return np.moveaxis(self.solve(axes)["w"], -1, 0)
 
     def torsion_residual(self, points):
         """max |de + [w, e]| over probe points; solver self-check."""
         axes = [np.asarray(points, dtype=float)[:, j] for j in range(3)]
         sol = self.solve(axes)
-        res = 0.0
-        for row, (mu, nu) in enumerate(_PAIRS3):
-            t = (sol["dE"][:, row]
-                 + np.einsum("iba,xi,xb->xa", self.c_hpp, sol["w"][:, mu],
-                             sol["E"][:, nu])
-                 - np.einsum("iba,xi,xb->xa", self.c_hpp, sol["w"][:, nu],
-                             sol["E"][:, mu]))
-            res = max(res, float(np.abs(t).max()))
-        return res
+        return float(np.abs(sol["dE"] + self._torsion_map(sol["w"], sol["E"])).max())
 
 
 def levi_civita_connection(e, grid=16, tol=1e-8):
@@ -664,14 +662,14 @@ def levi_civita_connection(e, grid=16, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 def _block_fields(lc, axes):
-    """w, e, dw, de on the given points, each (npts, 3, alg.dim)."""
+    """w, e, dw, de on the given points, each (3, alg.dim, npts)."""
     sol = lc.solve(axes)
     alg = lc.alg
     out = []
     for key, idx in (("w", alg.h_indices), ("E", alg.p_indices),
                      ("dw", alg.h_indices), ("dE", alg.p_indices)):
-        full = np.zeros(sol[key].shape[:2] + (alg.dim,))
-        full[:, :, list(idx)] = sol[key]
+        full = np.zeros((3, alg.dim, sol[key].shape[-1]))
+        full[:, list(idx)] = sol[key]
         out.append(full)
     return out
 
@@ -745,7 +743,7 @@ def cs_action_numeric(a, form, grid=32):
     if a.dim != 3:
         raise CartanError("numeric CS evaluation lives on T^3")
     g3 = _Grid3(a.algebra, grid)
-    a_arr, da_arr = _eval_forms_at([a, exterior_d(a)], g3.axes)
+    a_arr, da_arr = _eval_on_points([a, exterior_d(a)], g3.axes)
     val = g3.mean(_cs_density(g3, a_arr, da_arr, form.gram))
     return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
                        quadrature_grid=grid)

@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from . import exactla
 
 ZERO = Fraction(0)
@@ -218,6 +220,119 @@ def _commutator(x, y):
     return [[xy[i][j] - yx[i][j] for j in range(d)] for i in range(d)]
 
 
+# integer tables with entries below this bound stay far from int64 overflow
+# in every product-sum the checks form (at most 3 * dim * bound^2)
+_INT_BOUND = 2 ** 20
+
+
+def _integer_array(table):
+    """An exact table as an int64 array when every entry is a small
+    integer; None otherwise (the Fraction loops handle it)."""
+    flat = np.array(table, dtype=object)
+    if not all(x.denominator == 1 and abs(x) < _INT_BOUND
+               for x in flat.flat):
+        return None
+    return flat.astype(np.int64)
+
+
+def _int_commutators(b):
+    """[b_a, b_c] for a stack of integer matrices, shape (dim, dim, d, d)."""
+    return b[:, None] @ b[None] - b[None] @ b[:, None]
+
+
+def _commutators(basis):
+    """All [basis_a, basis_b] as nested lists of exact entries."""
+    b = _integer_array(basis)
+    if b is not None:
+        return _int_commutators(b).tolist()
+    return [[_commutator(x, y) for y in basis] for x in basis]
+
+
+def _grading_targets(dim, h_indices):
+    """target[a][b]: the index set [X_a, X_b] must lie in."""
+    hset = set(h_indices)
+    pset = set(range(dim)) - hset
+    return [[hset if (a in hset) == (b in hset) else pset for b in range(dim)]
+            for a in range(dim)]
+
+
+def _validate(name, basis, structure, h_indices, labels):
+    """Antisymmetry, Jacobi, grading and closure of a structure table.
+
+    Closure: each matrix commutator [basis_a, basis_b] equals
+    sum_c C_ab^c basis_c.  Integer numpy when every basis and structure
+    entry is a small integer (all seven algebras), Fraction loops otherwise;
+    both raise the same AlgebraError for the first failing check.
+    """
+    b, c = _integer_array(basis), _integer_array(structure)
+    if b is None or c is None:
+        _validate_exact(name, basis, structure, h_indices, labels)
+    else:
+        _validate_integer(name, b, c, h_indices, labels)
+
+
+def _validate_integer(name, b, c, h_indices, labels):
+    dim = len(c)
+    if np.any(c != -c.transpose(1, 0, 2)):
+        raise AlgebraError(f"{name}: antisymmetry failure")
+    jacobi = (np.einsum("abd,dce->abce", c, c)
+              + np.einsum("bcd,dae->abce", c, c)
+              + np.einsum("cad,dbe->abce", c, c))
+    if np.any(jacobi):
+        raise AlgebraError(f"{name}: Jacobi identity failure")
+    targets = _grading_targets(dim, h_indices)
+    outside = np.array([[[k not in targets[i][j] for k in range(dim)]
+                         for j in range(dim)] for i in range(dim)])
+    bad = np.argwhere((c != 0) & outside)
+    if len(bad):
+        i, j, _ = bad[0]
+        raise AlgebraError(f"{name}: grading violated by "
+                           f"[{labels[i]},{labels[j]}]")
+    mismatch = np.argwhere(np.any(
+        _int_commutators(b) != np.einsum("abc,cij->abij", c, b), axis=(2, 3)))
+    if len(mismatch):
+        i, j = mismatch[0]
+        raise AlgebraError(f"{name}: commutator [{labels[i]},{labels[j]}] "
+                           "does not match the structure constants")
+
+
+def _validate_exact(name, basis, structure, h_indices, labels):
+    dim = len(basis)
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                if structure[a][b][c] != -structure[b][a][c]:
+                    raise AlgebraError(f"{name}: antisymmetry failure")
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                for e in range(dim):
+                    total = ZERO
+                    for d_ in range(dim):
+                        total += structure[a][b][d_] * structure[d_][c][e]
+                        total += structure[b][c][d_] * structure[d_][a][e]
+                        total += structure[c][a][d_] * structure[d_][b][e]
+                    if total != 0:
+                        raise AlgebraError(f"{name}: Jacobi identity failure")
+    targets = _grading_targets(dim, h_indices)
+    for a in range(dim):
+        for b in range(dim):
+            if any(structure[a][b][c] != 0 and c not in targets[a][b]
+                   for c in range(dim)):
+                raise AlgebraError(f"{name}: grading violated by "
+                                   f"[{labels[a]},{labels[b]}]")
+    m = len(basis[0])
+    for a in range(dim):
+        for b in range(dim):
+            comm = _commutator(basis[a], basis[b])
+            rebuilt = [[sum((structure[a][b][c] * basis[c][i][j]
+                             for c in range(dim)), ZERO) for j in range(m)]
+                       for i in range(m)]
+            if rebuilt != comm:
+                raise AlgebraError(f"{name}: commutator [{labels[a]},{labels[b]}] "
+                                   "does not match the structure constants")
+
+
 def _pair_star(metric):
     """Hodge star on 2-form pair coordinates of a 4-dim diagonal metric.
 
@@ -243,53 +358,6 @@ def _star_from_pairs(pairs, c_vals, metric):
         beta = pos[dual]
         s[beta][alpha] = Fraction(sign) * c_vals[alpha] / c_vals[beta]
     return s
-
-
-def _validate(name, basis, structure, bracket_table, h_indices, p_indices, eta, labels, n):
-    dim = len(basis)
-    # bracket closure: matrix commutators reproduce the structure constants
-    for a in range(dim):
-        for b in range(dim):
-            comm = _commutator(basis[a], basis[b])
-            coeffs = _coeffs_from_matrix(eta, n, labels, comm)
-            rebuilt = [[ZERO] * len(comm) for _ in comm]
-            for c, coeff in enumerate(coeffs):
-                if coeff == 0:
-                    continue
-                for i in range(len(comm)):
-                    for j in range(len(comm)):
-                        rebuilt[i][j] += coeff * basis[c][i][j]
-            if _freeze(rebuilt) != _freeze(comm):
-                raise AlgebraError(f"{name}: commutator [{labels[a]},{labels[b]}] "
-                                   "leaves the algebra span")
-            if tuple(coeffs) != tuple(structure[a][b]):
-                raise AlgebraError(f"{name}: structure constants inconsistent")
-    # antisymmetry + Jacobi
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                if structure[a][b][c] != -structure[b][a][c]:
-                    raise AlgebraError(f"{name}: antisymmetry failure")
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                for e in range(dim):
-                    total = ZERO
-                    for d_ in range(dim):
-                        total += structure[a][b][d_] * structure[d_][c][e]
-                        total += structure[b][c][d_] * structure[d_][a][e]
-                        total += structure[c][a][d_] * structure[d_][b][e]
-                    if total != 0:
-                        raise AlgebraError(f"{name}: Jacobi identity failure")
-    # grading
-    hset, pset = set(h_indices), set(p_indices)
-    for a in range(dim):
-        for b in range(dim):
-            target = hset if ((a in hset) == (b in hset)) else pset
-            for c, coeff in bracket_table[a][b]:
-                if coeff != 0 and c not in target:
-                    raise AlgebraError(f"{name}: grading violated by "
-                                       f"[{labels[a]},{labels[b]}]")
 
 
 @lru_cache(maxsize=None)
@@ -324,21 +392,17 @@ def build_algebra(name, contraction_star_square=1):
     dim = len(basis)
     p_indices = tuple(range(len(h_indices), dim))
 
-    structure = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            comm = _commutator(basis[a], basis[b])
-            row.append(tuple(_coeffs_from_matrix(eta, n, labels, comm)))
-        structure.append(tuple(row))
-    structure = tuple(structure)
+    comms = _commutators(basis)
+    structure = tuple(
+        tuple(tuple(_coeffs_from_matrix(eta, n, labels, comms[a][b]))
+              for b in range(dim))
+        for a in range(dim))
     bracket_table = tuple(
         tuple(tuple((c, coeff) for c, coeff in enumerate(structure[a][b]) if coeff != 0)
               for b in range(dim))
         for a in range(dim))
 
-    _validate(name, basis, structure, bracket_table, h_indices, p_indices,
-              eta, labels, n)
+    _validate(name, basis, structure, h_indices, labels)
 
     # internal Hodge star
     star_matrix = None

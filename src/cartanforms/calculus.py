@@ -836,6 +836,65 @@ def integrate(w):
 
 
 # ---------------------------------------------------------------------------
+# pointwise evaluation (numeric pipeline)
+# ---------------------------------------------------------------------------
+#
+# Pointwise arrays put the points on the last axis, so the small form and
+# Lie indices lead and every per-point operation is either elementwise over
+# a contiguous points vector or one matmul with a constant matrix.
+
+def _eval_on_points(forms, axes):
+    """Evaluate LieForms at points given as one coordinate array per axis.
+
+    Every component of every form comes from one cos/sin table over the
+    union of their frequencies, followed by one matmul; each +-k Hermitian
+    pair enters once, at double weight.  Returns one (ncomp, dim, npts)
+    array per form, components in multi_indices order.
+    """
+    freqs = sorted({k for w in forms for poly in w.comps.values()
+                    for k in poly.nums if k >= tuple(-x for x in k)})
+    row = {k: i for i, k in enumerate(freqs)}
+    nf = len(freqs)
+    coefs = []
+    for w in forms:
+        pos = {idx: i for i, idx in enumerate(multi_indices(w.dim, w.degree))}
+        c = np.zeros((len(pos), w.algebra.dim, 2 * nf))
+        for (alpha, idx), poly in w.comps.items():
+            for k, (a, b) in poly.nums.items():
+                i = row.get(k)
+                if i is None:
+                    continue
+                weight = 2 if any(k) else 1
+                c[pos[idx], alpha, i] = weight * a / poly.den
+                c[pos[idx], alpha, nf + i] = -weight * b / poly.den
+        coefs.append(c)
+    k_mat = np.array(freqs, dtype=float).reshape(nf, len(axes))
+    phase = k_mat @ np.stack(axes)
+    table = np.concatenate([np.cos(phase), np.sin(phase)])
+    rows = [c.shape[0] * c.shape[1] for c in coefs]
+    flat = np.concatenate([c.reshape(r, 2 * nf)
+                           for c, r in zip(coefs, rows)]) @ table
+    out, start = [], 0
+    for c, r in zip(coefs, rows):
+        out.append(flat[start:start + r].reshape(c.shape[:2] + (-1,)))
+        start += r
+    return out
+
+
+def _det_on_points(m):
+    """Determinants of a points-last stack of matrices, (n, n, npts) -> (npts,).
+
+    Cofactor expansion along the first row: elementwise over the points,
+    no LU factorization per point.
+    """
+    if len(m) == 1:
+        return m[0, 0]
+    rest = m[1:]
+    return sum((-1) ** j * m[0, j] * _det_on_points(np.delete(rest, j, axis=1))
+               for j in range(len(m)))
+
+
+# ---------------------------------------------------------------------------
 # seeded random forms
 # ---------------------------------------------------------------------------
 

@@ -23,6 +23,8 @@ from .calculus import (
     covariant_d,
     exterior_d,
     lie_bracket_forms,
+    _det_on_points,
+    _eval_on_points,
 )
 
 HALF = Fraction(1, 2)
@@ -106,23 +108,6 @@ def bianchi_residuals(conn):
 # coframe nondegeneracy
 # ---------------------------------------------------------------------------
 
-def coframe_matrix_mesh(e, grid_size):
-    """Coframe components e^a_mu on a uniform grid; shape (a, mu, grid...)."""
-    alg = e.algebra
-    n = e.dim
-    if n != alg.spacetime_dim:
-        raise CartanError("torus dimension must equal the translation dimension")
-    axes = np.meshgrid(*[np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-                         for _ in range(n)], indexing="ij")
-    out = np.zeros((n, n) + axes[0].shape)
-    for a, lie_idx in enumerate(alg.p_indices):
-        for mu in range(n):
-            poly = e.component(lie_idx, (mu,))
-            if not poly.is_zero():
-                out[a, mu] = poly.evaluate_mesh(axes)
-    return out
-
-
 def coframe_check(e, grid_size=16, tol=1e-8):
     """Scan |det e(x)| over a uniform grid.
 
@@ -131,10 +116,13 @@ def coframe_check(e, grid_size=16, tol=1e-8):
     """
     if isinstance(e, CartanConnection):
         e = e.coframe
-    mats = coframe_matrix_mesh(e, grid_size)
-    n = mats.shape[0]
-    flat = mats.reshape(n, n, -1).transpose(2, 0, 1)
-    dets = np.abs(np.linalg.det(flat))
+    n = e.dim
+    if n != e.algebra.spacetime_dim:
+        raise CartanError("torus dimension must equal the translation dimension")
+    ax = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
+    axes = [m.ravel() for m in np.meshgrid(*[ax] * n, indexing="ij")]
+    (vals,) = _eval_on_points([e], axes)
+    dets = np.abs(_det_on_points(vals[:, list(e.algebra.p_indices)]))
     min_det = float(dets.min()) if dets.size else 0.0
     return {"nondegenerate": bool(min_det > tol), "min_abs_det": min_det}
 

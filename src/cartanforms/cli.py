@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -185,14 +186,24 @@ def _cmd_holonomy(args):
     return 0
 
 
+_COMMANDS = {"verify": _cmd_verify, "eval": _cmd_eval,
+             "holonomy": _cmd_holonomy}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    return _cmd_holonomy(args)
+    try:
+        code = _COMMANDS[args.command](args)
+        # flush here, not at interpreter exit, so a closed pipe is caught
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so
+        # the flush at exit cannot fail again, and report the lost output
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -496,7 +496,7 @@ def _plan_tmg_identities(cfg):
                       algebras=[a for a in cfg.algebras
                                 if a in ("so31", "so22", "so4")] or ["so31", "so22"],
                       seed_start=cfg.seed_start,
-                      seed_end=min(cfg.seed_end, cfg.seed_start + 2),
+                      seed_end=cfg.seed_end,
                       couplings=cfg.couplings, cutoff=cfg.cutoff, grid=cfg.grid)
     return (_plan_identity_battery("CS_TMG", sub)
             + _plan_identity_battery("TWO_CS_TMG", sub))

@@ -2,8 +2,10 @@ import json
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cartanforms import algebra as alg_mod
 from cartanforms import exactla as xl
 from cartanforms.algebra import (
     ALGEBRA_NAMES,
@@ -407,3 +409,81 @@ def test_descriptor_json_parses():
     assert doc["schema"] == 1
     assert doc["matrix_dim"] == 5
     assert all(len(t) == 4 for t in doc["structure_constants"])
+
+
+# ---------------------------------------------------------------------------
+# structure-table validation: integer numpy and Fraction loops
+# ---------------------------------------------------------------------------
+
+def _so31_tables():
+    alg = build_algebra("so31")
+    structure = [[list(row) for row in plane] for plane in alg.structure]
+    return alg, [[list(r) for r in m] for m in alg.basis], structure
+
+
+def _break_antisymmetry(s):
+    s[0][3][4] += 1                 # [M01, P0] only
+
+
+def _break_jacobi(s):
+    s[0][3][4] += 1                 # [M01, P0] and [P0, M01]: still antisymmetric
+    s[3][0][4] -= 1
+
+
+def _break_grading(s):
+    # the Heisenberg table [P0, P1] = P2: a Lie algebra, but [p, p] must lie in h
+    for plane in s:
+        for row in plane:
+            row[:] = [0] * len(row)
+    s[3][4][5], s[4][3][5] = 1, -1
+
+
+def _break_closure(s):
+    # the abelian table: a graded Lie algebra the so31 matrices do not span
+    for plane in s:
+        for row in plane:
+            row[:] = [0] * len(row)
+
+
+DAMAGES = [
+    (_break_antisymmetry, "antisymmetry failure"),
+    (_break_jacobi, "Jacobi identity failure"),
+    (_break_grading, r"grading violated by \[P0,P1\]"),
+    (_break_closure, r"commutator \[M01,M02\] does not match the structure"),
+]
+
+
+@pytest.mark.parametrize("damage, message", DAMAGES,
+                         ids=["antisymmetry", "jacobi", "grading", "closure"])
+def test_damaged_structure_table_fails_on_both_paths(damage, message):
+    alg, basis, structure = _so31_tables()
+    damage(structure)
+    args = (alg.h_indices, alg.labels)
+    with pytest.raises(AlgebraError, match=f"so31: {message}"):
+        alg_mod._validate_integer("so31", np.array(basis, dtype=np.int64),
+                                  np.array(structure, dtype=np.int64), *args)
+    with pytest.raises(AlgebraError, match=f"so31: {message}"):
+        alg_mod._validate_exact("so31", basis, structure, *args)
+    # halving basis and structure keeps a valid table valid but leaves the
+    # integers, so _validate takes the Fraction loops
+    half = Fraction(1, 2)
+    basis2 = [[[x * half for x in r] for r in m] for m in basis]
+    structure2 = [[[x * half for x in r] for r in p] for p in structure]
+    assert alg_mod._integer_array(basis2) is None
+    with pytest.raises(AlgebraError, match=f"so31: {message}"):
+        alg_mod._validate("so31", basis2, structure2, *args)
+
+
+def test_valid_tables_pass_both_paths():
+    for name in ALGEBRA_NAMES:
+        alg = build_algebra(name)
+        b = alg_mod._integer_array(alg.basis)
+        c = alg_mod._integer_array(alg.structure)
+        assert b is not None and c is not None
+        alg_mod._validate_integer(name, b, c, alg.h_indices, alg.labels)
+    alg, basis, structure = _so31_tables()
+    alg_mod._validate_exact("so31", basis, structure, alg.h_indices, alg.labels)
+    half = Fraction(1, 2)
+    alg_mod._validate("so31", [[[x * half for x in r] for r in m] for m in basis],
+                      [[[x * half for x in r] for r in p] for p in structure],
+                      alg.h_indices, alg.labels)

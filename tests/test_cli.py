@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +208,27 @@ def test_eval_tmg_rejects_degenerate_coframe(tmp_path, capsys):
     rc = cli.main(["eval", "--fields", str(f), "--action", "tmg", "--mu", "5"])
     assert rc == 2
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_eval_into_closed_pipe_exits_one_without_traceback(tmp_path):
+    alg = build_algebra("so31")
+    f = tmp_path / "e.json"
+    save_fields(f, alg, {"e": analytic_coframe(alg, seed=0)})
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)          # the reader is gone before eval writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cartanforms.cli", "eval", "--fields", str(f),
+             "--action", "tmg", "--mu", "5", "--grid", "8"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------

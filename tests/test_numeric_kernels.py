@@ -1,10 +1,11 @@
 """Batched numeric kernels against their per-point references.
 
-Holonomy transports whole segments at once and the TMG quadrature walks
-its grid in fixed blocks; these tests pin both to the one-point-at-a-time
-computations they replace.
+Holonomy transports whole segments at once, the TMG quadrature walks its
+grid in fixed blocks and the torsion-free solve is closed-form; these tests
+pin each to the one-point-at-a-time computation it replaces.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -145,3 +146,118 @@ def test_tmg_rejects_coframe_singular_on_its_quadrature_grid():
     assert coframe_check(e, grid_size=16)["nondegenerate"]
     with pytest.raises(CartanError, match=r"degenerate coframe: min \|det e\| ="):
         tmg_action(e, 5, grid=18)
+
+
+# ---------------------------------------------------------------------------
+# closed-form torsion-free solve against the per-point LU solve
+# ---------------------------------------------------------------------------
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_MU, _NU = [0, 0, 1], [1, 2, 2]
+
+
+def reference_torsion_solve(e, points):
+    """w and dw from the 9x9 torsion system, LU-solved point by point.
+
+    Rows (pair, a), columns (rho, i) of w -> [w_mu, e_nu] - [w_nu, e_mu];
+    np.linalg.solve for w, then again for the stacked d/dx_sigma
+    right-hand sides.  Field values come from TrigPoly.evaluate_mesh.
+    Returns points-first w (npts, mu, i) and dw (npts, pair, i).
+    """
+    alg = e.algebra
+    h, p = alg.h_indices, alg.p_indices
+    c_hpp = np.array([[[float(alg.structure[hi][pb][pa]) for pa in p]
+                       for pb in p] for hi in h])
+    sel = np.zeros((3, 3, 3))
+    for row, (mu, nu) in enumerate(_PAIRS):
+        sel[row, mu, nu] = 1.0
+        sel[row, nu, mu] = -1.0
+    sys_map = np.einsum("rpn,iba->nbrapi", sel, c_hpp).reshape(9, 81)
+
+    def system(e_arr):
+        lead = e_arr.shape[:-2]
+        return (e_arr.reshape(lead + (9,)) @ sys_map).reshape(lead + (9, 9))
+
+    axes = [points[:, j] for j in range(3)]
+
+    def values(form, sigma=None):
+        out = np.zeros((len(points), 3, 3))
+        for row, idx in enumerate(multi_indices(3, form.degree)):
+            for a, alpha in enumerate(p):
+                poly = form.component(alpha, idx)
+                if sigma is not None:
+                    poly = poly.deriv(sigma)
+                out[:, row, a] = poly.evaluate_mesh(axes)
+        return out
+
+    de = exterior_d(e)
+    n = len(points)
+    e_arr, de_arr = values(e), values(de)
+    e_d = np.stack([values(e, s) for s in range(3)], axis=1)
+    de_d = np.stack([values(de, s) for s in range(3)], axis=1)
+    mat = system(e_arr)
+    w = np.linalg.solve(mat, -de_arr.reshape(n, 9, 1))[..., 0]
+    rhs = (-de_d.reshape(n, 3, 9)
+           - (system(e_d) @ w[:, None, :, None])[..., 0])
+    dw_sigma = (np.linalg.solve(mat, rhs.transpose(0, 2, 1))
+                .transpose(0, 2, 1).reshape(n, 3, 3, 3))
+    dw = dw_sigma[:, _MU, _NU] - dw_sigma[:, _NU, _MU]
+    return w.reshape(n, 3, 3), dw
+
+
+@pytest.mark.parametrize("name", ["so31", "iso21", "so22", "so4", "iso3"])
+def test_closed_form_solve_equals_lu_reference(name):
+    alg = build_algebra(name)
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0.0, 2.0 * math.pi, size=(64, 3))
+    axes = [points[:, j] for j in range(3)]
+    for seed in range(4):
+        for cutoff in (1, 2):
+            e = analytic_coframe(alg, seed=seed, cutoff=cutoff)
+            lc = levi_civita_connection(e)
+            # K0 is invertible with inverse entries in Z/2
+            assert np.array_equal(2.0 * lc._k0_inv, np.round(2.0 * lc._k0_inv))
+            sol = lc.solve(axes)
+            w_ref, dw_ref = reference_torsion_solve(e, points)
+            assert np.abs(np.moveaxis(sol["w"], -1, 0) - w_ref).max() < 1e-13
+            assert np.abs(np.moveaxis(sol["dw"], -1, 0) - dw_ref).max() < 1e-13
+            assert lc.torsion_residual(points) < 1e-12
+
+
+# tmg_action(analytic_coframe(so31, seed), mu=5, grid) from the per-point
+# LU solve with points-first densities
+LU_TMG_VALUES = {
+    (0, 17): -3.9661191229381996, (0, 24): -3.9661191229382005,
+    (0, 40): -3.9661191229382,
+    (1, 17): -3.9945886878074313, (1, 24): -3.994588687807431,
+    (1, 40): -3.994588687807431,
+    (5, 17): -4.258107532980385, (5, 24): -4.258107532980384,
+    (5, 40): -4.258107532980383,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_tmg_action_matches_lu_values(seed):
+    alg = build_algebra("so31")
+    e = analytic_coframe(alg, seed=seed)
+    lc = levi_civita_connection(e)
+    for grid in (17, 24, 40):
+        got = tmg_action(e, 5, grid=grid, lc=lc).numeric
+        want = LU_TMG_VALUES[(seed, grid)]
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_singular_torsion_map_is_refused():
+    # keep only the first rotation's action on the translations: K0 loses
+    # rank and no coframe determines a unique torsion-free connection
+    real = build_algebra("so31")
+    structure = [[list(row) for row in plane] for plane in real.structure]
+    for hi in real.h_indices[1:]:
+        for pb in real.p_indices:
+            structure[hi][pb] = [0] * real.dim
+            structure[pb][hi] = [0] * real.dim
+    broken = dataclasses.replace(
+        real, name="so31_one_rotation",
+        structure=tuple(tuple(tuple(r) for r in p) for p in structure))
+    with pytest.raises(CartanError, match="so31_one_rotation: the torsion map K0"):
+        actions.LeviCivitaConnection(analytic_coframe(broken, seed=0))

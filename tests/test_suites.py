@@ -64,3 +64,17 @@ def test_config_file_round_trip(tmp_path):
     assert ok and len(results) == 3
     assert all(r.couplings == {"c0": "1", "c1": "1/2", "mu": None,
                                "gamma": None} for r in results)
+
+
+def test_tmg_identities_run_every_requested_seed():
+    cfg = suites.SuiteConfig(suites=["tmg_identities"],
+                             algebras=["so31", "so22"], grid=10)
+    cfg.seed_start, cfg.seed_end = 0, 4
+    results, ok = suites.run_suite(cfg)
+    assert ok
+    seeds = {}
+    for r in results:
+        key = (r.algebra, r.check, tuple(sorted(r.couplings.items())))
+        seeds.setdefault(key, []).append(r.seed)
+    assert len(seeds) == 2 * 2
+    assert all(s == [0, 1, 2, 3, 4] for s in seeds.values())
