@@ -211,41 +211,25 @@ def _coeffs_from_matrix(eta, n, labels, m):
     return coeffs
 
 
-def _commutator(x, y):
-    d = len(x)
-    xy = [[sum((x[i][k] * y[k][j] for k in range(d)), ZERO) for j in range(d)]
-          for i in range(d)]
-    yx = [[sum((y[i][k] * x[k][j] for k in range(d)), ZERO) for j in range(d)]
-          for i in range(d)]
-    return [[xy[i][j] - yx[i][j] for j in range(d)] for i in range(d)]
-
-
 # integer tables with entries below this bound stay far from int64 overflow
 # in every product-sum the checks form (at most 3 * dim * bound^2)
 _INT_BOUND = 2 ** 20
 
 
-def _integer_array(table):
-    """An exact table as an int64 array when every entry is a small
-    integer; None otherwise (the Fraction loops handle it)."""
+def _integer_array(name, table):
+    """An exact table as an int64 array.  Every supported algebra has
+    integral basis matrices and structure constants in {-1, 0, 1}; any
+    other table is refused."""
     flat = np.array(table, dtype=object)
-    if not all(x.denominator == 1 and abs(x) < _INT_BOUND
-               for x in flat.flat):
-        return None
+    if not all(x.denominator == 1 and abs(x) < _INT_BOUND for x in flat.flat):
+        raise AlgebraError(f"{name}: table entries must be integers "
+                           f"below {_INT_BOUND} in magnitude")
     return flat.astype(np.int64)
 
 
-def _int_commutators(b):
+def _commutators(b):
     """[b_a, b_c] for a stack of integer matrices, shape (dim, dim, d, d)."""
     return b[:, None] @ b[None] - b[None] @ b[:, None]
-
-
-def _commutators(basis):
-    """All [basis_a, basis_b] as nested lists of exact entries."""
-    b = _integer_array(basis)
-    if b is not None:
-        return _int_commutators(b).tolist()
-    return [[_commutator(x, y) for y in basis] for x in basis]
 
 
 def _grading_targets(dim, h_indices):
@@ -256,22 +240,13 @@ def _grading_targets(dim, h_indices):
             for a in range(dim)]
 
 
-def _validate(name, basis, structure, h_indices, labels):
-    """Antisymmetry, Jacobi, grading and closure of a structure table.
+def _validate(name, b, c, h_indices, labels):
+    """Antisymmetry, Jacobi, grading and closure of an integer structure
+    table c against the integer basis stack b.
 
-    Closure: each matrix commutator [basis_a, basis_b] equals
-    sum_c C_ab^c basis_c.  Integer numpy when every basis and structure
-    entry is a small integer (all seven algebras), Fraction loops otherwise;
-    both raise the same AlgebraError for the first failing check.
+    Closure: each matrix commutator [b_a, b_b] equals sum_c C_ab^c b_c.
+    Raises AlgebraError for the first failing check.
     """
-    b, c = _integer_array(basis), _integer_array(structure)
-    if b is None or c is None:
-        _validate_exact(name, basis, structure, h_indices, labels)
-    else:
-        _validate_integer(name, b, c, h_indices, labels)
-
-
-def _validate_integer(name, b, c, h_indices, labels):
     dim = len(c)
     if np.any(c != -c.transpose(1, 0, 2)):
         raise AlgebraError(f"{name}: antisymmetry failure")
@@ -289,48 +264,11 @@ def _validate_integer(name, b, c, h_indices, labels):
         raise AlgebraError(f"{name}: grading violated by "
                            f"[{labels[i]},{labels[j]}]")
     mismatch = np.argwhere(np.any(
-        _int_commutators(b) != np.einsum("abc,cij->abij", c, b), axis=(2, 3)))
+        _commutators(b) != np.einsum("abc,cij->abij", c, b), axis=(2, 3)))
     if len(mismatch):
         i, j = mismatch[0]
         raise AlgebraError(f"{name}: commutator [{labels[i]},{labels[j]}] "
                            "does not match the structure constants")
-
-
-def _validate_exact(name, basis, structure, h_indices, labels):
-    dim = len(basis)
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                if structure[a][b][c] != -structure[b][a][c]:
-                    raise AlgebraError(f"{name}: antisymmetry failure")
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                for e in range(dim):
-                    total = ZERO
-                    for d_ in range(dim):
-                        total += structure[a][b][d_] * structure[d_][c][e]
-                        total += structure[b][c][d_] * structure[d_][a][e]
-                        total += structure[c][a][d_] * structure[d_][b][e]
-                    if total != 0:
-                        raise AlgebraError(f"{name}: Jacobi identity failure")
-    targets = _grading_targets(dim, h_indices)
-    for a in range(dim):
-        for b in range(dim):
-            if any(structure[a][b][c] != 0 and c not in targets[a][b]
-                   for c in range(dim)):
-                raise AlgebraError(f"{name}: grading violated by "
-                                   f"[{labels[a]},{labels[b]}]")
-    m = len(basis[0])
-    for a in range(dim):
-        for b in range(dim):
-            comm = _commutator(basis[a], basis[b])
-            rebuilt = [[sum((structure[a][b][c] * basis[c][i][j]
-                             for c in range(dim)), ZERO) for j in range(m)]
-                       for i in range(m)]
-            if rebuilt != comm:
-                raise AlgebraError(f"{name}: commutator [{labels[a]},{labels[b]}] "
-                                   "does not match the structure constants")
 
 
 def _pair_star(metric):
@@ -392,7 +330,8 @@ def build_algebra(name, contraction_star_square=1):
     dim = len(basis)
     p_indices = tuple(range(len(h_indices), dim))
 
-    comms = _commutators(basis)
+    basis_int = _integer_array(name, basis)
+    comms = _commutators(basis_int).tolist()
     structure = tuple(
         tuple(tuple(_coeffs_from_matrix(eta, n, labels, comms[a][b]))
               for b in range(dim))
@@ -402,7 +341,8 @@ def build_algebra(name, contraction_star_square=1):
               for b in range(dim))
         for a in range(dim))
 
-    _validate(name, basis, structure, h_indices, labels)
+    _validate(name, basis_int, _integer_array(name, structure), h_indices,
+              labels)
 
     # internal Hodge star
     star_matrix = None

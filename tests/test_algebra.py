@@ -412,7 +412,7 @@ def test_descriptor_json_parses():
 
 
 # ---------------------------------------------------------------------------
-# structure-table validation: integer numpy and Fraction loops
+# structure-table validation (integer numpy)
 # ---------------------------------------------------------------------------
 
 def _so31_tables():
@@ -455,35 +455,28 @@ DAMAGES = [
 
 @pytest.mark.parametrize("damage, message", DAMAGES,
                          ids=["antisymmetry", "jacobi", "grading", "closure"])
-def test_damaged_structure_table_fails_on_both_paths(damage, message):
+def test_damaged_structure_table_fails_validation(damage, message):
     alg, basis, structure = _so31_tables()
     damage(structure)
-    args = (alg.h_indices, alg.labels)
     with pytest.raises(AlgebraError, match=f"so31: {message}"):
-        alg_mod._validate_integer("so31", np.array(basis, dtype=np.int64),
-                                  np.array(structure, dtype=np.int64), *args)
-    with pytest.raises(AlgebraError, match=f"so31: {message}"):
-        alg_mod._validate_exact("so31", basis, structure, *args)
-    # halving basis and structure keeps a valid table valid but leaves the
-    # integers, so _validate takes the Fraction loops
-    half = Fraction(1, 2)
-    basis2 = [[[x * half for x in r] for r in m] for m in basis]
-    structure2 = [[[x * half for x in r] for r in p] for p in structure]
-    assert alg_mod._integer_array(basis2) is None
-    with pytest.raises(AlgebraError, match=f"so31: {message}"):
-        alg_mod._validate("so31", basis2, structure2, *args)
+        alg_mod._validate("so31", np.array(basis, dtype=np.int64),
+                          np.array(structure, dtype=np.int64),
+                          alg.h_indices, alg.labels)
 
 
-def test_valid_tables_pass_both_paths():
+def test_valid_tables_pass_validation():
     for name in ALGEBRA_NAMES:
         alg = build_algebra(name)
-        b = alg_mod._integer_array(alg.basis)
-        c = alg_mod._integer_array(alg.structure)
-        assert b is not None and c is not None
-        alg_mod._validate_integer(name, b, c, alg.h_indices, alg.labels)
-    alg, basis, structure = _so31_tables()
-    alg_mod._validate_exact("so31", basis, structure, alg.h_indices, alg.labels)
-    half = Fraction(1, 2)
-    alg_mod._validate("so31", [[[x * half for x in r] for r in m] for m in basis],
-                      [[[x * half for x in r] for r in p] for p in structure],
-                      alg.h_indices, alg.labels)
+        alg_mod._validate(name, alg_mod._integer_array(name, alg.basis),
+                          alg_mod._integer_array(name, alg.structure),
+                          alg.h_indices, alg.labels)
+
+
+def test_non_integral_table_refused():
+    _, basis, _ = _so31_tables()
+    halved = [[[x * Fraction(1, 2) for x in r] for r in m] for m in basis]
+    with pytest.raises(AlgebraError, match="so31: table entries must be integers"):
+        alg_mod._integer_array("so31", halved)
+    huge = [[[x * 2 ** 20 for x in r] for r in m] for m in basis]
+    with pytest.raises(AlgebraError, match="so31: table entries must be integers"):
+        alg_mod._integer_array("so31", huge)
