@@ -48,7 +48,13 @@ from .calculus import (
     _eval_on_points,
     _rng_for,
 )
-from .cartan import CartanConnection, CartanError, coframe_check, curvature
+from .cartan import (
+    CartanConnection,
+    CartanError,
+    coframe_check,
+    curvature,
+    _field_strength,
+)
 
 HALF = Fraction(1, 2)
 SIXTH = Fraction(1, 6)
@@ -340,10 +346,6 @@ def cs_action(a, form):
                                      lie_bracket_forms(a, a)))
 
 
-def _curvature_of(omega):
-    return exterior_d(omega) + lie_bracket_forms(omega, omega).scale(HALF)
-
-
 def palatini_action(omega, e):
     """Int S(e ^ R) + 1/6 Int S(e ^ [e,e]) with the pure star form S."""
     s = _scoped_form(star_form, omega.algebra)
@@ -384,8 +386,7 @@ def cs_variation(a, da, form, h=Fraction(1, 10000)):
     rational step h).  Both are exact rationals; the central difference
     picks up exactly the h^2 cubic remainder.
     """
-    f = exterior_d(a) + lie_bracket_forms(a, a).scale(HALF)
-    exact = pair_integral(form, da, f)
+    exact = pair_integral(form, da, _field_strength(a))
     h = Fraction(h)
     plus = cs_action(a + da.scale(h), form).exact
     minus = cs_action(a - da.scale(h), form).exact
@@ -407,7 +408,7 @@ def topological_terms(omega):
     if alg.name not in _4D_ALGEBRAS:
         raise IdentityError("topological terms are checked on so41/so32")
     k = _scoped_form(killing_form, alg)
-    r = _curvature_of(omega)
+    r = _field_strength(omega)
     t1 = pair_integral(k, r, r)
     t2 = pair_integral(k, r, r.h_block_star())
     return t1, t2
@@ -432,7 +433,7 @@ def _mm_pieces(conn, couplings):
     alg = conn.algebra
     k = _scoped_form(killing_form, alg)
     omega, e = conn.omega, conn.coframe
-    r = _curvature_of(omega)
+    r = _field_strength(omega)
     ee = lie_bracket_forms(e, e)
     c0, c1 = couplings.c0, couplings.c1
     t_rr, t_rsr = topological_terms(omega)
@@ -581,10 +582,7 @@ class LeviCivitaConnection:
             d = poly.deriv(sigma)
             if not d.is_zero():
                 comps[key] = d
-        out = LieForm.__new__(LieForm)
-        out.algebra, out.dim, out.degree = w.algebra, w.dim, w.degree
-        out.comps = comps
-        return out
+        return w._new(w.degree, comps)
 
     def _torsion_map(self, w, f):
         """[w_mu, f_nu] - [w_nu, f_mu] in p-coordinates, (..., pair, a, npts).

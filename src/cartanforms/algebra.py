@@ -341,8 +341,8 @@ def build_algebra(name, contraction_star_square=1):
               for b in range(dim))
         for a in range(dim))
 
-    _validate(name, basis_int, _integer_array(name, structure), h_indices,
-              labels)
+    structure_int = _integer_array(name, structure)
+    _validate(name, basis_int, structure_int, h_indices, labels)
 
     # internal Hodge star
     star_matrix = None
@@ -382,7 +382,7 @@ def build_algebra(name, contraction_star_square=1):
         h_pairs = list(combinations(range(n), 2))
         h_star_matrix = _freeze(_star_from_pairs(h_pairs, c_vals, tuple(eta)))
 
-    killing = _killing_from_structure(structure)
+    killing = _killing_from_structure(structure_int)
     star_gram = _star_gram(killing, star_matrix, h_star_matrix,
                            h_indices, p_indices, dim)
 
@@ -396,18 +396,11 @@ def build_algebra(name, contraction_star_square=1):
         killing=_freeze(killing), star_gram=_freeze(star_gram))
 
 
-def _killing_from_structure(structure):
-    dim = len(structure)
-    k = [[ZERO] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(a, dim):
-            total = ZERO
-            for e in range(dim):
-                for c in range(dim):
-                    total += structure[a][e][c] * structure[b][c][e]
-            k[a][b] = total
-            k[b][a] = total
-    return k
+def _killing_from_structure(c):
+    """K_ab = sum_{e,c} C[a][e][c] C[b][c][e] on the validated integer
+    structure array (entries below _INT_BOUND), as exact Fractions."""
+    return [[Fraction(int(x)) for x in row]
+            for row in np.einsum("aec,bce->ab", c, c)]
 
 
 def _star_gram(killing, star_matrix, h_star_matrix, h_indices, p_indices, dim):

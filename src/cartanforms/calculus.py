@@ -26,6 +26,7 @@ import numpy as np
 from .algebra import AlgebraError, UnsupportedStar
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class CalculusError(ValueError):
@@ -327,202 +328,51 @@ def _merge_indices(i_idx, j_idx):
     return sign, tuple(sorted(merged))
 
 
-def _insert_index(j, idx):
-    if j in idx:
-        return 0, None
-    below = sum(1 for i in idx if i < j)
-    return (-1) ** below, tuple(sorted(idx + (j,)))
-
-
 def multi_indices(dim, degree):
     return list(combinations(range(dim), degree))
 
 
 # ---------------------------------------------------------------------------
-# scalar forms
+# forms
 # ---------------------------------------------------------------------------
+#
+# Every form keys its components by (value index, multi-index).  A
+# Lie-valued form has one value index per basis element of its algebra; a
+# scalar form has the single value index 0 and algebra None.
 
-class ScalarForm:
-    """Real-valued p-form on T^n with TrigPoly components."""
-
-    __slots__ = ("dim", "degree", "comps")
-
-    def __init__(self, dim, degree, comps=None):
-        if not 0 <= degree <= dim:
-            raise DegreeError(f"degree {degree} out of range on T^{dim}")
-        self.dim = dim
-        self.degree = degree
-        self.comps = {}
-        if comps:
-            for idx, poly in comps.items():
-                idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(set(idx)):
-                    raise CalculusError(f"bad multi-index {idx}")
-                if poly.is_zero():
-                    continue
-                self.comps[idx] = poly
-
-    @classmethod
-    def zero(cls, dim, degree):
-        return cls(dim, degree, {})
-
-    @classmethod
-    def dx(cls, dim, i):
-        return cls(dim, 1, {(i,): TrigPoly.constant(dim, 1)})
-
-    @classmethod
-    def volume(cls, dim, coeff=1):
-        return cls(dim, dim, {tuple(range(dim)): TrigPoly.constant(dim, coeff)})
-
-    def component(self, idx):
-        return self.comps.get(tuple(idx), TrigPoly.zero(self.dim))
-
-    def _binop(self, other, sign):
-        if self.dim != other.dim or self.degree != other.degree:
-            raise CalculusError("form shape mismatch")
-        out = dict(self.comps)
-        for idx, poly in other.comps.items():
-            cur = out.get(idx)
-            val = cur._binop(poly, sign) if cur else (poly if sign == 1 else -poly)
-            if val.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = val
-        f = ScalarForm.__new__(ScalarForm)
-        f.dim, f.degree, f.comps = self.dim, self.degree, out
-        return f
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def scale(self, s):
-        f = ScalarForm.__new__(ScalarForm)
-        f.dim, f.degree = self.dim, self.degree
-        f.comps = {}
-        for idx, poly in self.comps.items():
-            sp = poly.scale(s)
-            if not sp.is_zero():
-                f.comps[idx] = sp
-        return f
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def wedge(self, other):
-        if self.dim != other.dim:
-            raise CalculusError("torus dimension mismatch")
-        deg = self.degree + other.degree
-        if deg > self.dim:
-            raise DegreeError(f"wedge degree {deg} exceeds torus dimension")
-        acc = {}
-        for i_idx, f in self.comps.items():
-            for j_idx, g in other.comps.items():
-                sign, merged = _merge_indices(i_idx, j_idx)
-                if sign == 0:
-                    continue
-                prod = _mul_nums(f.nums, g.nums)
-                if not prod:
-                    continue
-                slot = acc.setdefault(merged, [1, {}])
-                _acc_add(slot, f.den * g.den, prod, sign, 1)
-        out = ScalarForm.__new__(ScalarForm)
-        out.dim, out.degree = self.dim, deg
-        out.comps = _finish(self.dim, acc)
-        return out
-
-    def d(self):
-        if self.degree >= self.dim:
-            raise DegreeError("cannot apply d to a top-degree form")
-        comps = {}
-        for idx, poly in self.comps.items():
-            for j in range(self.dim):
-                sign, new_idx = _insert_index(j, idx)
-                if sign == 0:
-                    continue
-                term = poly.deriv(j).scale(sign)
-                if term.is_zero():
-                    continue
-                cur = comps.get(new_idx)
-                comps[new_idx] = cur + term if cur else term
-        out = ScalarForm.__new__(ScalarForm)
-        out.dim, out.degree = self.dim, self.degree + 1
-        out.comps = {k: v for k, v in comps.items() if not v.is_zero()}
-        return out
-
-    def integral(self):
-        """Integral over T^n as the rational multiple of (2 pi)^n."""
-        if self.degree != self.dim:
-            raise DegreeError("only top-degree forms are integrated")
-        top = self.comps.get(tuple(range(self.dim)))
-        return top.constant_term() if top else ZERO
-
-    def max_abs_freq(self):
-        return max((p.max_abs_freq() for p in self.comps.values()), default=0)
-
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return (isinstance(other, ScalarForm) and self.dim == other.dim
-                and self.degree == other.degree and self.comps == other.comps)
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.comps.items())))
-
-    def __repr__(self):
-        return (f"ScalarForm(T^{self.dim}, degree {self.degree}, "
-                f"{len(self.comps)} components)")
-
-
-def _finish(dim, acc):
-    out = {}
-    for key, (den, nums) in acc.items():
-        if nums:
-            out[key] = _wrap(dim, den, nums)
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-# ---------------------------------------------------------------------------
-# Lie-algebra-valued forms
-# ---------------------------------------------------------------------------
-
-class LieForm:
-    """Algebra-valued p-form: components indexed by (basis index, multi-index)."""
+class _Form:
+    """Shared body of ScalarForm and LieForm: sparse TrigPoly components."""
 
     __slots__ = ("algebra", "dim", "degree", "comps")
 
-    def __init__(self, algebra, dim, degree, comps=None):
+    def __init__(self, algebra, dim, degree, comps):
         if not 0 <= degree <= dim:
             raise DegreeError(f"degree {degree} out of range on T^{dim}")
         self.algebra = algebra
         self.dim = dim
         self.degree = degree
         self.comps = {}
-        if comps:
-            for (alpha, idx), poly in comps.items():
-                idx = tuple(idx)
-                if not 0 <= alpha < algebra.dim:
-                    raise CalculusError(f"algebra index {alpha} out of range")
-                if len(idx) != degree or list(idx) != sorted(set(idx)):
-                    raise CalculusError(f"bad multi-index {idx}")
-                if poly.is_zero():
-                    continue
-                self.comps[(alpha, idx)] = poly
+        values = self._values
+        for (alpha, idx), poly in comps.items():
+            idx = tuple(idx)
+            if not 0 <= alpha < values:
+                raise CalculusError(f"algebra index {alpha} out of range")
+            if len(idx) != degree or list(idx) != sorted(set(idx)):
+                raise CalculusError(f"bad multi-index {idx}")
+            if poly.is_zero():
+                continue
+            self.comps[(alpha, idx)] = poly
 
-    @classmethod
-    def zero(cls, algebra, dim, degree):
-        return cls(algebra, dim, degree, {})
+    @property
+    def _values(self):
+        """Number of value indices: 1 for a scalar form."""
+        return 1 if self.algebra is None else self.algebra.dim
 
-    def component(self, alpha, idx):
-        return self.comps.get((alpha, tuple(idx)), TrigPoly.zero(self.dim))
-
-    def scalar_component(self, alpha):
-        """The scalar p-form multiplying basis element alpha."""
-        comps = {idx: poly for (a, idx), poly in self.comps.items() if a == alpha}
-        return ScalarForm(self.dim, self.degree, comps)
+    def _new(self, degree, comps):
+        """A form of this kind on the same torus; comps is taken as is."""
+        f = object.__new__(type(self))
+        f.algebra, f.dim, f.degree, f.comps = self.algebra, self.dim, degree, comps
+        return f
 
     def _check_mate(self, other):
         if self.algebra is not other.algebra:
@@ -542,9 +392,7 @@ class LieForm:
                 out.pop(key, None)
             else:
                 out[key] = val
-        f = LieForm.__new__(LieForm)
-        f.algebra, f.dim, f.degree, f.comps = self.algebra, self.dim, self.degree, out
-        return f
+        return self._new(self.degree, out)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -553,34 +401,126 @@ class LieForm:
         return self._binop(other, -1)
 
     def scale(self, s):
-        f = LieForm.__new__(LieForm)
-        f.algebra, f.dim, f.degree = self.algebra, self.dim, self.degree
-        f.comps = {}
+        comps = {}
         for key, poly in self.comps.items():
             sp = poly.scale(s)
             if not sp.is_zero():
-                f.comps[key] = sp
-        return f
+                comps[key] = sp
+        return self._new(self.degree, comps)
 
     def __neg__(self):
         return self.scale(-1)
 
+    def d(self):
+        """Componentwise spectral differential; d(d(w)) = 0 exactly."""
+        if self.degree >= self.dim:
+            raise DegreeError("cannot apply d to a top-degree form")
+        comps = {}
+        for (alpha, idx), poly in self.comps.items():
+            for j in range(self.dim):
+                sign, new_idx = _merge_indices((j,), idx)
+                if sign == 0:
+                    continue
+                term = poly.deriv(j).scale(sign)
+                if term.is_zero():
+                    continue
+                key = (alpha, new_idx)
+                cur = comps.get(key)
+                comps[key] = cur + term if cur else term
+        return self._new(self.degree + 1,
+                         {k: v for k, v in comps.items() if not v.is_zero()})
+
+    def max_abs_freq(self):
+        return max((p.max_abs_freq() for p in self.comps.values()), default=0)
+
+    def is_zero(self):
+        return not self.comps
+
+    def __eq__(self, other):
+        return (isinstance(other, _Form) and self.algebra is other.algebra
+                and self.dim == other.dim and self.degree == other.degree
+                and self.comps == other.comps)
+
+    def __hash__(self):
+        return hash((getattr(self.algebra, "name", None), self.dim, self.degree,
+                     frozenset(self.comps.items())))
+
+
+class ScalarForm(_Form):
+    """Real-valued p-form on T^n with TrigPoly components."""
+
+    __slots__ = ()
+
+    def __init__(self, dim, degree, comps=None):
+        super().__init__(None, dim, degree,
+                         {(0, idx): poly for idx, poly in (comps or {}).items()})
+
+    @classmethod
+    def zero(cls, dim, degree):
+        return cls(dim, degree, {})
+
+    @classmethod
+    def dx(cls, dim, i):
+        return cls(dim, 1, {(i,): TrigPoly.constant(dim, 1)})
+
+    @classmethod
+    def volume(cls, dim, coeff=1):
+        return cls(dim, dim, {tuple(range(dim)): TrigPoly.constant(dim, coeff)})
+
+    def component(self, idx):
+        return self.comps.get((0, tuple(idx)), TrigPoly.zero(self.dim))
+
+    def wedge(self, other):
+        return wedge(self, other)
+
+    def integral(self):
+        """Integral over T^n as the rational multiple of (2 pi)^n."""
+        if self.degree != self.dim:
+            raise DegreeError("only top-degree forms are integrated")
+        top = self.comps.get((0, tuple(range(self.dim))))
+        return top.constant_term() if top else ZERO
+
+    def __repr__(self):
+        return (f"ScalarForm(T^{self.dim}, degree {self.degree}, "
+                f"{len(self.comps)} components)")
+
+
+class LieForm(_Form):
+    """Algebra-valued p-form: components indexed by (basis index, multi-index)."""
+
+    __slots__ = ()
+
+    def __init__(self, algebra, dim, degree, comps=None):
+        super().__init__(algebra, dim, degree, comps or {})
+
+    @classmethod
+    def zero(cls, algebra, dim, degree):
+        return cls(algebra, dim, degree, {})
+
+    def component(self, alpha, idx):
+        return self.comps.get((alpha, tuple(idx)), TrigPoly.zero(self.dim))
+
+    def scalar_component(self, alpha):
+        """The scalar p-form multiplying basis element alpha."""
+        comps = {idx: poly for (a, idx), poly in self.comps.items() if a == alpha}
+        return ScalarForm(self.dim, self.degree, comps)
+
     def h_part(self):
-        keep = set(self.algebra.h_indices)
-        comps = {k: v for k, v in self.comps.items() if k[0] in keep}
-        return LieForm(self.algebra, self.dim, self.degree, comps)
+        return self._restrict(self.algebra.h_indices)
 
     def p_part(self):
-        keep = set(self.algebra.p_indices)
-        comps = {k: v for k, v in self.comps.items() if k[0] in keep}
-        return LieForm(self.algebra, self.dim, self.degree, comps)
+        return self._restrict(self.algebra.p_indices)
+
+    def _restrict(self, indices):
+        keep = set(indices)
+        return self._new(self.degree, {k: v for k, v in self.comps.items()
+                                       if k[0] in keep})
 
     def involute(self):
         """Apply the grading involution to the Lie-algebra values."""
         pset = set(self.algebra.p_indices)
-        comps = {k: (v.scale(-1) if k[0] in pset else v)
-                 for k, v in self.comps.items()}
-        return LieForm(self.algebra, self.dim, self.degree, comps)
+        return self._new(self.degree, {k: (v.scale(-1) if k[0] in pset else v)
+                                       for k, v in self.comps.items()})
 
     def star(self):
         """Apply the internal Hodge star to the Lie-algebra values."""
@@ -588,7 +528,7 @@ class LieForm:
         if s is None:
             raise UnsupportedStar(
                 f"{self.algebra.name} has no full internal Hodge star")
-        return self._apply_matrix(s)
+        return self._apply_matrix(s, range(self.algebra.dim))
 
     def h_block_star(self):
         """Stabilizer-block star for the 4d algebras; input must be h-valued."""
@@ -599,95 +539,48 @@ class LieForm:
         if any(k[0] in pset for k in self.comps):
             raise UnsupportedStar(
                 f"{alg.name}: stabilizer-block star applies to h-valued forms only")
-        h = list(alg.h_indices)
-        s = [[ZERO] * alg.dim for _ in range(alg.dim)]
-        for j, col in enumerate(h):
-            for i, row in enumerate(h):
-                s[row][col] = alg.h_star_matrix[i][j]
-        return self._apply_matrix(s)
+        return self._apply_matrix(alg.h_star_matrix, alg.h_indices)
 
-    def _apply_matrix(self, s):
-        dim_a = self.algebra.dim
-        acc = {}
-        for (alpha, idx), poly in self.comps.items():
-            for beta in range(dim_a):
-                c = s[beta][alpha]
-                if c == 0:
-                    continue
-                c = Fraction(c)
-                slot = acc.setdefault((beta, idx), [1, {}])
-                _acc_add(slot, poly.den, poly.nums, c.numerator, c.denominator)
-        f = LieForm.__new__(LieForm)
-        f.algebra, f.dim, f.degree = self.algebra, self.dim, self.degree
-        f.comps = _finish(self.dim, acc)
-        return f
-
-    def max_abs_freq(self):
-        return max((p.max_abs_freq() for p in self.comps.values()), default=0)
-
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return (isinstance(other, LieForm) and self.algebra is other.algebra
-                and self.dim == other.dim and self.degree == other.degree
-                and self.comps == other.comps)
-
-    def __hash__(self):
-        return hash((self.algebra.name, self.dim, self.degree,
-                     frozenset(self.comps.items())))
+    def _apply_matrix(self, s, basis):
+        """Act on the values by s, whose column j is the image of basis[j]
+        in the coordinates basis[i]: the constant scalar 0-form 1,
+        contracted with this form through the table of s."""
+        row = [()] * self._values
+        for j, alpha in enumerate(basis):
+            row[alpha] = tuple((basis[i], Fraction(s[i][j]))
+                               for i in range(len(basis)) if s[i][j] != 0)
+        return _contract(_unit(self.dim), self, (row,), self)
 
     def __repr__(self):
         return (f"LieForm({self.algebra.name} on T^{self.dim}, "
                 f"degree {self.degree}, {len(self.comps)} components)")
 
 
+def _finish(dim, acc):
+    """Components from kernel accumulators [den, nums]; empty ones drop."""
+    return {key: _wrap(dim, den, nums) for key, (den, nums) in acc.items()
+            if nums}
+
+
 # ---------------------------------------------------------------------------
-# operations
+# the contraction kernel
 # ---------------------------------------------------------------------------
 
-def wedge(a, b):
-    """Wedge product; at most one factor may be Lie-algebra valued."""
-    if isinstance(a, ScalarForm) and isinstance(b, ScalarForm):
-        return a.wedge(b)
-    if isinstance(a, ScalarForm) and isinstance(b, LieForm):
-        return _scalar_wedge_lie(a, b, flip=False)
-    if isinstance(a, LieForm) and isinstance(b, ScalarForm):
-        return _scalar_wedge_lie(b, a, flip=True)
-    raise CalculusError(
-        "wedge of two Lie-valued forms is ambiguous; use lie_bracket_forms "
-        "or beta_pair")
+def _contract(w, m, table, like):
+    """Sum over component pairs of table[alpha][beta] (x) (w_alpha ^ m_beta).
 
-
-def _scalar_wedge_lie(s, lie, flip):
-    deg = s.degree + lie.degree
-    if deg > s.dim:
-        raise DegreeError("wedge degree exceeds torus dimension")
-    sign_flip = (-1) ** (s.degree * lie.degree) if flip else 1
-    acc = {}
-    for i_idx, f in s.comps.items():
-        for (alpha, j_idx), g in lie.comps.items():
-            sign, merged = _merge_indices(i_idx, j_idx)
-            if sign == 0:
-                continue
-            prod = _mul_nums(f.nums, g.nums)
-            if not prod:
-                continue
-            slot = acc.setdefault((alpha, merged), [1, {}])
-            _acc_add(slot, f.den * g.den, prod, sign * sign_flip, 1)
-    out = LieForm.__new__(LieForm)
-    out.algebra, out.dim, out.degree = lie.algebra, lie.dim, deg
-    out.comps = _finish(lie.dim, acc)
-    return out
-
-
-def lie_bracket_forms(w, m):
-    """[w, m]: wedge on the form part, Lie bracket on the values."""
-    w._check_mate(m)
+    table[alpha][beta] lists (gamma, Fraction): the pair of value indices
+    (alpha, beta) contributes coeff * w_alpha ^ m_beta to value index
+    gamma.  The result is a form of the same kind as `like`.  The tables
+    of the callers are the structure constants (bracket), the gram with
+    gamma = 0 (pairing), the identity (wedges with a scalar factor) and a
+    matrix contracted with the constant 0-form 1 (internal stars).
+    """
+    if w.dim != m.dim:
+        raise CalculusError("torus dimension mismatch")
     deg = w.degree + m.degree
     if deg > w.dim:
-        raise DegreeError("bracket degree exceeds torus dimension")
-    table = w.algebra.bracket_table
+        raise DegreeError(f"degree {deg} exceeds the torus dimension {w.dim}")
     acc = {}
     for (alpha, i_idx), f in w.comps.items():
         row = table[alpha]
@@ -706,34 +599,48 @@ def lie_bracket_forms(w, m):
                 c = coeff if sign == 1 else -coeff
                 slot = acc.setdefault((gamma, merged), [1, {}])
                 _acc_add(slot, pden, prod, c.numerator, c.denominator)
-    out = LieForm.__new__(LieForm)
-    out.algebra, out.dim, out.degree = w.algebra, w.dim, deg
-    out.comps = _finish(w.dim, acc)
-    return out
+    return like._new(deg, _finish(w.dim, acc))
+
+
+@functools.cache
+def _unit(dim):
+    """The constant scalar 0-form 1 on T^dim."""
+    return ScalarForm(dim, 0, {(): TrigPoly.constant(dim, 1)})
+
+
+@functools.cache
+def _wedge_table(rows, cols):
+    """Identity table of a wedge with at most one Lie-valued factor: the
+    value index of that factor passes through (a scalar factor has the
+    single value index 0, so rows or cols is 1)."""
+    return tuple(tuple(((a + b, ONE),) for b in range(cols))
+                 for a in range(rows))
+
+
+# ---------------------------------------------------------------------------
+# operations
+# ---------------------------------------------------------------------------
+
+def wedge(a, b):
+    """Wedge product; at most one factor may be Lie-algebra valued."""
+    if not (isinstance(a, _Form) and isinstance(b, _Form)) or (
+            a.algebra is not None and b.algebra is not None):
+        raise CalculusError(
+            "wedge of two Lie-valued forms is ambiguous; use lie_bracket_forms "
+            "or beta_pair")
+    return _contract(a, b, _wedge_table(a._values, b._values),
+                     a if b.algebra is None else b)
+
+
+def lie_bracket_forms(w, m):
+    """[w, m]: wedge on the form part, Lie bracket on the values."""
+    w._check_mate(m)
+    return _contract(w, m, w.algebra.bracket_table, w)
 
 
 def exterior_d(w):
     """Componentwise spectral differential; d(d(w)) = 0 exactly."""
-    if isinstance(w, ScalarForm):
-        return w.d()
-    if w.degree >= w.dim:
-        raise DegreeError("cannot apply d to a top-degree form")
-    comps = {}
-    for (alpha, idx), poly in w.comps.items():
-        for j in range(w.dim):
-            sign, new_idx = _insert_index(j, idx)
-            if sign == 0:
-                continue
-            term = poly.deriv(j).scale(sign)
-            if term.is_zero():
-                continue
-            key = (alpha, new_idx)
-            cur = comps.get(key)
-            comps[key] = cur + term if cur else term
-    out = LieForm.__new__(LieForm)
-    out.algebra, out.dim, out.degree = w.algebra, w.dim, w.degree + 1
-    out.comps = {k: v for k, v in comps.items() if not v.is_zero()}
-    return out
+    return w.d()
 
 
 def covariant_d(a, w):
@@ -748,30 +655,9 @@ def beta_pair(form, w, m):
     w._check_mate(m)
     if form.algebra is not w.algebra:
         raise AlgebraError("bilinear form belongs to a different algebra")
-    deg = w.degree + m.degree
-    if deg > w.dim:
-        raise DegreeError("pairing degree exceeds torus dimension")
-    gram = form.gram
-    acc = {}
-    for (alpha, i_idx), f in w.comps.items():
-        row = gram[alpha]
-        for (beta, j_idx), g in m.comps.items():
-            coeff = row[beta]
-            if coeff == 0:
-                continue
-            sign, merged = _merge_indices(i_idx, j_idx)
-            if sign == 0:
-                continue
-            prod = _mul_nums(f.nums, g.nums)
-            if not prod:
-                continue
-            c = coeff if sign == 1 else -coeff
-            slot = acc.setdefault(merged, [1, {}])
-            _acc_add(slot, f.den * g.den, prod, c.numerator, c.denominator)
-    out = ScalarForm.__new__(ScalarForm)
-    out.dim, out.degree = w.dim, deg
-    out.comps = _finish(w.dim, acc)
-    return out
+    table = tuple(tuple(((0, c),) if c != 0 else () for c in row)
+                  for row in form.gram)
+    return _contract(w, m, table, _unit(w.dim))
 
 
 @functools.cache
@@ -926,26 +812,23 @@ def random_form(seed, degree, algebra, dim=None, cutoff=1, support="full",
     else:
         raise CalculusError(f"unknown support {support!r}")
     rng = _rng_for(seed, algebra.name, dim, degree, support, cutoff)
-    comps = {}
-    for alpha in lie_indices:
-        for idx in multi_indices(dim, degree):
-            if rng.random() > density:
-                continue
-            poly = TrigPoly.zero(dim)
-            for _ in range(terms):
-                k = tuple(rng.randint(-cutoff, cutoff) for _ in range(dim))
-                re = rng.choice(_COEFF_POOL)
-                im = 0 if all(x == 0 for x in k) else rng.choice(_COEFF_POOL)
-                poly = poly + TrigPoly.harmonic(dim, k, re, im)
-            if not poly.is_zero():
-                comps[(alpha, idx)] = poly
-    return LieForm(algebra, dim, degree, comps)
+    keys = [(alpha, idx) for alpha in lie_indices
+            for idx in multi_indices(dim, degree)]
+    return LieForm(algebra, dim, degree,
+                   _random_comps(rng, keys, dim, cutoff, density, terms))
 
 
 def random_scalar_form(seed, degree, dim, cutoff=1, density=0.7, terms=1):
     rng = _rng_for(seed, "scalar", dim, degree, cutoff)
+    return ScalarForm(dim, degree, _random_comps(
+        rng, multi_indices(dim, degree), dim, cutoff, density, terms))
+
+
+def _random_comps(rng, keys, dim, cutoff, density, terms):
+    """Each key kept with probability `density`, its component a sum of
+    `terms` random harmonics; the form constructors drop zero sums."""
     comps = {}
-    for idx in multi_indices(dim, degree):
+    for key in keys:
         if rng.random() > density:
             continue
         poly = TrigPoly.zero(dim)
@@ -954,9 +837,8 @@ def random_scalar_form(seed, degree, dim, cutoff=1, density=0.7, terms=1):
             re = rng.choice(_COEFF_POOL)
             im = 0 if all(x == 0 for x in k) else rng.choice(_COEFF_POOL)
             poly = poly + TrigPoly.harmonic(dim, k, re, im)
-        if not poly.is_zero():
-            comps[idx] = poly
-    return ScalarForm(dim, degree, comps)
+        comps[key] = poly
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -992,22 +874,30 @@ def save_fields(path, algebra, forms):
 
 
 def load_fields(path, build=None):
-    """Read a field-configuration file; returns (algebra, {name: LieForm})."""
+    """Read a field-configuration file; returns (algebra, {name: LieForm}).
+
+    A document of the wrong shape (a missing key, or a value of the wrong
+    JSON type) is a CalculusError.
+    """
     from .algebra import build_algebra
     build = build or build_algebra
     with open(path) as fh:
         doc = json.load(fh)
-    alg = build(doc["algebra"])
-    dim = int(doc["torus_dim"])
-    forms = {}
-    for entry in doc["forms"]:
-        comps = {}
-        for comp in entry["components"]:
-            poly_coeffs = {}
-            for c in comp["coeffs"]:
-                k = tuple(int(x) for x in c["k"])
-                poly_coeffs[k] = (Fraction(c["re"]), Fraction(c["im"]))
-            key = (int(comp["lie_index"]), tuple(comp["multi_index"]))
-            comps[key] = TrigPoly(dim, poly_coeffs)
-        forms[entry["name"]] = LieForm(alg, dim, int(entry["degree"]), comps)
+    try:
+        alg = build(doc["algebra"])
+        dim = int(doc["torus_dim"])
+        forms = {}
+        for entry in doc["forms"]:
+            comps = {}
+            for comp in entry["components"]:
+                poly_coeffs = {}
+                for c in comp["coeffs"]:
+                    k = tuple(int(x) for x in c["k"])
+                    poly_coeffs[k] = (Fraction(c["re"]), Fraction(c["im"]))
+                key = (int(comp["lie_index"]), tuple(comp["multi_index"]))
+                comps[key] = TrigPoly(dim, poly_coeffs)
+            forms[entry["name"]] = LieForm(alg, dim, int(entry["degree"]), comps)
+    except (TypeError, AttributeError, KeyError) as exc:
+        raise CalculusError(
+            f"malformed field file ({type(exc).__name__}: {exc})") from None
     return alg, forms

@@ -80,13 +80,16 @@ class CurvatureReport:
     R: LieForm
 
 
+def _field_strength(a):
+    """dA + (1/2)[A, A] for a degree-1 connection form A."""
+    return exterior_d(a) + lie_bracket_forms(a, a).scale(HALF)
+
+
 def curvature(conn):
     """F = dA + (1/2)[A, A], split by algebra indices; R = d omega + ..."""
-    a = conn.full()
-    f = exterior_d(a) + lie_bracket_forms(a, a).scale(HALF)
-    w = conn.omega
-    r = exterior_d(w) + lie_bracket_forms(w, w).scale(HALF)
-    return CurvatureReport(F=f, F_h=f.h_part(), F_p=f.p_part(), R=r)
+    f = _field_strength(conn.full())
+    return CurvatureReport(F=f, F_h=f.h_part(), F_p=f.p_part(),
+                           R=_field_strength(conn.omega))
 
 
 def involute_connection(conn):
@@ -442,22 +445,27 @@ class Path:
 
 
 def load_path(path_file):
+    """Read a path file; a document of the wrong shape is a CartanError."""
     with open(path_file) as fh:
         doc = json.load(fh)
     segs = []
-    for entry in doc["segments"]:
-        kind = entry.get("type", "line")
-        if kind == "line":
-            segs.append(Segment("line", {"start": entry["from"],
-                                         "end": entry["to"]}))
-        elif kind == "arc":
-            segs.append(Segment("arc", {
-                "center": entry["center"], "radius": entry["radius"],
-                "plane": tuple(entry.get("plane", (0, 1))),
-                "start_angle": float(entry["start_angle"]),
-                "end_angle": float(entry["end_angle"])}))
-        else:
-            raise CartanError(f"unknown segment type {kind!r}")
+    try:
+        for entry in doc["segments"]:
+            kind = entry.get("type", "line")
+            if kind == "line":
+                segs.append(Segment("line", {"start": entry["from"],
+                                             "end": entry["to"]}))
+            elif kind == "arc":
+                segs.append(Segment("arc", {
+                    "center": entry["center"], "radius": entry["radius"],
+                    "plane": tuple(entry.get("plane", (0, 1))),
+                    "start_angle": float(entry["start_angle"]),
+                    "end_angle": float(entry["end_angle"])}))
+            else:
+                raise CartanError(f"unknown segment type {kind!r}")
+    except (TypeError, AttributeError, KeyError) as exc:
+        raise CartanError(
+            f"malformed path file ({type(exc).__name__}: {exc})") from None
     return Path(tuple(segs))
 
 

@@ -336,15 +336,11 @@ def _forms_identity_checks(alg, dim, cutoff, density, seed):
 
 
 def run_appendix_forms(cfg):
-    """Graded-calculus identity battery on T^3 (K=2) and T^4 (K=1)."""
+    """Graded-calculus identity battery on every requested algebra: the 3d
+    algebras on T^3 at K = max(cutoff, 2), the 4d algebras on T^4 at K=1."""
     results = []
-    plans = []
-    if any(a in _3D for a in cfg.algebras):
-        name3 = next(a for a in cfg.algebras if a in _3D)
-        plans.append((name3, 3, max(cfg.cutoff, 2), 0.6))
-    if any(a in _4D for a in cfg.algebras):
-        name4 = next(a for a in cfg.algebras if a in _4D)
-        plans.append((name4, 4, 1, 0.35))
+    plans = [(name, 3, max(cfg.cutoff, 2), 0.6) if name in _3D
+             else (name, 4, 1, 0.35) for name in cfg.algebras]
     for name, dim, cutoff, density in plans:
         alg = algebra_factory(name)
         for seed in cfg.seeds():
