@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,6 +75,8 @@ class ActionValue:
 
     `exact` is the rational multiple of (2 pi)^n when the whole pipeline is
     polynomial; `numeric` always carries the float value in the same units.
+    A TMG value carries `min_abs_det`, the least |det e| on its quadrature
+    grid, as its conditioning.
     """
 
     torus_dim: int
@@ -81,6 +84,7 @@ class ActionValue:
     exact: Fraction | None
     numeric: float
     quadrature_grid: int | None = None
+    min_abs_det: float | None = None
 
     @property
     def absolute(self):
@@ -232,12 +236,14 @@ class FieldSet:
 
     Holds the random forms by (degree, support, density, dim), the random
     Cartan connection of the 3d CS identities with its derived forms, and
-    the torsion-free connection of the analytic coframe (TMG identities).
+    the torsion-free connection of the analytic coframe (TMG identities)
+    with its solved quadrature grid.
     """
 
     def __init__(self, alg, seed, cutoff=1):
         self.alg, self.seed, self.cutoff = alg, seed, cutoff
         self._random = {}
+        self._solved = (None, None)
 
     def matches(self, alg, seed, cutoff):
         return self.alg is alg and self.seed == seed and self.cutoff == cutoff
@@ -260,6 +266,20 @@ class FieldSet:
     def levi_civita(self):
         return levi_civita_connection(
             analytic_coframe(self.alg, seed=self.seed, cutoff=self.cutoff))
+
+    def solved_grid(self, grid):
+        """The solved blocks of levi_civita on the grid^3 lattice.
+
+        A list of (w, e, dw, de, min |det e|) as _solved_blocks yields
+        them, stored as compact copies (288 bytes a point); only the grid
+        last asked for is kept.
+        """
+        if self._solved[0] != grid:
+            self._solved = (None, None)     # free the old grid first
+            blocks = [tuple(np.array(x) for x in b[:4]) + b[4:]
+                      for b in _solved_blocks(self.levi_civita, grid)]
+            self._solved = (grid, blocks)
+        return self._solved[1]
 
 
 class _RunScope:
@@ -449,7 +469,9 @@ def _mm_pieces(conn, couplings):
 # ---------------------------------------------------------------------------
 #
 # Pointwise arrays are points-last (see calculus._eval_on_points): a 1-form
-# is (3 mu, dim, npts), a 2-form (3 pairs, dim, npts), a density (npts,).
+# is (3 mu, rows, npts), a 2-form (3 pairs, rows, npts), a density (npts,).
+# The rows are the Lie coefficients; the TMG path carries the h and p
+# coefficients of its fields as separate blocks of 3 rows.
 
 _PAIRS3 = ((0, 1), (0, 2), (1, 2))
 _PAIR_MU, _PAIR_NU = [0, 0, 1], [1, 2, 2]
@@ -465,46 +487,97 @@ _MINOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
 # (a few MB per block) whatever the grid size
 QUADRATURE_BLOCK = 4096
 
+_PER_ALGEBRA = {}
+
+
+def _per_algebra(build, alg):
+    """build(alg), computed once per algebra object and dropped with it.
+
+    Keyed by object identity, never by name: a damaged table under a real
+    algebra's name is another object and gets its own entry.
+    """
+    key = (build, id(alg))
+    hit = _PER_ALGEBRA.get(key)
+    if hit is None or hit[0]() is not alg:
+        def drop(ref):
+            if _PER_ALGEBRA.get(key, (None,))[0] is ref:
+                del _PER_ALGEBRA[key]
+        hit = _PER_ALGEBRA[key] = (weakref.ref(alg, drop), build(alg))
+    return hit[1]
+
+
+def _float_tables(alg):
+    """The structure table and its C_hhh, C_pph and C_hpp blocks, as floats.
+
+    Each is laid out as c[c, a*k + b] = C_ab^c, so c @ (u_a v_b over a, b)
+    is [u, v]^c: the full table, then [h,h] -> h, [p,p] -> h and
+    [h,p] -> p, the only nonzero brackets of a symmetric pair.
+    """
+    s = np.array(alg.structure, dtype=float)
+    every, h, p = range(alg.dim), alg.h_indices, alg.p_indices
+    tables = tuple(s[np.ix_(x, y, z)].transpose(2, 0, 1).reshape(len(z), -1)
+                   for x, y, z in ((every, every, every), (h, h, h),
+                                   (p, p, h), (h, p, p)))
+    for t in tables:
+        t.flags.writeable = False       # shared by every caller
+    return tables
+
+
+def _lattice(n):
+    """The n^3 uniform grid on T^3 as three flat coordinate arrays."""
+    ax = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return [m.ravel() for m in np.meshgrid(ax, ax, ax, indexing="ij")]
+
+
+def _bracket(table, u, v):
+    """[u, v] for 1-form arrays (3, m, npts), (3, k, npts) -> (3 pairs, r, npts).
+
+    table is (r, m*k) with table[c, a*k + b] = C_ab^c.  When v is u the
+    table must be antisymmetric in (a, b), as the full table and the
+    [h,h] and [p,p] blocks are.
+    """
+    # C_ab^c = -C_ba^c makes the two terms of [u, u]_{mu nu} equal
+    twice = v is u
+    out = np.empty((3, table.shape[0], u.shape[-1]))
+    for row, (mu, nu) in enumerate(_PAIRS3):
+        # one (m, k, npts) product at a time, contracted by a matmul
+        outer = u[mu, :, None] * v[nu]
+        if not twice:
+            outer -= u[nu, :, None] * v[mu]
+        out[row] = table @ outer.reshape(table.shape[1], -1)
+    return 2.0 * out if twice else out
+
+
+def _pair_top(one, two, gram):
+    """beta(1-form ^ 2-form) top component, shape (npts,).
+
+    gram rows index the Lie rows of `one`, its columns those of `two`.
+    """
+    signed = two[_TOP_PAIR] * _TOP_SIGN
+    return ((gram.T @ one) * signed).sum(axis=(0, 1))
+
+
+def _cs_density(a, da, aa, gram):
+    """1/2 beta(A ^ dA) + 1/6 beta(A ^ [A,A]), top component per point."""
+    return 0.5 * _pair_top(a, da, gram) + _pair_top(a, aa, gram) / 6.0
+
 
 class _Grid3:
     """Uniform tensor grid on T^3 with vectorized pointwise Lie algebra."""
 
     def __init__(self, alg, n):
         self.alg = alg
-        ax = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        mesh = np.meshgrid(ax, ax, ax, indexing="ij")
-        self.axes = [m.ravel() for m in mesh]
+        self.axes = _lattice(n)
         self.npts = self.axes[0].size
-        d = alg.dim
-        # c[c, a*d + b] = C_ab^c: c @ (u_a v_b over a, b) is [u, v]^c
-        self.c = np.array([[float(alg.structure[a][b][c])
-                            for a in range(d) for b in range(d)]
-                           for c in range(d)])
-
-    def blocks(self):
-        """The grid axes in consecutive slices of QUADRATURE_BLOCK points."""
-        for start in range(0, self.npts, QUADRATURE_BLOCK):
-            yield [ax[start:start + QUADRATURE_BLOCK] for ax in self.axes]
+        self.c = _per_algebra(_float_tables, alg)[0]
 
     def two_form_bracket(self, u, v):
         """[u, v] for 1-form arrays (3, dim, npts) -> (3 pairs, dim, npts)."""
-        d = self.alg.dim
-        # C_ab^c = -C_ba^c makes the two terms of [u, u]_{mu nu} equal
-        twice = v is u
-        out = np.empty(u.shape)
-        for row, (mu, nu) in enumerate(_PAIRS3):
-            # one (dim, dim, npts) product at a time, contracted by a matmul
-            outer = u[mu, :, None] * v[nu]
-            if not twice:
-                outer -= u[nu, :, None] * v[mu]
-            out[row] = self.c @ outer.reshape(d * d, -1)
-        return 2.0 * out if twice else out
+        return _bracket(self.c, u, v)
 
     def pair_top(self, one, two, gram):
         """beta(1-form ^ 2-form) top component, shape (npts,)."""
-        g = np.asarray(gram, dtype=float)
-        signed = two[_TOP_PAIR] * _TOP_SIGN
-        return ((g.T @ one) * signed).sum(axis=(0, 1))
+        return _pair_top(one, two, np.asarray(gram, dtype=float))
 
     def mean(self, vals):
         """Grid quadrature, reported as a multiple of (2 pi)^3."""
@@ -519,6 +592,33 @@ def _eval_forms_at(forms, axes):
 # ---------------------------------------------------------------------------
 # torsion-free spin connection
 # ---------------------------------------------------------------------------
+
+def _torsion_tables(alg):
+    """ad (9, 3), with ad @ w = sum_i w_i C[i, b, a], and K0^-1 (9, 9).
+
+    K0 rows (pair (c, b), a), columns (c', i):
+    delta_{c'c} C[i, b, a] - delta_{c'b} C[i, c, a], with C[h_i, p_b -> p_a]
+    the exact C_hpp; it is inverted exactly.
+    """
+    h, p = alg.h_indices, alg.p_indices
+    c_hpp = [[[alg.structure[hi][pb][pa] for pa in p] for pb in p]
+             for hi in h]
+    ad = np.array(c_hpp, dtype=float).reshape(3, 9).T
+    k0 = [[0] * 9 for _ in range(9)]
+    for row, (c, b) in enumerate(_PAIRS3):
+        for a in range(3):
+            for i in range(3):
+                k0[3 * row + a][3 * c + i] += c_hpp[i][b][a]
+                k0[3 * row + a][3 * b + i] -= c_hpp[i][c][a]
+    try:
+        k0_inv = np.array(exactla.inverse(k0), dtype=float)
+    except ZeroDivisionError:
+        raise CartanError(
+            f"{alg.name}: the torsion map K0 is singular, so a coframe "
+            f"does not determine a unique torsion-free connection") from None
+    ad.flags.writeable = k0_inv.flags.writeable = False     # shared
+    return ad, k0_inv
+
 
 class LeviCivitaConnection:
     """Pointwise torsion-free stabilizer connection determined by a coframe.
@@ -535,8 +635,9 @@ class LeviCivitaConnection:
 
         w = e . K0^-1 . Lambda^2(e^-1) . (-de)
 
-    K0 is built and inverted exactly once per connection; Lambda^2(e^-1)
-    comes from the entries of e over det e (complementary minors).
+    K0 is built and inverted exactly once per algebra object;
+    Lambda^2(e^-1) comes from the entries of e over det e (complementary
+    minors).
     """
 
     def __init__(self, e, tol=1e-8):
@@ -554,26 +655,8 @@ class LeviCivitaConnection:
         self._forms = ([e, self.de]
                        + [self._deriv_form(e, s) for s in range(3)]
                        + [self._deriv_form(self.de, s) for s in range(3)])
-        # C[h_i, p_b -> p_a], exact
-        h, p = alg.h_indices, alg.p_indices
-        c_hpp = [[[alg.structure[hi][pb][pa] for pa in p] for pb in p]
-                 for hi in h]
         # ad[mu, (b, a)] = sum_i w[mu, i] C[i, b, a] is self._ad @ w
-        self._ad = np.array(c_hpp, dtype=float).reshape(3, 9).T
-        # K0 rows (pair (c, b), a), columns (c', i):
-        # delta_{c'c} C[i, b, a] - delta_{c'b} C[i, c, a]
-        k0 = [[0] * 9 for _ in range(9)]
-        for row, (c, b) in enumerate(_PAIRS3):
-            for a in range(3):
-                for i in range(3):
-                    k0[3 * row + a][3 * c + i] += c_hpp[i][b][a]
-                    k0[3 * row + a][3 * b + i] -= c_hpp[i][c][a]
-        try:
-            self._k0_inv = np.array(exactla.inverse(k0), dtype=float)
-        except ZeroDivisionError:
-            raise CartanError(
-                f"{alg.name}: the torsion map K0 is singular, so a coframe "
-                f"does not determine a unique torsion-free connection") from None
+        self._ad, self._k0_inv = _per_algebra(_torsion_tables, alg)
 
     @staticmethod
     def _deriv_form(w, sigma):
@@ -609,16 +692,17 @@ class LeviCivitaConnection:
 
         Returns dict with points-last arrays E (3 mu, 3 a, npts), dE (3
         pairs, 3 a, npts), w (3 mu, 3 h-coeff, npts) and dw (3 pairs, 3
-        h-coeff, npts).
+        h-coeff, npts), and min_abs_det, the least |det e| on the points.
+        Only the p rows of e, de and their derivatives are evaluated.
         """
-        p = list(self.alg.p_indices)
-        vals = [f[:, p] for f in _eval_on_points(self._forms, axes)]
+        vals = _eval_on_points(self._forms, axes, rows=list(self.alg.p_indices))
         e_arr, de_arr = vals[0], vals[1]          # (mu, a, npts), (pair, a, npts)
         e_d = np.stack(vals[2:5])                 # (sigma, mu, a, npts)
         de_d = np.stack(vals[5:8])                # (sigma, pair, a, npts)
         det = _det_on_points(e_arr)
         dets = np.abs(det)
-        if dets.size and dets.min() <= self.tol:
+        min_det = float(dets.min()) if dets.size else math.inf
+        if min_det <= self.tol:
             k = int(dets.argmin())
             where = ", ".join(f"{float(ax[k]):.6g}" for ax in axes)
             raise CartanError(f"degenerate coframe: min |det e| = "
@@ -632,7 +716,8 @@ class LeviCivitaConnection:
         dw_sigma = self._apply_inverse(e_arr, lam_inv, rhs)
         # curl -> dw as a 2-form (pair, i)
         dw = dw_sigma[_PAIR_MU, _PAIR_NU] - dw_sigma[_PAIR_NU, _PAIR_MU]
-        return {"E": e_arr, "dE": de_arr, "w": w, "dw": dw}
+        return {"E": e_arr, "dE": de_arr, "w": w, "dw": dw,
+                "min_abs_det": min_det}
 
     def omega_at(self, points):
         """Stabilizer coefficients of w at points, shape (npts, 3 mu, 3 i)."""
@@ -659,9 +744,67 @@ def levi_civita_connection(e, grid=16, tol=1e-8):
 # TMG and the numeric Chern-Simons pipeline
 # ---------------------------------------------------------------------------
 
-def _block_fields(lc, axes):
-    """w, e, dw, de on the given points, each (3, alg.dim, npts)."""
-    sol = lc.solve(axes)
+def _solved_blocks(lc, grid):
+    """Solve lc on the grid^3 lattice, QUADRATURE_BLOCK points at a time.
+
+    Yields (w, e, dw, de, min |det e|) per block: the h blocks w, dw and
+    the p blocks e, de, each (3, 3, npts).  Nothing is kept between blocks.
+    """
+    axes = _lattice(grid)
+    for start in range(0, axes[0].size, QUADRATURE_BLOCK):
+        sol = lc.solve([ax[start:start + QUADRATURE_BLOCK] for ax in axes])
+        yield sol["w"], sol["E"], sol["dw"], sol["dE"], sol["min_abs_det"]
+
+
+def _tmg_means(alg, blocks, mu, cs_terms=()):
+    """Grid quadrature of S_TMG(e) and of S_CS^beta at A(e) or ~A(e).
+
+    blocks are solved blocks as _solved_blocks yields them, each summed as
+    it comes.  cs_terms lists (s, form) pairs: s = +1 for A(e) = w + e,
+    s = -1 for ~A(e) = w - e.  The grading [h,h] + [p,p] ⊂ h, [h,p] ⊂ p
+    gives [A,A] = ([w,w] + s^2 [e,e], 2s [w,e]) in (h, p) blocks; each CS
+    term pairs A = (w, s e) with all four blocks of its own form.  Returns
+    (S_TMG, [S_CS per term], min |det e|), the values multiples of (2 pi)^3.
+    """
+    _, hhh, pph, hpp = _per_algebra(_float_tables, alg)
+    h, p = list(alg.h_indices), list(alg.p_indices)
+    k_hh = np.array(_scoped_form(killing_form, alg).gram, dtype=float)[np.ix_(h, h)]
+    s_ph = np.array(_scoped_form(star_form, alg).gram, dtype=float)[np.ix_(p, h)]
+    cs_grams = [(float(s), np.array(form.gram, dtype=float)[np.ix_(h + p, h + p)])
+                for s, form in cs_terms]
+    inv_mu = float(1 / Fraction(mu))
+    sums = np.zeros(1 + len(cs_grams))
+    npts, min_det = 0, math.inf
+    for w, e, dw, de, block_det in blocks:
+        ww = _bracket(hhh, w, w)
+        ee = _bracket(pph, e, e)
+        pal = _pair_top(e, dw + 0.5 * ww, s_ph) + _pair_top(e, ee, s_ph) / 6.0
+        cs_w = _cs_density(w, dw, ww, k_hh)
+        sums[0] += (inv_mu * cs_w - pal).sum()
+        if cs_grams:
+            we = _bracket(hpp, w, e)
+        for i, (s, gram) in enumerate(cs_grams, 1):
+            a = np.concatenate((w, s * e), axis=1)
+            da = np.concatenate((dw, s * de), axis=1)
+            aa = np.concatenate((ww + (s * s) * ee, (2.0 * s) * we), axis=1)
+            sums[i] += _cs_density(a, da, aa, gram).sum()
+        npts += w.shape[-1]
+        min_det = min(min_det, block_det)
+    means = sums / npts
+    return float(means[0]), [float(m) for m in means[1:]], min_det
+
+
+def _tmg_quadrature(lc, grid, mu, cs_terms=()):
+    """(S_TMG, [S_CS per term]) of one connection, its grid solved and
+    summed block by block (see _tmg_means)."""
+    tmg, cs, _ = _tmg_means(lc.alg, _solved_blocks(lc, grid), mu, cs_terms)
+    return tmg, cs
+
+
+def _tmg_grid_data(lc, grid):
+    """g3 and w, e, dw, de on the whole grid, padded to (3, alg.dim, npts)."""
+    g3 = _Grid3(lc.alg, grid)
+    sol = lc.solve(g3.axes)
     alg = lc.alg
     out = []
     for key, idx in (("w", alg.h_indices), ("E", alg.p_indices),
@@ -669,49 +812,7 @@ def _block_fields(lc, axes):
         full = np.zeros((3, alg.dim, sol[key].shape[-1]))
         full[:, list(idx)] = sol[key]
         out.append(full)
-    return out
-
-
-def _tmg_grid_data(lc, grid):
-    """All pointwise fields entering the TMG-family functionals, whole grid."""
-    g3 = _Grid3(lc.alg, grid)
-    return (g3, *_block_fields(lc, g3.axes))
-
-
-def _cs_density(g3, a, da, gram):
-    aa = g3.two_form_bracket(a, a)
-    return 0.5 * g3.pair_top(a, da, gram) + g3.pair_top(a, aa, gram) / 6.0
-
-
-def _tmg_quadrature(lc, grid, mu, cs_terms=()):
-    """Grid quadrature of S_TMG(e) and of S_CS^beta at A(e) or ~A(e).
-
-    cs_terms lists (s, form) pairs: s = +1 for A(e) = w + e, s = -1 for
-    ~A(e) = w - e.  The grid is walked in QUADRATURE_BLOCK-point blocks and
-    each block's densities are summed.  Returns (S_TMG, [S_CS per term]),
-    each a multiple of (2 pi)^3.
-    """
-    alg = lc.alg
-    g3 = _Grid3(alg, grid)
-    s_gram = np.array(_scoped_form(star_form, alg).gram, dtype=float)
-    k_gram = np.array(_scoped_form(killing_form, alg).gram, dtype=float)
-    cs_grams = [(float(s), np.array(form.gram, dtype=float))
-                for s, form in cs_terms]
-    inv_mu = float(1 / Fraction(mu))
-    sums = np.zeros(1 + len(cs_grams))
-    for axes in g3.blocks():
-        w, e, dw, de = _block_fields(lc, axes)
-        ww = g3.two_form_bracket(w, w)
-        ee = g3.two_form_bracket(e, e)
-        pal = (g3.pair_top(e, dw + 0.5 * ww, s_gram)
-               + g3.pair_top(e, ee, s_gram) / 6.0)
-        cs_w = (0.5 * g3.pair_top(w, dw, k_gram)
-                + g3.pair_top(w, ww, k_gram) / 6.0)
-        sums[0] += (inv_mu * cs_w - pal).sum()
-        for i, (s, gram) in enumerate(cs_grams, 1):
-            sums[i] += _cs_density(g3, w + s * e, dw + s * de, gram).sum()
-    means = sums / g3.npts
-    return float(means[0]), [float(m) for m in means[1:]]
+    return (g3, *out)
 
 
 def tmg_action(e, mu, grid=32, lc=None):
@@ -720,9 +821,9 @@ def tmg_action(e, mu, grid=32, lc=None):
     if mu == 0:
         raise ValueError("topological mass mu must be nonzero")
     lc = lc or levi_civita_connection(e)
-    val, _ = _tmg_quadrature(lc, grid, mu)
+    val, _, min_det = _tmg_means(lc.alg, _solved_blocks(lc, grid), mu)
     return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
-                       quadrature_grid=grid)
+                       quadrature_grid=grid, min_abs_det=min_det)
 
 
 def tmg_refinement_report(e, mu, grids=(4, 8, 16), reference_grid=48):
@@ -742,7 +843,8 @@ def cs_action_numeric(a, form, grid=32):
         raise CartanError("numeric CS evaluation lives on T^3")
     g3 = _Grid3(a.algebra, grid)
     a_arr, da_arr = _eval_on_points([a, exterior_d(a)], g3.axes)
-    val = g3.mean(_cs_density(g3, a_arr, da_arr, form.gram))
+    val = g3.mean(_cs_density(a_arr, da_arr, g3.two_form_bracket(a_arr, a_arr),
+                              np.asarray(form.gram, dtype=float)))
     return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
                        quadrature_grid=grid)
 
@@ -867,20 +969,23 @@ def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
     _require(alg.name in _TMG_ALGEBRAS,
              f"{identity_id} needs so31, so22 or so4, got {alg.name}")
     _require(couplings.mu is not None, f"{identity_id} needs mu")
+    _require(identity_id == "CS_TMG" or couplings.c0 != 0,
+             "TWO_CS_TMG needs c0 != 0 in the normalized form")
     mu = couplings.mu
-    lc = fields.levi_civita
     digest += f"/grid={grid}"
+    # checks in one run scope share the solved grid; a lone check streams it
+    blocks = (fields.solved_grid(grid) if _SCOPE.get() is not None
+              else _solved_blocks(fields.levi_civita, grid))
 
     if identity_id == "CS_TMG":
         # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S
         form = _scoped_form(invariant_form, alg, 1 / mu, -1)
-        tmg, (rhs,) = _tmg_quadrature(lc, grid, mu, [(1, form)])
+        tmg, (rhs,), _ = _tmg_means(alg, blocks, mu, [(1, form)])
     else:  # TWO_CS_TMG
         c0 = couplings.c0
-        _require(c0 != 0, "TWO_CS_TMG needs c0 != 0 in the normalized form")
         form = _scoped_form(invariant_form, alg, c0, 1)
-        tmg, (cs_a, cs_at) = _tmg_quadrature(lc, grid, mu,
-                                             [(1, form), (-1, form)])
+        tmg, (cs_a, cs_at), _ = _tmg_means(alg, blocks, mu,
+                                           [(1, form), (-1, form)])
         coeff = float(1 / (mu * c0))
         rhs = -0.5 * (1.0 - coeff) * cs_a + 0.5 * (1.0 + coeff) * cs_at
     scale = max(abs(tmg), abs(rhs), 1e-12)

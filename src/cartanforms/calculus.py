@@ -729,13 +729,15 @@ def integrate(w):
 # Lie indices lead and every per-point operation is either elementwise over
 # a contiguous points vector or one matmul with a constant matrix.
 
-def _eval_on_points(forms, axes):
+def _eval_on_points(forms, axes, rows=None):
     """Evaluate LieForms at points given as one coordinate array per axis.
 
     Every component of every form comes from one cos/sin table over the
     union of their frequencies, followed by one matmul; each +-k Hermitian
     pair enters once, at double weight.  Returns one (ncomp, dim, npts)
-    array per form, components in multi_indices order.
+    array per form, components in multi_indices order.  With `rows`, a
+    list of Lie indices, only those coefficients are computed and the
+    arrays are (ncomp, len(rows), npts) in that order.
     """
     freqs = sorted({k for w in forms for poly in w.comps.values()
                     for k in poly.nums if k >= tuple(-x for x in k)})
@@ -743,9 +745,14 @@ def _eval_on_points(forms, axes):
     nf = len(freqs)
     coefs = []
     for w in forms:
+        lie = {a: a for a in range(w.algebra.dim)} if rows is None \
+            else {a: j for j, a in enumerate(rows)}
         pos = {idx: i for i, idx in enumerate(multi_indices(w.dim, w.degree))}
-        c = np.zeros((len(pos), w.algebra.dim, 2 * nf))
+        c = np.zeros((len(pos), len(lie), 2 * nf))
         for (alpha, idx), poly in w.comps.items():
+            if alpha not in lie:
+                continue
+            alpha = lie[alpha]
             for k, (a, b) in poly.nums.items():
                 i = row.get(k)
                 if i is None:
@@ -757,11 +764,11 @@ def _eval_on_points(forms, axes):
     k_mat = np.array(freqs, dtype=float).reshape(nf, len(axes))
     phase = k_mat @ np.stack(axes)
     table = np.concatenate([np.cos(phase), np.sin(phase)])
-    rows = [c.shape[0] * c.shape[1] for c in coefs]
+    sizes = [c.shape[0] * c.shape[1] for c in coefs]
     flat = np.concatenate([c.reshape(r, 2 * nf)
-                           for c, r in zip(coefs, rows)]) @ table
+                           for c, r in zip(coefs, sizes)]) @ table
     out, start = [], 0
-    for c, r in zip(coefs, rows):
+    for c, r in zip(coefs, sizes):
         out.append(flat[start:start + r].reshape(c.shape[:2] + (-1,)))
         start += r
     return out

@@ -124,8 +124,8 @@ def coframe_check(e, grid_size=16, tol=1e-8):
         raise CartanError("torus dimension must equal the translation dimension")
     ax = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
     axes = [m.ravel() for m in np.meshgrid(*[ax] * n, indexing="ij")]
-    (vals,) = _eval_on_points([e], axes)
-    dets = np.abs(_det_on_points(vals[:, list(e.algebra.p_indices)]))
+    (vals,) = _eval_on_points([e], axes, rows=list(e.algebra.p_indices))
+    dets = np.abs(_det_on_points(vals))
     min_det = float(dets.min()) if dets.size else 0.0
     return {"nondegenerate": bool(min_det > tol), "min_abs_det": min_det}
 
@@ -444,6 +444,17 @@ class Path:
         return cls.polyline(pts)
 
 
+def _arc_plane(plane):
+    """An arc's (i, j) chart axes: two distinct non-negative integers."""
+    if (not isinstance(plane, (list, tuple)) or len(plane) != 2
+            or not all(isinstance(i, int) and not isinstance(i, bool)
+                       and i >= 0 for i in plane)
+            or plane[0] == plane[1]):
+        raise CartanError(f"arc plane must be two distinct non-negative "
+                          f"integers, got {plane!r}")
+    return tuple(plane)
+
+
 def load_path(path_file):
     """Read a path file; a document of the wrong shape is a CartanError."""
     with open(path_file) as fh:
@@ -458,7 +469,7 @@ def load_path(path_file):
             elif kind == "arc":
                 segs.append(Segment("arc", {
                     "center": entry["center"], "radius": entry["radius"],
-                    "plane": tuple(entry.get("plane", (0, 1))),
+                    "plane": _arc_plane(entry.get("plane", (0, 1))),
                     "start_angle": float(entry["start_angle"]),
                     "end_angle": float(entry["end_angle"])}))
             else:
@@ -512,6 +523,12 @@ def holonomy(model, path, steps):
         raise CartanError("steps must be >= 1")
     if not path.segments:
         return HolonomyResult(np.eye(model.matrix_dim), 0.0, 0)
+    for seg in path.segments:
+        if seg.kind == "arc" and max(seg.data["plane"]) >= model.chart_dim:
+            raise CartanError(
+                f"arc plane {list(seg.data['plane'])} needs axes below the "
+                f"chart dimension {model.chart_dim} of model "
+                f"{model.name or '<unnamed>'}")
     lengths = [s.length_estimate() for s in path.segments]
     total = sum(lengths)
     if total == 0:

@@ -159,6 +159,7 @@ def _cmd_eval(args):
         "exact": None if value.exact is None else str(value.exact),
         "numeric": value.numeric,
         "quadrature_grid": value.quadrature_grid,
+        "min_abs_det": value.min_abs_det,
         "units": f"(2pi)^{value.torus_dim}",
     }
     print(value.render())

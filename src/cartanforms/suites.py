@@ -284,16 +284,26 @@ def _forms_identity_checks(alg, dim, cutoff, density, seed):
 
     The degree-1 battery runs on every seed so each identity sees every
     seed; graded commutativity additionally cycles through the mixed
-    degree pairs.
+    degree pairs.  Returns {check: (passed, seconds)}: each check's own
+    time plus an even share of the random forms all checks use.
     """
+    t0 = time.perf_counter()
     w = random_form(seed, 1, alg, dim=dim, cutoff=cutoff, density=density)
     m = random_form(seed + 101, 1, alg, dim=dim, cutoff=cutoff, density=density)
     lam = random_form(seed + 202, 1, alg, dim=dim, cutoff=cutoff, density=density)
     a = random_form(seed + 303, 1, alg, dim=dim, cutoff=cutoff, density=density)
     form = invariant_form(alg, 1, Fraction(1, 2)) if alg.star_matrix is not None \
         else killing_form(alg)
-
     checks = {}
+    last = time.perf_counter()
+    shared = last - t0
+
+    def done(check, ok):
+        nonlocal last
+        now = time.perf_counter()
+        checks[check] = (ok, now - last)
+        last = now
+
     deg_cycle = [(1, 1), (1, 2), (2, 1)]
     p, q = deg_cycle[seed % len(deg_cycle)]
     wp = w if p == 1 else random_form(seed + 404, p, alg, dim=dim,
@@ -301,38 +311,39 @@ def _forms_identity_checks(alg, dim, cutoff, density, seed):
     mq = m if q == 1 else random_form(seed + 505, q, alg, dim=dim,
                                       cutoff=cutoff, density=density)
     sign = (-1) ** (p * q + 1)
-    checks["graded_commutativity"] = \
-        (lie_bracket_forms(wp, mq) - lie_bracket_forms(mq, wp).scale(sign)).is_zero()
+    done("graded_commutativity",
+         (lie_bracket_forms(wp, mq) - lie_bracket_forms(mq, wp).scale(sign)).is_zero())
 
     lhs = lie_bracket_forms(lam, lie_bracket_forms(w, m))
     rhs = lie_bracket_forms(lie_bracket_forms(lam, w), m) \
         - lie_bracket_forms(w, lie_bracket_forms(lam, m))
-    checks["graded_jacobi"] = (lhs - rhs).is_zero()
+    done("graded_jacobi", (lhs - rhs).is_zero())
 
     lhs = exterior_d(lie_bracket_forms(w, m))
     rhs = lie_bracket_forms(exterior_d(w), m) \
         - lie_bracket_forms(w, exterior_d(m))
-    checks["d_derivation"] = (lhs - rhs).is_zero()
+    done("d_derivation", (lhs - rhs).is_zero())
 
     lhs = covariant_d(a, lie_bracket_forms(w, m))
     rhs = lie_bracket_forms(covariant_d(a, w), m) \
         - lie_bracket_forms(w, covariant_d(a, m))
-    checks["covariant_d_derivation"] = (lhs - rhs).is_zero()
+    done("covariant_d_derivation", (lhs - rhs).is_zero())
 
     lhs = beta_pair(form, w, m).d()
     rhs = beta_pair(form, covariant_d(a, w), m) \
         - beta_pair(form, w, covariant_d(a, m))
-    checks["covariant_integration_by_parts"] = (lhs - rhs).is_zero()
+    done("covariant_integration_by_parts", (lhs - rhs).is_zero())
 
     lhs = beta_pair(form, lie_bracket_forms(lam, w), m)
     rhs = beta_pair(form, w, lie_bracket_forms(lam, m))
-    checks["beta_graded_invariance"] = (lhs - rhs).is_zero()
+    done("beta_graded_invariance", (lhs - rhs).is_zero())
 
-    checks["d_squared"] = exterior_d(exterior_d(w)).is_zero()
+    done("d_squared", exterior_d(exterior_d(w)).is_zero())
 
     alpha = random_scalar_form(seed + 606, dim - 1, dim, cutoff=cutoff)
-    checks["stokes"] = integrate(alpha.d()) == 0
-    return checks
+    done("stokes", integrate(alpha.d()) == 0)
+    share = shared / len(checks)
+    return {check: (ok, dt + share) for check, (ok, dt) in checks.items()}
 
 
 def run_appendix_forms(cfg):
@@ -344,14 +355,12 @@ def run_appendix_forms(cfg):
     for name, dim, cutoff, density in plans:
         alg = algebra_factory(name)
         for seed in cfg.seeds():
-            t0 = time.perf_counter()
             checks = _forms_identity_checks(alg, dim, cutoff, density, seed)
-            dt = time.perf_counter() - t0
-            for check, ok in checks.items():
+            for check, (ok, dt) in checks.items():
                 results.append(_row(
                     "appendix_forms", check, name, seed, ok,
                     f"appendix_forms/{check}/{name}/T{dim}/K={cutoff}/seed={seed}",
-                    dt / len(checks)))
+                    dt))
     return results
 
 

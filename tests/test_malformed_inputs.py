@@ -74,3 +74,34 @@ def test_malformed_path_file(tmp_path, capsys, doc):
     rc = cli.main(["holonomy", "--model", "sphere", "--path", str(f),
                    "--steps", "10"])
     _one_line_usage_error(capsys, rc)
+
+
+def _arc_path(tmp_path, plane):
+    f = tmp_path / "arc_path.json"
+    f.write_text(json.dumps({"segments": [
+        {"type": "arc", "center": [0.0, 0.0], "radius": 0.1, "plane": plane,
+         "start_angle": 0.0, "end_angle": 1.0}]}))
+    return f
+
+
+@pytest.mark.parametrize("plane", [[0, 0], [0, -1], [1], [0, 1.0], [True, 0],
+                                   "01"])
+def test_arc_plane_not_two_distinct_axes(tmp_path, capsys, plane):
+    f = _arc_path(tmp_path, plane)
+    with pytest.raises(CartanError, match="arc plane must be two distinct"):
+        load_path(f)
+    rc = cli.main(["holonomy", "--model", "sphere", "--path", str(f),
+                   "--steps", "10"])
+    _one_line_usage_error(capsys, rc)
+
+
+def test_arc_plane_beyond_the_chart(tmp_path, capsys):
+    # the sphere model's chart is 2-dimensional: axis 5 does not exist
+    f = _arc_path(tmp_path, [0, 5])
+    assert load_path(f).segments[0].data["plane"] == (0, 5)
+    rc = cli.main(["holonomy", "--model", "sphere", "--path", str(f),
+                   "--steps", "10"])
+    _one_line_usage_error(capsys, rc)
+    f = _arc_path(tmp_path, [1, 0])
+    assert cli.main(["holonomy", "--model", "sphere", "--path", str(f),
+                     "--steps", "10"]) == 0

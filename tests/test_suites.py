@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from cartanforms import suites
@@ -14,6 +16,28 @@ def test_appendix_forms_small():
     # every identity appears on every seed
     names = {r.check for r in results}
     assert len(names) == 8
+
+
+def test_appendix_forms_times_each_row(monkeypatch):
+    # the fake clock reads k^2 at its k-th call, so consecutive readings
+    # are 2k - 1 apart and every check takes a different time
+    calls = iter(range(1000))
+    monkeypatch.setattr(suites, "time", types.SimpleNamespace(
+        perf_counter=lambda: next(calls) ** 2))
+    cfg = suites.SuiteConfig(algebras=["so22"])
+    cfg.seed_start, cfg.seed_end = 0, 1
+    results = suites.run_appendix_forms(cfg)
+    for seed, first in ((0, 0), (1, 10)):
+        rows = [r for r in results if r.seed == seed]
+        assert len(rows) == 8
+        # the shared random forms took readings first..first+1, split evenly
+        shared = ((first + 1) ** 2 - first ** 2) / 8
+        for k, row in enumerate(rows, first + 2):
+            own = k ** 2 - (k - 1) ** 2
+            assert row.wall_time_ms == pytest.approx(1000.0 * (own + shared))
+        # the rows of a seed sum to its total
+        assert sum(r.wall_time_ms for r in rows) == \
+            pytest.approx(1000.0 * ((first + 9) ** 2 - first ** 2))
 
 
 def test_appendix_star_all_pass():
