@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -270,10 +269,13 @@ class FieldSet:
     def solved_grid(self, grid):
         """The solved blocks of levi_civita on the grid^3 lattice.
 
-        A list of (w, e, dw, de, min |det e|) as _solved_blocks yields
-        them, stored as compact copies (288 bytes a point); only the grid
-        last asked for is kept.
+        The (w, e, dw, de, min |det e|) blocks that _solved_blocks yields.
+        A grid of at most SOLVED_GRID_BLOCKS blocks is kept as a list of
+        compact copies (288 bytes a point), only the grid last asked for;
+        a larger grid is streamed, solved again on every call.
         """
+        if grid ** 3 > SOLVED_GRID_BLOCKS * QUADRATURE_BLOCK:
+            return _solved_blocks(self.levi_civita, grid)
         if self._solved[0] != grid:
             self._solved = (None, None)     # free the old grid first
             blocks = [tuple(np.array(x) for x in b[:4]) + b[4:]
@@ -483,27 +485,19 @@ _TOP_SIGN = np.array([1.0, -1.0, 1.0])[:, None, None]
 _MINOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
                         [1.0, -1.0, 1.0]])[:, :, None]
 
-# grid points per block of the TMG quadrature: bounds the pointwise arrays
-# (a few MB per block) whatever the grid size
+# grid points per block of the TMG solve: bounds the working arrays of one
+# solve (a few MB) whatever the grid size
 QUADRATURE_BLOCK = 4096
-
-_PER_ALGEBRA = {}
+# FieldSet.solved_grid keeps grids of at most this many blocks (grid <= 32,
+# 288 bytes a point: at most 9.4 MB) and streams larger ones
+SOLVED_GRID_BLOCKS = 8
 
 
 def _per_algebra(build, alg):
-    """build(alg), computed once per algebra object and dropped with it.
-
-    Keyed by object identity, never by name: a damaged table under a real
-    algebra's name is another object and gets its own entry.
-    """
-    key = (build, id(alg))
-    hit = _PER_ALGEBRA.get(key)
-    if hit is None or hit[0]() is not alg:
-        def drop(ref):
-            if _PER_ALGEBRA.get(key, (None,))[0] is ref:
-                del _PER_ALGEBRA[key]
-        hit = _PER_ALGEBRA[key] = (weakref.ref(alg, drop), build(alg))
-    return hit[1]
+    """build(alg), computed once per algebra object (in alg.derived)."""
+    if build not in alg.derived:
+        alg.derived[build] = build(alg)
+    return alg.derived[build]
 
 
 def _float_tables(alg):
@@ -796,7 +790,11 @@ def _tmg_means(alg, blocks, mu, cs_terms=()):
 
 def _tmg_quadrature(lc, grid, mu, cs_terms=()):
     """(S_TMG, [S_CS per term]) of one connection, its grid solved and
-    summed block by block (see _tmg_means)."""
+    summed block by block (see _tmg_means).
+
+    No caller in the package: kept only for tests/test_numeric_kernels.py
+    and tests/test_suite_config.py, and can go with them.
+    """
     tmg, cs, _ = _tmg_means(lc.alg, _solved_blocks(lc, grid), mu, cs_terms)
     return tmg, cs
 
@@ -973,9 +971,8 @@ def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
              "TWO_CS_TMG needs c0 != 0 in the normalized form")
     mu = couplings.mu
     digest += f"/grid={grid}"
-    # checks in one run scope share the solved grid; a lone check streams it
-    blocks = (fields.solved_grid(grid) if _SCOPE.get() is not None
-              else _solved_blocks(fields.levi_civita, grid))
+    # checks on one field set in a run scope share the solved grid
+    blocks = fields.solved_grid(grid)
 
     if identity_id == "CS_TMG":
         # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S

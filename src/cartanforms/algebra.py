@@ -98,6 +98,15 @@ class AlgebraDescriptor:
     def dim(self):
         return len(self.basis)
 
+    @cached_property
+    def derived(self):
+        """Tables other modules derive from this object, by builder.
+
+        It lives and dies with the object and is never shared by name, so
+        a damaged table under a real algebra's name gets its own.
+        """
+        return {}
+
     def zero(self):
         return AlgebraElement(self, (ZERO,) * self.dim)
 

@@ -9,7 +9,6 @@ dimension, brackets with the full table, pairings with the full grams.
 """
 
 import dataclasses
-import gc
 import json
 import math
 from fractions import Fraction
@@ -24,7 +23,8 @@ from cartanforms.actions import (
     identity_residual,
     levi_civita_connection,
     tmg_action,
-    _tmg_quadrature,
+    _solved_blocks,
+    _tmg_means,
 )
 from cartanforms.algebra import build_algebra, invariant_form, killing_form, \
     star_form
@@ -101,7 +101,8 @@ def test_block_quadrature_equals_padded_reference(name):
             lc = levi_civita_connection(
                 analytic_coframe(alg, seed=seed, cutoff=cutoff))
             for grid in (12, 17):
-                tmg, cs = _tmg_quadrature(lc, grid, mu, terms)
+                tmg, cs, _ = _tmg_means(alg, _solved_blocks(lc, grid), mu,
+                                        terms)
                 ref_tmg, ref_cs = reference_quadrature(lc, grid, mu, terms)
                 for got, want in zip([tmg] + cs, [ref_tmg] + ref_cs):
                     assert abs(got - want) <= 1e-14 * abs(want)
@@ -165,19 +166,30 @@ def test_eval_json_carries_min_abs_det(tmp_path, capsys):
     assert 0.5 < doc["min_abs_det"] < 1.0
 
 
+def test_field_set_streams_grids_over_the_cap(monkeypatch):
+    monkeypatch.setattr(actions, "SOLVED_GRID_BLOCKS", 1)
+    fields = actions.FieldSet(build_algebra("so22"), 1)
+    kept = fields.solved_grid(16)               # 4096 points: one block
+    assert isinstance(kept, list) and fields.solved_grid(16) is kept
+    streamed = fields.solved_grid(17)           # two blocks: over the cap
+    assert not isinstance(streamed, list)
+    assert fields.solved_grid(16) is kept
+    tmg = actions._tmg_means(fields.alg, streamed, 5)[0]
+    assert tmg == actions._tmg_means(fields.alg, fields.solved_grid(17), 5)[0]
+
+
 def test_torsion_inverse_once_per_algebra_object(monkeypatch):
+    so31 = build_algebra("so31")
+    levi_civita_connection(analytic_coframe(so31))
     inverted = []
     real = exactla.inverse
     monkeypatch.setattr(exactla, "inverse",
                         lambda m: inverted.append(1) or real(m))
-    # a fresh object equal to so31 under the same name: its own entry
-    alg = dataclasses.replace(build_algebra("so31"))
-    before = len(actions._PER_ALGEBRA)
+    # a fresh object equal to so31 under the same name: its own tables
+    alg = dataclasses.replace(so31)
     for seed in (0, 1):
         lc = levi_civita_connection(analytic_coframe(alg, seed=seed))
         tmg_action(lc.e, 5, grid=6, lc=lc)
     assert len(inverted) == 1
-    assert len(actions._PER_ALGEBRA) > before
-    del alg, lc
-    gc.collect()
-    assert len(actions._PER_ALGEBRA) == before
+    own = alg.derived[actions._torsion_tables]
+    assert own is not so31.derived[actions._torsion_tables]
