@@ -46,7 +46,10 @@ from .calculus import (
     random_form,
     _det_on_points,
     _eval_on_points,
+    _lattice,
+    _point_coefficients,
     _rng_for,
+    _trig_table,
 )
 from .cartan import (
     CartanConnection,
@@ -84,10 +87,6 @@ class ActionValue:
     numeric: float
     quadrature_grid: int | None = None
     min_abs_det: float | None = None
-
-    @property
-    def absolute(self):
-        return self.numeric * (2.0 * math.pi) ** self.torus_dim
 
     def render(self):
         if self.mode == "exact":
@@ -517,14 +516,9 @@ def _float_tables(alg):
     return tables
 
 
-def _lattice(n):
-    """The n^3 uniform grid on T^3 as three flat coordinate arrays."""
-    ax = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return [m.ravel() for m in np.meshgrid(ax, ax, ax, indexing="ij")]
-
-
 def _bracket(table, u, v):
-    """[u, v] for 1-form arrays (3, m, npts), (3, k, npts) -> (3 pairs, r, npts).
+    """[u_mu, v_nu] - [u_nu, v_mu] for 1-form arrays u (3, m, npts) and
+    v (..., 3, k, npts), as (..., 3 pairs, r, npts).
 
     table is (r, m*k) with table[c, a*k + b] = C_ab^c.  When v is u the
     table must be antisymmetric in (a, b), as the full table and the
@@ -532,13 +526,15 @@ def _bracket(table, u, v):
     """
     # C_ab^c = -C_ba^c makes the two terms of [u, u]_{mu nu} equal
     twice = v is u
-    out = np.empty((3, table.shape[0], u.shape[-1]))
+    lead = v.shape[:-3]
+    out = np.empty(lead + (3, table.shape[0], u.shape[-1]))
     for row, (mu, nu) in enumerate(_PAIRS3):
-        # one (m, k, npts) product at a time, contracted by a matmul
-        outer = u[mu, :, None] * v[nu]
+        # one (..., m, k, npts) product at a time, contracted by a matmul
+        outer = u[mu, :, None] * v[..., nu, None, :, :]
         if not twice:
-            outer -= u[nu, :, None] * v[mu]
-        out[row] = table @ outer.reshape(table.shape[1], -1)
+            outer -= u[nu, :, None] * v[..., mu, None, :, :]
+        out[..., row, :, :] = table @ outer.reshape(
+            lead + (table.shape[1], -1))
     return 2.0 * out if twice else out
 
 
@@ -560,9 +556,7 @@ class _Grid3:
     """Uniform tensor grid on T^3 with vectorized pointwise Lie algebra."""
 
     def __init__(self, alg, n):
-        self.alg = alg
-        self.axes = _lattice(n)
-        self.npts = self.axes[0].size
+        self.axes = _lattice(n, 3)
         self.c = _per_algebra(_float_tables, alg)[0]
 
     def two_form_bracket(self, u, v):
@@ -588,30 +582,27 @@ def _eval_forms_at(forms, axes):
 # ---------------------------------------------------------------------------
 
 def _torsion_tables(alg):
-    """ad (9, 3), with ad @ w = sum_i w_i C[i, b, a], and K0^-1 (9, 9).
+    """K0^-1 (9, 9) as floats.
 
     K0 rows (pair (c, b), a), columns (c', i):
     delta_{c'c} C[i, b, a] - delta_{c'b} C[i, c, a], with C[h_i, p_b -> p_a]
     the exact C_hpp; it is inverted exactly.
     """
-    h, p = alg.h_indices, alg.p_indices
-    c_hpp = [[[alg.structure[hi][pb][pa] for pa in p] for pb in p]
-             for hi in h]
-    ad = np.array(c_hpp, dtype=float).reshape(3, 9).T
-    k0 = [[0] * 9 for _ in range(9)]
+    c_hpp = np.array(alg.structure)[np.ix_(alg.h_indices, alg.p_indices,
+                                           alg.p_indices)]     # [i, b, a]
+    k0 = np.zeros((3, 3, 3, 3), dtype=object)   # [pair, a, c', i], exact
     for row, (c, b) in enumerate(_PAIRS3):
-        for a in range(3):
-            for i in range(3):
-                k0[3 * row + a][3 * c + i] += c_hpp[i][b][a]
-                k0[3 * row + a][3 * b + i] -= c_hpp[i][c][a]
+        k0[row, :, c] += c_hpp[:, b].T
+        k0[row, :, b] -= c_hpp[:, c].T
     try:
-        k0_inv = np.array(exactla.inverse(k0), dtype=float)
+        k0_inv = np.array(exactla.inverse(k0.reshape(9, 9).tolist()),
+                          dtype=float)
     except ZeroDivisionError:
         raise CartanError(
             f"{alg.name}: the torsion map K0 is singular, so a coframe "
             f"does not determine a unique torsion-free connection") from None
-    ad.flags.writeable = k0_inv.flags.writeable = False     # shared
-    return ad, k0_inv
+    k0_inv.flags.writeable = False      # shared
+    return k0_inv
 
 
 class LeviCivitaConnection:
@@ -631,7 +622,9 @@ class LeviCivitaConnection:
 
     K0 is built and inverted exactly once per algebra object;
     Lambda^2(e^-1) comes from the entries of e over det e (complementary
-    minors).
+    minors).  The p rows of e, de and their d/dx_sigma are one coefficient
+    table over e's cos/sin modes, built once: d/dx_sigma maps the weights
+    (A, B) at k to (k_sigma B, -k_sigma A).
     """
 
     def __init__(self, e, tol=1e-8):
@@ -643,34 +636,21 @@ class LeviCivitaConnection:
         self.e = e
         self.alg = alg
         self.tol = tol
-        self.de = exterior_d(e)
-        # e, de and their d/dx_sigma (exact spectral derivatives), in the
-        # order solve unpacks them
-        self._forms = ([e, self.de]
-                       + [self._deriv_form(e, s) for s in range(3)]
-                       + [self._deriv_form(self.de, s) for s in range(3)])
-        # ad[mu, (b, a)] = sum_i w[mu, i] C[i, b, a] is self._ad @ w
-        self._ad, self._k0_inv = _per_algebra(_torsion_tables, alg)
+        self._k0_inv = _per_algebra(_torsion_tables, alg)
+        self._c_hpp = _per_algebra(_float_tables, alg)[3]
+        self._freqs, (e_c,) = _point_coefficients([e], list(alg.p_indices))
+        nf = len(self._freqs)
+        k = self._freqs.T.reshape(3, 1, 1, nf)
 
-    @staticmethod
-    def _deriv_form(w, sigma):
-        comps = {}
-        for key, poly in w.comps.items():
-            d = poly.deriv(sigma)
-            if not d.is_zero():
-                comps[key] = d
-        return w._new(w.degree, comps)
+        def deriv(c):
+            # d/dx_sigma of (..., 2 nf) coefficients, (3 sigma, ..., 2 nf)
+            return np.concatenate((k * c[..., nf:], -k * c[..., :nf]), axis=-1)
 
-    def _torsion_map(self, w, f):
-        """[w_mu, f_nu] - [w_nu, f_mu] in p-coordinates, (..., pair, a, npts).
-
-        w is (3 mu, 3 i, npts); f is (..., 3 mu, 3 b, npts).
-        """
-        ad = (self._ad @ w).reshape(3, 3, 3, -1)      # (mu, b, a, npts)
-        return (np.einsum("...qbn,qban->...qan", f[..., _PAIR_NU, :, :],
-                          ad[_PAIR_MU])
-                - np.einsum("...qbn,qban->...qan", f[..., _PAIR_MU, :, :],
-                            ad[_PAIR_NU]))
+        e_d = deriv(e_c)
+        de_c = e_d[_PAIR_MU, _PAIR_NU] - e_d[_PAIR_NU, _PAIR_MU]
+        # (72, 2 nf): e, de, d_sigma e, d_sigma de, as solve splits them
+        self._coefs = np.concatenate([c.reshape(-1, 2 * nf) for c in
+                                      (e_c, de_c, e_d, deriv(de_c))])
 
     def _apply_inverse(self, e_arr, lam_inv, rhs):
         """x with system(e) x = rhs, for rhs (..., pair, a, npts).
@@ -689,10 +669,9 @@ class LeviCivitaConnection:
         h-coeff, npts), and min_abs_det, the least |det e| on the points.
         Only the p rows of e, de and their derivatives are evaluated.
         """
-        vals = _eval_on_points(self._forms, axes, rows=list(self.alg.p_indices))
-        e_arr, de_arr = vals[0], vals[1]          # (mu, a, npts), (pair, a, npts)
-        e_d = np.stack(vals[2:5])                 # (sigma, mu, a, npts)
-        de_d = np.stack(vals[5:8])                # (sigma, pair, a, npts)
+        vals = self._coefs @ _trig_table(self._freqs, axes)
+        e_arr, de_arr = vals[:18].reshape(2, 3, 3, -1)
+        e_d, de_d = vals[18:].reshape(2, 3, 3, 3, -1)
         det = _det_on_points(e_arr)
         dets = np.abs(det)
         min_det = float(dets.min()) if dets.size else math.inf
@@ -706,7 +685,7 @@ class LeviCivitaConnection:
         w = self._apply_inverse(e_arr, lam_inv, -de_arr)
         # derivatives: system(e) dw_sigma = -d_sigma(de) - system(d_sigma e) w,
         # the three sigma as one stacked right-hand side
-        rhs = -de_d - self._torsion_map(w, e_d)
+        rhs = -de_d - _bracket(self._c_hpp, w, e_d)
         dw_sigma = self._apply_inverse(e_arr, lam_inv, rhs)
         # curl -> dw as a 2-form (pair, i)
         dw = dw_sigma[_PAIR_MU, _PAIR_NU] - dw_sigma[_PAIR_NU, _PAIR_MU]
@@ -722,7 +701,8 @@ class LeviCivitaConnection:
         """max |de + [w, e]| over probe points; solver self-check."""
         axes = [np.asarray(points, dtype=float)[:, j] for j in range(3)]
         sol = self.solve(axes)
-        return float(np.abs(sol["dE"] + self._torsion_map(sol["w"], sol["E"])).max())
+        torsion = sol["dE"] + _bracket(self._c_hpp, sol["w"], sol["E"])
+        return float(np.abs(torsion).max())
 
 
 def levi_civita_connection(e, grid=16, tol=1e-8):
@@ -744,7 +724,7 @@ def _solved_blocks(lc, grid):
     Yields (w, e, dw, de, min |det e|) per block: the h blocks w, dw and
     the p blocks e, de, each (3, 3, npts).  Nothing is kept between blocks.
     """
-    axes = _lattice(grid)
+    axes = _lattice(grid, 3)
     for start in range(0, axes[0].size, QUADRATURE_BLOCK):
         sol = lc.solve([ax[start:start + QUADRATURE_BLOCK] for ax in axes])
         yield sol["w"], sol["E"], sol["dw"], sol["dE"], sol["min_abs_det"]

@@ -500,11 +500,6 @@ class LieForm(_Form):
     def component(self, alpha, idx):
         return self.comps.get((alpha, tuple(idx)), TrigPoly.zero(self.dim))
 
-    def scalar_component(self, alpha):
-        """The scalar p-form multiplying basis element alpha."""
-        comps = {idx: poly for (a, idx), poly in self.comps.items() if a == alpha}
-        return ScalarForm(self.dim, self.degree, comps)
-
     def h_part(self):
         return self._restrict(self.algebra.h_indices)
 
@@ -729,16 +724,18 @@ def integrate(w):
 # Lie indices lead and every per-point operation is either elementwise over
 # a contiguous points vector or one matmul with a constant matrix.
 
-def _eval_on_points(forms, axes, rows=None):
-    """Evaluate LieForms at points given as one coordinate array per axis.
+def _lattice(n, dim):
+    """The n^dim uniform grid on T^dim as dim flat coordinate arrays."""
+    ax = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return [m.ravel() for m in np.meshgrid(*[ax] * dim, indexing="ij")]
 
-    Every component of every form comes from one cos/sin table over the
-    union of their frequencies, followed by one matmul; each +-k Hermitian
-    pair enters once, at double weight.  Returns one (ncomp, dim, npts)
-    array per form, components in multi_indices order.  With `rows`, a
-    list of Lie indices, only those coefficients are computed and the
-    arrays are (ncomp, len(rows), npts) in that order.
-    """
+
+def _point_coefficients(forms, rows=None):
+    """(freqs, coefs): the (nf, n) union of the forms' frequencies, each
+    +-k Hermitian pair once, and per form its (ncomp, dim, 2 nf) cos(k.x)
+    then sin(k.x) weights (a folded pair at double weight), components in
+    multi_indices order; with `rows`, a list of Lie indices, only those
+    rows, (ncomp, len(rows), 2 nf) in that order."""
     freqs = sorted({k for w in forms for poly in w.comps.values()
                     for k in poly.nums if k >= tuple(-x for x in k)})
     row = {k: i for i, k in enumerate(freqs)}
@@ -761,17 +758,23 @@ def _eval_on_points(forms, axes, rows=None):
                 c[pos[idx], alpha, i] = weight * a / poly.den
                 c[pos[idx], alpha, nf + i] = -weight * b / poly.den
         coefs.append(c)
-    k_mat = np.array(freqs, dtype=float).reshape(nf, len(axes))
-    phase = k_mat @ np.stack(axes)
-    table = np.concatenate([np.cos(phase), np.sin(phase)])
-    sizes = [c.shape[0] * c.shape[1] for c in coefs]
-    flat = np.concatenate([c.reshape(r, 2 * nf)
-                           for c, r in zip(coefs, sizes)]) @ table
-    out, start = [], 0
-    for c, r in zip(coefs, sizes):
-        out.append(flat[start:start + r].reshape(c.shape[:2] + (-1,)))
-        start += r
-    return out
+    return np.array(freqs, dtype=float).reshape(nf, forms[0].dim), coefs
+
+
+def _trig_table(freqs, axes):
+    """cos(k.x) then sin(k.x) for freqs (see _point_coefficients) at points
+    given as one coordinate array per axis: (2 nf, npts), so that
+    coefficients @ table are the values."""
+    phase = freqs @ np.stack(axes)
+    return np.concatenate([np.cos(phase), np.sin(phase)])
+
+
+def _eval_on_points(forms, axes, rows=None):
+    """Values of LieForms at points, one (ncomp, dim, npts) array per form,
+    or (ncomp, len(rows), npts) with `rows` (see _point_coefficients)."""
+    freqs, coefs = _point_coefficients(forms, rows)
+    table = _trig_table(freqs, axes)
+    return [c @ table for c in coefs]
 
 
 def _det_on_points(m):

@@ -25,6 +25,7 @@ from .calculus import (
     lie_bracket_forms,
     _det_on_points,
     _eval_on_points,
+    _lattice,
 )
 
 HALF = Fraction(1, 2)
@@ -122,9 +123,8 @@ def coframe_check(e, grid_size=16, tol=1e-8):
     n = e.dim
     if n != e.algebra.spacetime_dim:
         raise CartanError("torus dimension must equal the translation dimension")
-    ax = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    axes = [m.ravel() for m in np.meshgrid(*[ax] * n, indexing="ij")]
-    (vals,) = _eval_on_points([e], axes, rows=list(e.algebra.p_indices))
+    (vals,) = _eval_on_points([e], _lattice(grid_size, n),
+                              rows=list(e.algebra.p_indices))
     dets = np.abs(_det_on_points(vals))
     min_det = float(dets.min()) if dets.size else 0.0
     return {"nondegenerate": bool(min_det > tol), "min_abs_det": min_det}
@@ -524,11 +524,16 @@ def holonomy(model, path, steps):
     if not path.segments:
         return HolonomyResult(np.eye(model.matrix_dim), 0.0, 0)
     for seg in path.segments:
-        if seg.kind == "arc" and max(seg.data["plane"]) >= model.chart_dim:
+        if seg.kind != "arc":
+            continue
+        if max(seg.data["plane"]) >= model.chart_dim:
             raise CartanError(
                 f"arc plane {list(seg.data['plane'])} needs axes below the "
                 f"chart dimension {model.chart_dim} of model "
                 f"{model.name or '<unnamed>'}")
+        if np.shape(seg.data["center"]) != (model.chart_dim,):
+            raise CartanError(f"arc center {seg.data['center']!r} needs "
+                              f"the {model.chart_dim} chart coordinates")
     lengths = [s.length_estimate() for s in path.segments]
     total = sum(lengths)
     if total == 0:

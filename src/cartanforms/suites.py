@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import algebra as _alg_mod
@@ -31,6 +31,9 @@ from .actions import (
     NUMERIC_IDENTITIES,
     identity_residual,
     run_scope,
+    _3D_ALGEBRAS as _3D,
+    _4D_ALGEBRAS as _4D,
+    _TMG_ALGEBRAS,
 )
 from .calculus import (
     beta_pair,
@@ -99,9 +102,6 @@ DEFAULT_COUPLINGS = {
     "so32": [(1, 1), (1, Fraction(1, 3)), (2, 0)],
 }
 
-_3D = ("so31", "iso21", "so22", "so4", "iso3")
-_4D = ("so41", "so32")
-
 
 def default_config():
     return SuiteConfig()
@@ -135,26 +135,45 @@ def _read_config(path):
     if "algebras" in doc:
         cfg.algebras = list(doc["algebras"])
     if "seeds" in doc:
-        lo, hi = doc["seeds"]
-        cfg.seed_start, cfg.seed_end = int(lo), int(hi)
-    if "couplings" in doc:
-        cfg.couplings = {k: [tuple(Fraction(str(x)) for x in row) for row in v]
-                         for k, v in doc["couplings"].items()}
-    cfg.cutoff = int(doc.get("cutoff", cfg.cutoff))
-    cfg.grid = int(doc.get("grid", cfg.grid))
+        seeds = doc["seeds"]
+        if not isinstance(seeds, list) or len(seeds) != 2:
+            raise SuiteConfigError(f"seeds must be [first, last], got "
+                                   f"{seeds!r}")
+        cfg.seed_start, cfg.seed_end = seeds
+    # the remaining values are kept as read; validate_config checks them
+    cfg.couplings = doc.get("couplings", cfg.couplings)
+    cfg.cutoff = doc.get("cutoff", cfg.cutoff)
+    cfg.grid = doc.get("grid", cfg.grid)
     cfg.out = doc.get("out", cfg.out)
     return cfg
 
 
 def validate_config(cfg):
+    # type(x) is int: a bool or a float is not a size or a seed
+    if type(cfg.seed_start) is not int or type(cfg.seed_end) is not int:
+        raise SuiteConfigError(f"seeds must be integers, got "
+                               f"[{cfg.seed_start!r}, {cfg.seed_end!r}]")
     if cfg.seed_end < cfg.seed_start:
         raise SuiteConfigError(
             f"empty seed range {cfg.seed_start}..{cfg.seed_end}")
     for key in ("cutoff", "grid"):
         value = getattr(cfg, key)
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise SuiteConfigError(
                 f"{key} must be a positive integer, got {value!r}")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise SuiteConfigError(f"out must be a path string, got {cfg.out!r}")
+    if not isinstance(cfg.couplings or {}, dict):
+        raise SuiteConfigError(
+            f"couplings must map algebra names to rows, got {cfg.couplings!r}")
+    for name, rows in (cfg.couplings or {}).items():
+        try:
+            if name not in _alg_mod.ALGEBRA_NAMES:
+                raise ValueError("not an algebra")
+            for row in rows:
+                _coupling(row)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SuiteConfigError(f"couplings for {name!r}: {exc}") from None
     for s in cfg.suites:
         if s not in SUITE_NAMES:
             raise SuiteConfigError(f"unknown suite {s!r}; known: {SUITE_NAMES}")
@@ -165,7 +184,7 @@ def validate_config(cfg):
         if s in EXACT_3D_IDENTITIES or s in NUMERIC_IDENTITIES:
             bad = [a for a in cfg.algebras if a not in _3D]
             if s in NUMERIC_IDENTITIES:
-                bad = [a for a in cfg.algebras if a not in ("so31", "so22", "so4")]
+                bad = [a for a in cfg.algebras if a not in _TMG_ALGEBRAS]
             if bad:
                 raise SuiteConfigError(
                     f"suite {s} does not apply to algebra(s) {bad}: "
@@ -178,17 +197,18 @@ def validate_config(cfg):
                     f"suite {s} needs so41/so32, got {bad}")
 
 
+def _coupling(row):
+    """CouplingConstants of a row [c0, c1[, mu[, gamma]]]; each value is
+    read through its decimal string, so a JSON 0.1 is 1/10."""
+    if not isinstance(row, (list, tuple)) or not 2 <= len(row) <= 4:
+        raise ValueError(f"row {row!r} is not [c0, c1[, mu[, gamma]]]")
+    return CouplingConstants(*(None if x is None else Fraction(str(x))
+                               for x in tuple(row) + (None,) * (4 - len(row))))
+
+
 def _couplings_for(cfg, name):
     table = cfg.couplings or DEFAULT_COUPLINGS
-    rows = table.get(name, DEFAULT_COUPLINGS[name])
-    out = []
-    for row in rows:
-        row = tuple(row) + (None,) * (4 - len(row))
-        c0, c1, mu, gamma = row[:4]
-        out.append(CouplingConstants(c0=Fraction(c0), c1=Fraction(c1),
-                                     mu=None if mu is None else Fraction(mu),
-                                     gamma=None if gamma is None else Fraction(gamma)))
-    return out
+    return [_coupling(row) for row in table.get(name, DEFAULT_COUPLINGS[name])]
 
 
 def _identity_couplings(identity_id, base):
@@ -487,24 +507,12 @@ def run_invariant_forms(cfg):
     return results
 
 
-def _plan_mm_identities(cfg):
-    sub = SuiteConfig(suites=[], algebras=[a for a in cfg.algebras if a in _4D]
-                      or list(_4D), seed_start=cfg.seed_start,
-                      seed_end=cfg.seed_end, couplings=cfg.couplings,
-                      cutoff=1, grid=cfg.grid)
-    return (_plan_identity_battery("QUARTIC_ZERO", sub)
-            + _plan_identity_battery("MM_EXPANSION", sub))
-
-
-def _plan_tmg_identities(cfg):
-    sub = SuiteConfig(suites=[],
-                      algebras=[a for a in cfg.algebras
-                                if a in ("so31", "so22", "so4")] or ["so31", "so22"],
-                      seed_start=cfg.seed_start,
-                      seed_end=cfg.seed_end,
-                      couplings=cfg.couplings, cutoff=cfg.cutoff, grid=cfg.grid)
-    return (_plan_identity_battery("CS_TMG", sub)
-            + _plan_identity_battery("TWO_CS_TMG", sub))
+def _plan_battery(cfg, identities, covered, fallback, **fixed):
+    """A named battery's identities on the configured algebras it covers
+    (fallback when there are none), with the settings in `fixed`."""
+    sub = replace(cfg, algebras=[a for a in cfg.algebras if a in covered]
+                  or list(fallback), **fixed)
+    return [c for i in identities for c in _plan_identity_battery(i, sub)]
 
 
 _RUNNERS = {
@@ -514,8 +522,10 @@ _RUNNERS = {
 }
 
 _PLANNERS = {
-    "mm_identities": _plan_mm_identities,
-    "tmg_identities": _plan_tmg_identities,
+    "mm_identities": lambda cfg: _plan_battery(
+        cfg, ("QUARTIC_ZERO", "MM_EXPANSION"), _4D, _4D, cutoff=1),
+    "tmg_identities": lambda cfg: _plan_battery(
+        cfg, NUMERIC_IDENTITIES, _TMG_ALGEBRAS, ("so31", "so22")),
 }
 
 
