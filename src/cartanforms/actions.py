@@ -155,18 +155,25 @@ class IdentityReport:
         return f"{self.residual:.6e}"
 
 
-EXACT_IDENTITIES = ("CS_NULL", "CS_PERP", "EINSTEIN_CS", "TWO_CS_SUM",
-                    "TWO_CS_DIFF", "QUARTIC_ZERO", "MM_EXPANSION")
-NUMERIC_IDENTITIES = ("CS_TMG", "TWO_CS_TMG")
-IDENTITY_IDS = EXACT_IDENTITIES + NUMERIC_IDENTITIES
-
 _3D_ALGEBRAS = ("so31", "iso21", "so22", "so4", "iso3")
 _4D_ALGEBRAS = ("so41", "so32")
-_TMG_ALGEBRAS = ("so31", "so22", "so4")
+_TMG_ALGEBRAS = ("so31", "so22", "so4")     # 3d with a semisimple star
+
+EXACT_3D_IDENTITIES = ("CS_NULL", "CS_PERP", "EINSTEIN_CS", "TWO_CS_SUM",
+                       "TWO_CS_DIFF")
+NUMERIC_IDENTITIES = ("CS_TMG", "TWO_CS_TMG")
+# identity id -> the algebras it is defined on; the one place that says so
+IDENTITY_ALGEBRAS = {
+    **dict.fromkeys(EXACT_3D_IDENTITIES, _3D_ALGEBRAS),
+    "QUARTIC_ZERO": _4D_ALGEBRAS,
+    "MM_EXPANSION": _4D_ALGEBRAS,
+    **dict.fromkeys(NUMERIC_IDENTITIES, _TMG_ALGEBRAS),
+}
+IDENTITY_IDS = tuple(IDENTITY_ALGEBRAS)
 
 
 # ---------------------------------------------------------------------------
-# shared fields and the run scope
+# shared fields, the run scope and the per-algebra cache
 # ---------------------------------------------------------------------------
 
 class ConnectionForms:
@@ -283,27 +290,18 @@ class FieldSet:
         return self._solved[1]
 
 
-class _RunScope:
-    """What the identity_residual calls of one run share: invariant forms
-    per (algebra object, form, c0, c1) and the one live field set."""
-
-    def __init__(self):
-        self.forms = {}
-        self.fields = None
-
-
 _SCOPE = contextvars.ContextVar("cartanforms_run_scope", default=None)
 
 
 @contextlib.contextmanager
 def run_scope():
-    """Share fields and invariant forms between the checks run inside.
+    """Share one field set between the checks run inside.
 
     Only one field set is kept: a check on another (algebra, seed, cutoff)
-    replaces it, so callers group their checks by field set.  Everything
-    is dropped when the block exits.
+    replaces it, so callers group their checks by field set.  It is
+    dropped when the block exits.
     """
-    token = _SCOPE.set(_RunScope())
+    token = _SCOPE.set([None])          # the one slot of the live field set
     try:
         yield
     finally:
@@ -311,24 +309,25 @@ def run_scope():
 
 
 def _field_set(alg, seed, cutoff):
-    scope = _SCOPE.get()
-    if scope is None:
+    live = _SCOPE.get()
+    if live is None:
         return FieldSet(alg, seed, cutoff)
-    if scope.fields is None or not scope.fields.matches(alg, seed, cutoff):
-        scope.fields = FieldSet(alg, seed, cutoff)
-    return scope.fields
+    if live[0] is None or not live[0].matches(alg, seed, cutoff):
+        live[0] = FieldSet(alg, seed, cutoff)
+    return live[0]
 
 
-def _scoped_form(build, alg, *args):
-    """build(alg, *args), cached per algebra object inside a run scope."""
-    scope = _SCOPE.get()
-    if scope is None:
-        return build(alg, *args)
-    # the cached form references alg, so its id stays unique while cached
-    key = (build, id(alg)) + args
-    if key not in scope.forms:
-        scope.forms[key] = build(alg, *args)
-    return scope.forms[key]
+def _per_algebra(build, alg, *args):
+    """build(alg, *args), computed once per algebra object (in alg.derived).
+
+    The key is build itself, or (build, *args) when there are args.  The
+    cache lives and dies with the object, so a damaged table under a real
+    algebra's name gets its own forms.
+    """
+    key = (build,) + args if args else build
+    if key not in alg.derived:
+        alg.derived[key] = build(alg, *args)
+    return alg.derived[key]
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +368,19 @@ def cs_action(a, form):
 
 def palatini_action(omega, e):
     """Int S(e ^ R) + 1/6 Int S(e ^ [e,e]) with the pure star form S."""
-    s = _scoped_form(star_form, omega.algebra)
+    s = _per_algebra(star_form, omega.algebra)
     return _exact_value(e.dim, _palatini_value(s, ConnectionForms(omega, e)))
 
 
 def torsion_pairing(omega, e):
     """1/2 Int K(e ^ d_omega e)."""
-    k = _scoped_form(killing_form, omega.algebra)
+    k = _per_algebra(killing_form, omega.algebra)
     return _exact_value(e.dim, _torsion_value(k, ConnectionForms(omega, e)))
 
 
 def cs_omega_torsion_action(omega, e):
     """S_CS(omega) + torsion pairing; the involution-even half of S_CS^K."""
-    k = _scoped_form(killing_form, omega.algebra)
+    k = _per_algebra(killing_form, omega.algebra)
     return _exact_value(e.dim,
                         _cs_omega_torsion_value(k, ConnectionForms(omega, e)))
 
@@ -428,7 +427,7 @@ def topological_terms(omega):
     alg = omega.algebra
     if alg.name not in _4D_ALGEBRAS:
         raise IdentityError("topological terms are checked on so41/so32")
-    k = _scoped_form(killing_form, alg)
+    k = _per_algebra(killing_form, alg)
     r = _field_strength(omega)
     t1 = pair_integral(k, r, r)
     t2 = pair_integral(k, r, r.h_block_star())
@@ -452,7 +451,7 @@ def topological_variation_check(omega, delta, h=Fraction(1, 1000)):
 def _mm_pieces(conn, couplings):
     """Exact ingredients of the expansion of the generalized 4d action."""
     alg = conn.algebra
-    k = _scoped_form(killing_form, alg)
+    k = _per_algebra(killing_form, alg)
     omega, e = conn.omega, conn.coframe
     r = _field_strength(omega)
     ee = lie_bracket_forms(e, e)
@@ -490,13 +489,6 @@ QUADRATURE_BLOCK = 4096
 # FieldSet.solved_grid keeps grids of at most this many blocks (grid <= 32,
 # 288 bytes a point: at most 9.4 MB) and streams larger ones
 SOLVED_GRID_BLOCKS = 8
-
-
-def _per_algebra(build, alg):
-    """build(alg), computed once per algebra object (in alg.derived)."""
-    if build not in alg.derived:
-        alg.derived[build] = build(alg)
-    return alg.derived[build]
 
 
 def _float_tables(alg):
@@ -742,8 +734,8 @@ def _tmg_means(alg, blocks, mu, cs_terms=()):
     """
     _, hhh, pph, hpp = _per_algebra(_float_tables, alg)
     h, p = list(alg.h_indices), list(alg.p_indices)
-    k_hh = np.array(_scoped_form(killing_form, alg).gram, dtype=float)[np.ix_(h, h)]
-    s_ph = np.array(_scoped_form(star_form, alg).gram, dtype=float)[np.ix_(p, h)]
+    k_hh = np.array(_per_algebra(killing_form, alg).gram, dtype=float)[np.ix_(h, h)]
+    s_ph = np.array(_per_algebra(star_form, alg).gram, dtype=float)[np.ix_(p, h)]
     cs_grams = [(float(s), np.array(form.gram, dtype=float)[np.ix_(h + p, h + p)])
                 for s, form in cs_terms]
     inv_mu = float(1 / Fraction(mu))
@@ -863,8 +855,77 @@ def _require(condition, message):
         raise IdentityError(message)
 
 
+def _needs(covered, noun="algebra"):
+    """How a refusal names the algebras `covered` of IDENTITY_ALGEBRAS."""
+    if covered == _3D_ALGEBRAS:
+        return f"a 3d {noun}"
+    return ", ".join(covered[:-1]) + " or " + covered[-1]
+
+
 def _gram_blocks_zero(form, rows, cols):
     return all(form.gram[i][j] == 0 for i in rows for j in cols)
+
+
+def _exact_residual(identity_id, fields, couplings):
+    """lhs - rhs of an exact identity on the field set, a Fraction."""
+    alg, c0, c1 = fields.alg, couplings.c0, couplings.c1
+    if identity_id == "QUARTIC_ZERO":
+        e = fields.random_form(1, "p", 0.5, dim=4)
+        ee = lie_bracket_forms(e, e)
+        return pair_integral(_per_algebra(killing_form, alg), ee, ee)
+    form = _per_algebra(invariant_form, alg, c0, c1)
+    if identity_id == "MM_EXPANSION":
+        conn = CartanConnection(fields.random_form(1, "h", 0.35, dim=4),
+                                fields.random_form(1, "p", 0.5, dim=4))
+        top, expansion = _mm_pieces(conn, couplings)
+        return mm_action(conn, form).exact - top - expansion
+    # the 3d Chern-Simons splittings
+    h, p = alg.h_indices, alg.p_indices
+    if identity_id == "CS_NULL":
+        _require(_gram_blocks_zero(form, h, h) and _gram_blocks_zero(form, p, p),
+                 f"CS_NULL needs a form with h-h and p-p blocks zero; "
+                 f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
+    elif identity_id == "CS_PERP":
+        _require(_gram_blocks_zero(form, h, p),
+                 f"CS_PERP needs a form with the h-p block zero; "
+                 f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
+    f = fields.connection
+    cs_a = _cs_value(form, f.a, f.da, f.aa)
+    if identity_id == "CS_NULL":
+        return cs_a - _palatini_value(form, f)
+    if identity_id == "CS_PERP":
+        return cs_a - _cs_omega_torsion_value(form, f)
+    k = _per_algebra(killing_form, alg)
+    s = _per_algebra(star_form, alg)
+    if identity_id == "EINSTEIN_CS":
+        return cs_a - (c1 * _palatini_value(s, f)
+                       + c0 * _cs_omega_torsion_value(k, f))
+    cs_at = _cs_value(form, f.a_t, f.da_t, f.aa_t)
+    if identity_id == "TWO_CS_SUM":
+        return HALF * (cs_a + cs_at) - c0 * _cs_omega_torsion_value(k, f)
+    return HALF * (cs_a - cs_at) - c1 * _palatini_value(s, f)   # TWO_CS_DIFF
+
+
+def _tmg_residual(identity_id, fields, couplings, grid):
+    """|S_TMG - rhs| / scale of a TMG identity on the field set's grid."""
+    _require(couplings.mu is not None, f"{identity_id} needs mu")
+    _require(identity_id == "CS_TMG" or couplings.c0 != 0,
+             "TWO_CS_TMG needs c0 != 0 in the normalized form")
+    alg, mu, c0 = fields.alg, couplings.mu, couplings.c0
+    # checks on one field set in a run scope share the solved grid
+    blocks = fields.solved_grid(grid)
+    if identity_id == "CS_TMG":
+        # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S
+        form = _per_algebra(invariant_form, alg, 1 / mu, -1)
+        tmg, (rhs,), _ = _tmg_means(alg, blocks, mu, [(1, form)])
+    else:  # TWO_CS_TMG
+        form = _per_algebra(invariant_form, alg, c0, 1)
+        tmg, (cs_a, cs_at), _ = _tmg_means(alg, blocks, mu,
+                                           [(1, form), (-1, form)])
+        coeff = float(1 / (mu * c0))
+        rhs = -0.5 * (1.0 - coeff) * cs_a + 0.5 * (1.0 + coeff) * cs_at
+    scale = max(abs(tmg), abs(rhs), 1e-12)
+    return abs(tmg - rhs) / scale
 
 
 def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
@@ -873,99 +934,23 @@ def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
 
     Exact identities return the rational residual (pass iff exactly zero);
     the TMG identities return a relative float residual against 1e-8.
+    An identity runs only on the algebras IDENTITY_ALGEBRAS gives it.
     """
     couplings = couplings or CouplingConstants()
-    if identity_id not in IDENTITY_IDS:
+    if identity_id not in IDENTITY_ALGEBRAS:
         raise IdentityError(f"unknown identity {identity_id!r}")
+    covered = IDENTITY_ALGEBRAS[identity_id]
+    _require(alg.name in covered,
+             f"{identity_id} needs {_needs(covered)}, got {alg.name}")
     digest = (f"{identity_id}/{alg.name}/seed={seed}"
               f"/c0={couplings.c0}/c1={couplings.c1}/mu={couplings.mu}"
               f"/K={cutoff}")
-
     fields = _field_set(alg, seed, cutoff)
-
-    if identity_id in ("CS_NULL", "CS_PERP", "EINSTEIN_CS", "TWO_CS_SUM",
-                       "TWO_CS_DIFF"):
-        _require(alg.name in _3D_ALGEBRAS,
-                 f"{identity_id} needs a 3d algebra, got {alg.name}")
-        form = _scoped_form(invariant_form, alg, couplings.c0, couplings.c1)
-        h, p = alg.h_indices, alg.p_indices
-        if identity_id == "CS_NULL":
-            _require(_gram_blocks_zero(form, h, h) and _gram_blocks_zero(form, p, p),
-                     f"CS_NULL needs a form with h-h and p-p blocks zero; "
-                     f"(c0, c1) = ({couplings.c0}, {couplings.c1}) on "
-                     f"{alg.name} fails that hypothesis")
-        elif identity_id == "CS_PERP":
-            _require(_gram_blocks_zero(form, h, p),
-                     f"CS_PERP needs a form with the h-p block zero; "
-                     f"(c0, c1) = ({couplings.c0}, {couplings.c1}) on "
-                     f"{alg.name} fails that hypothesis")
-        f = fields.connection
-        cs_a = _cs_value(form, f.a, f.da, f.aa)
-        if identity_id in ("TWO_CS_SUM", "TWO_CS_DIFF"):
-            cs_at = _cs_value(form, f.a_t, f.da_t, f.aa_t)
-        if identity_id == "CS_NULL":
-            residual = cs_a - _palatini_value(form, f)
-        elif identity_id == "CS_PERP":
-            residual = cs_a - _cs_omega_torsion_value(form, f)
-        else:
-            k = _scoped_form(killing_form, alg)
-            s = _scoped_form(star_form, alg)
-            if identity_id == "EINSTEIN_CS":
-                residual = cs_a - (couplings.c1 * _palatini_value(s, f)
-                                   + couplings.c0 * _cs_omega_torsion_value(k, f))
-            elif identity_id == "TWO_CS_SUM":
-                residual = (HALF * (cs_a + cs_at)
-                            - couplings.c0 * _cs_omega_torsion_value(k, f))
-            else:  # TWO_CS_DIFF
-                residual = (HALF * (cs_a - cs_at)
-                            - couplings.c1 * _palatini_value(s, f))
+    if identity_id in NUMERIC_IDENTITIES:
+        residual = _tmg_residual(identity_id, fields, couplings, grid)
         return IdentityReport(identity_id, alg.name, seed, couplings,
-                              residual, residual == 0, "exact", None, digest)
-
-    if identity_id == "QUARTIC_ZERO":
-        _require(alg.name in _4D_ALGEBRAS,
-                 f"QUARTIC_ZERO needs so41 or so32, got {alg.name}")
-        e = fields.random_form(1, "p", 0.5, dim=4)
-        ee = lie_bracket_forms(e, e)
-        residual = pair_integral(_scoped_form(killing_form, alg), ee, ee)
-        return IdentityReport(identity_id, alg.name, seed, couplings,
-                              residual, residual == 0, "exact", None, digest)
-
-    if identity_id == "MM_EXPANSION":
-        _require(alg.name in _4D_ALGEBRAS,
-                 f"MM_EXPANSION needs so41 or so32, got {alg.name}")
-        conn = CartanConnection(fields.random_form(1, "h", 0.35, dim=4),
-                                fields.random_form(1, "p", 0.5, dim=4))
-        form_h = _scoped_form(invariant_form, alg, couplings.c0, couplings.c1)
-        lhs = mm_action(conn, form_h).exact
-        top, expansion = _mm_pieces(conn, couplings)
-        residual = lhs - top - expansion
-        return IdentityReport(identity_id, alg.name, seed, couplings,
-                              residual, residual == 0, "exact", None, digest)
-
-    # numeric TMG identities
-    _require(alg.name in _TMG_ALGEBRAS,
-             f"{identity_id} needs so31, so22 or so4, got {alg.name}")
-    _require(couplings.mu is not None, f"{identity_id} needs mu")
-    _require(identity_id == "CS_TMG" or couplings.c0 != 0,
-             "TWO_CS_TMG needs c0 != 0 in the normalized form")
-    mu = couplings.mu
-    digest += f"/grid={grid}"
-    # checks on one field set in a run scope share the solved grid
-    blocks = fields.solved_grid(grid)
-
-    if identity_id == "CS_TMG":
-        # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S
-        form = _scoped_form(invariant_form, alg, 1 / mu, -1)
-        tmg, (rhs,), _ = _tmg_means(alg, blocks, mu, [(1, form)])
-    else:  # TWO_CS_TMG
-        c0 = couplings.c0
-        form = _scoped_form(invariant_form, alg, c0, 1)
-        tmg, (cs_a, cs_at), _ = _tmg_means(alg, blocks, mu,
-                                           [(1, form), (-1, form)])
-        coeff = float(1 / (mu * c0))
-        rhs = -0.5 * (1.0 - coeff) * cs_a + 0.5 * (1.0 + coeff) * cs_at
-    scale = max(abs(tmg), abs(rhs), 1e-12)
-    residual = abs(tmg - rhs) / scale
+                              residual, residual < 1e-8, "numeric", 1e-8,
+                              f"{digest}/grid={grid}")
+    residual = _exact_residual(identity_id, fields, couplings)
     return IdentityReport(identity_id, alg.name, seed, couplings, residual,
-                          residual < 1e-8, "numeric", 1e-8, digest)
+                          residual == 0, "exact", None, digest)

@@ -464,11 +464,16 @@ def load_path(path_file):
         for entry in doc["segments"]:
             kind = entry.get("type", "line")
             if kind == "line":
+                if len(entry["from"]) != len(entry["to"]):
+                    raise CartanError(
+                        f"line from {entry['from']!r} to {entry['to']!r}: "
+                        f"the endpoints differ in length")
                 segs.append(Segment("line", {"start": entry["from"],
                                              "end": entry["to"]}))
             elif kind == "arc":
                 segs.append(Segment("arc", {
-                    "center": entry["center"], "radius": entry["radius"],
+                    "center": entry["center"],
+                    "radius": float(entry["radius"]),
                     "plane": _arc_plane(entry.get("plane", (0, 1))),
                     "start_angle": float(entry["start_angle"]),
                     "end_angle": float(entry["end_angle"])}))

@@ -27,10 +27,13 @@ from .algebra import (
 )
 from .actions import (
     CouplingConstants,
+    EXACT_3D_IDENTITIES,
+    IDENTITY_ALGEBRAS,
     IDENTITY_IDS,
     NUMERIC_IDENTITIES,
     identity_residual,
     run_scope,
+    _needs,
     _3D_ALGEBRAS as _3D,
     _4D_ALGEBRAS as _4D,
     _TMG_ALGEBRAS,
@@ -86,8 +89,6 @@ class SuiteConfig:
         return range(self.seed_start, self.seed_end + 1)
 
 
-EXACT_3D_IDENTITIES = ("CS_NULL", "CS_PERP", "EINSTEIN_CS", "TWO_CS_SUM",
-                       "TWO_CS_DIFF")
 SUITE_NAMES = ("appendix_forms", "appendix_star", "invariant_forms",
                "mm_identities", "tmg_identities") + IDENTITY_IDS
 
@@ -130,10 +131,6 @@ def _read_config(path):
         raise SuiteConfigError(f"unknown config key(s) {unknown} in {path}; "
                                f"known: {list(CONFIG_KEYS)}")
     cfg = SuiteConfig()
-    if "suites" in doc:
-        cfg.suites = list(doc["suites"])
-    if "algebras" in doc:
-        cfg.algebras = list(doc["algebras"])
     if "seeds" in doc:
         seeds = doc["seeds"]
         if not isinstance(seeds, list) or len(seeds) != 2:
@@ -141,6 +138,8 @@ def _read_config(path):
                                    f"{seeds!r}")
         cfg.seed_start, cfg.seed_end = seeds
     # the remaining values are kept as read; validate_config checks them
+    cfg.suites = doc.get("suites", cfg.suites)
+    cfg.algebras = doc.get("algebras", cfg.algebras)
     cfg.couplings = doc.get("couplings", cfg.couplings)
     cfg.cutoff = doc.get("cutoff", cfg.cutoff)
     cfg.grid = doc.get("grid", cfg.grid)
@@ -174,27 +173,25 @@ def validate_config(cfg):
                 _coupling(row)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SuiteConfigError(f"couplings for {name!r}: {exc}") from None
+    for key in ("suites", "algebras"):
+        value = getattr(cfg, key)
+        if not (isinstance(value, list)
+                and all(isinstance(x, str) for x in value)):
+            raise SuiteConfigError(
+                f"{key} must be a list of names, got {value!r}")
     for s in cfg.suites:
         if s not in SUITE_NAMES:
             raise SuiteConfigError(f"unknown suite {s!r}; known: {SUITE_NAMES}")
     for a in cfg.algebras:
         if a not in _alg_mod.ALGEBRA_NAMES:
             raise SuiteConfigError(f"unknown algebra {a!r}")
-    for s in cfg.suites:
-        if s in EXACT_3D_IDENTITIES or s in NUMERIC_IDENTITIES:
-            bad = [a for a in cfg.algebras if a not in _3D]
-            if s in NUMERIC_IDENTITIES:
-                bad = [a for a in cfg.algebras if a not in _TMG_ALGEBRAS]
-            if bad:
-                raise SuiteConfigError(
-                    f"suite {s} does not apply to algebra(s) {bad}: "
-                    "it needs a 3d gravity algebra"
-                    + (" with a semisimple star" if s in NUMERIC_IDENTITIES else ""))
-        if s in ("QUARTIC_ZERO", "MM_EXPANSION"):
-            bad = [a for a in cfg.algebras if a not in _4D]
-            if bad:
-                raise SuiteConfigError(
-                    f"suite {s} needs so41/so32, got {bad}")
+    for s in [s for s in cfg.suites if s in IDENTITY_ALGEBRAS]:
+        covered = IDENTITY_ALGEBRAS[s]
+        bad = [a for a in cfg.algebras if a not in covered]
+        if bad:
+            raise SuiteConfigError(
+                f"suite {s} does not apply to algebra(s) {bad}: "
+                f"it needs {_needs(covered, 'gravity algebra')}")
 
 
 def _coupling(row):
@@ -247,12 +244,9 @@ class _PlannedCheck:
 
 
 def _plan_identity_battery(identity_id, cfg):
+    """identity_id on exactly the configured algebras."""
     plan = []
-    if identity_id in ("QUARTIC_ZERO", "MM_EXPANSION"):
-        algebras = [a for a in cfg.algebras if a in _4D] or list(_4D)
-    else:
-        algebras = cfg.algebras
-    for name in algebras:
+    for name in cfg.algebras:
         alg = algebra_factory(name)
         for base in _couplings_for(cfg, name):
             cc = _identity_couplings(identity_id, base)
@@ -507,12 +501,17 @@ def run_invariant_forms(cfg):
     return results
 
 
-def _plan_battery(cfg, identities, covered, fallback, **fixed):
-    """A named battery's identities on the configured algebras it covers
-    (fallback when there are none), with the settings in `fixed`."""
-    sub = replace(cfg, algebras=[a for a in cfg.algebras if a in covered]
-                  or list(fallback), **fixed)
-    return [c for i in identities for c in _plan_identity_battery(i, sub)]
+def _plan_battery(cfg, identities, fallback, **fixed):
+    """A named battery's identities, each on the configured algebras
+    IDENTITY_ALGEBRAS gives it (fallback when there are none), with the
+    settings in `fixed`."""
+    plan = []
+    for i in identities:
+        sub = replace(cfg, algebras=[a for a in cfg.algebras
+                                     if a in IDENTITY_ALGEBRAS[i]]
+                      or list(fallback), **fixed)
+        plan.extend(_plan_identity_battery(i, sub))
+    return plan
 
 
 _RUNNERS = {
@@ -523,9 +522,9 @@ _RUNNERS = {
 
 _PLANNERS = {
     "mm_identities": lambda cfg: _plan_battery(
-        cfg, ("QUARTIC_ZERO", "MM_EXPANSION"), _4D, _4D, cutoff=1),
+        cfg, ("QUARTIC_ZERO", "MM_EXPANSION"), _4D, cutoff=1),
     "tmg_identities": lambda cfg: _plan_battery(
-        cfg, NUMERIC_IDENTITIES, _TMG_ALGEBRAS, ("so31", "so22")),
+        cfg, NUMERIC_IDENTITIES, ("so31", "so22")),
 }
 
 
