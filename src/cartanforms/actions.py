@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exactla
-from .algebra import invariant_form, killing_form, star_form
+from .algebra import _per_algebra, invariant_form, killing_form, star_form
 from .calculus import (
     LieForm,
     TrigPoly,
@@ -315,19 +315,6 @@ def _field_set(alg, seed, cutoff):
     if live[0] is None or not live[0].matches(alg, seed, cutoff):
         live[0] = FieldSet(alg, seed, cutoff)
     return live[0]
-
-
-def _per_algebra(build, alg, *args):
-    """build(alg, *args), computed once per algebra object (in alg.derived).
-
-    The key is build itself, or (build, *args) when there are args.  The
-    cache lives and dies with the object, so a damaged table under a real
-    algebra's name gets its own forms.
-    """
-    key = (build,) + args if args else build
-    if key not in alg.derived:
-        alg.derived[key] = build(alg, *args)
-    return alg.derived[key]
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,19 @@ class AlgebraDescriptor:
         return f"AlgebraDescriptor({self.name})"
 
 
+def _per_algebra(build, alg, *args):
+    """build(alg, *args), computed once per algebra object (in alg.derived).
+
+    The key is build itself, or (build, *args) when there are args.  The
+    cache lives and dies with the object, so a damaged table under a real
+    algebra's name gets its own tables and forms.
+    """
+    key = (build,) + args if args else build
+    if key not in alg.derived:
+        alg.derived[key] = build(alg, *args)
+    return alg.derived[key]
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """Exact coefficient vector in an algebra basis."""

@@ -23,7 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import AlgebraError, UnsupportedStar
+from .algebra import AlgebraError, UnsupportedStar, _per_algebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -412,23 +412,30 @@ class _Form:
         return self.scale(-1)
 
     def d(self):
-        """Componentwise spectral differential; d(d(w)) = 0 exactly."""
+        """Componentwise spectral differential; d(d(w)) = 0 exactly.
+
+        Each term sign * d/dx_j of a component is the integer numerators
+        (-s k_j b, s k_j a) over the component's denominator, accumulated
+        straight into one slot per output key and reduced once.
+        """
         if self.degree >= self.dim:
             raise DegreeError("cannot apply d to a top-degree form")
-        comps = {}
+        acc = {}
         for (alpha, idx), poly in self.comps.items():
             for j in range(self.dim):
                 sign, new_idx = _merge_indices((j,), idx)
                 if sign == 0:
                     continue
-                term = poly.deriv(j).scale(sign)
-                if term.is_zero():
-                    continue
-                key = (alpha, new_idx)
-                cur = comps.get(key)
-                comps[key] = cur + term if cur else term
-        return self._new(self.degree + 1,
-                         {k: v for k, v in comps.items() if not v.is_zero()})
+                nums = {}
+                for k, (a, b) in poly.nums.items():
+                    kj = k[j]
+                    if kj:
+                        kj *= sign
+                        nums[k] = (-kj * b, kj * a)
+                if nums:
+                    slot = acc.setdefault((alpha, new_idx), [1, {}])
+                    _acc_add(slot, poly.den, nums, 1, 1)
+        return self._new(self.degree + 1, _finish(self.dim, acc))
 
     def max_abs_freq(self):
         return max((p.max_abs_freq() for p in self.comps.values()), default=0)
@@ -561,7 +568,7 @@ def _finish(dim, acc):
 # the contraction kernel
 # ---------------------------------------------------------------------------
 
-def _contract(w, m, table, like):
+def _contract(w, m, table, like, unordered=False):
     """Sum over component pairs of table[alpha][beta] (x) (w_alpha ^ m_beta).
 
     table[alpha][beta] lists (gamma, Fraction): the pair of value indices
@@ -570,6 +577,11 @@ def _contract(w, m, table, like):
     of the callers are the structure constants (bracket), the gram with
     gamma = 0 (pairing), the identity (wedges with a scalar factor) and a
     matrix contracted with the constant 0-form 1 (internal stars).
+
+    With `unordered` (m is w, degree >= 1) each unordered pair of
+    components p < q is visited once: the caller passes the table that
+    folds the pair (q, p) into (p, q) (see _self_bracket_table), and the
+    diagonal (p, p) vanishes because its merged multi-index repeats.
     """
     if w.dim != m.dim:
         raise CalculusError("torus dimension mismatch")
@@ -577,9 +589,10 @@ def _contract(w, m, table, like):
     if deg > w.dim:
         raise DegreeError(f"degree {deg} exceeds the torus dimension {w.dim}")
     acc = {}
-    for (alpha, i_idx), f in w.comps.items():
+    mates = list(m.comps.items())
+    for p, ((alpha, i_idx), f) in enumerate(w.comps.items()):
         row = table[alpha]
-        for (beta, j_idx), g in m.comps.items():
+        for (beta, j_idx), g in (mates[p + 1:] if unordered else mates):
             targets = row[beta]
             if not targets:
                 continue
@@ -628,9 +641,40 @@ def wedge(a, b):
 
 
 def lie_bracket_forms(w, m):
-    """[w, m]: wedge on the form part, Lie bracket on the values."""
+    """[w, m]: wedge on the form part, Lie bracket on the values.
+
+    A self-bracket [w, w] of degree >= 1 walks each unordered pair of
+    components once (see _contract).
+    """
     w._check_mate(m)
+    if m is w and w.degree >= 1:
+        table = _per_algebra(_self_bracket_table, w.algebra, w.degree % 2)
+        return _contract(w, w, table, w, unordered=True)
     return _contract(w, m, w.algebra.bracket_table, w)
+
+
+def _self_bracket_table(alg, parity):
+    """D = C + (-1)^parity C^T on the bracket table C of alg.
+
+    For components p = (alpha, I) and q = (beta, J) of a form of degree
+    deg, the pair (q, p) contributes C[beta][alpha] with the merge sign of
+    (J, I), which is (-1)^(deg^2) = (-1)^parity times that of (I, J); so
+    the two ordered pairs together are D[alpha][beta] with the sign of
+    (I, J).  Exact for any table, antisymmetric or not.
+    """
+    sign = -1 if parity else 1
+    c = alg.bracket_table
+    rows = []
+    for a in range(alg.dim):
+        row = []
+        for b in range(alg.dim):
+            coeffs = dict(c[a][b])
+            for gamma, x in c[b][a]:
+                coeffs[gamma] = coeffs.get(gamma, ZERO) + sign * x
+            row.append(tuple((gamma, x) for gamma, x in sorted(coeffs.items())
+                             if x != 0))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def exterior_d(w):
@@ -795,6 +839,7 @@ def _det_on_points(m):
 # ---------------------------------------------------------------------------
 
 _COEFF_POOL = [Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2, 3)]
+_POOL_PAIRS = [(c.numerator, c.denominator) for c in _COEFF_POOL]
 
 
 def _rng_for(seed, *context):
@@ -836,18 +881,29 @@ def random_scalar_form(seed, degree, dim, cutoff=1, density=0.7, terms=1):
 
 def _random_comps(rng, keys, dim, cutoff, density, terms):
     """Each key kept with probability `density`, its component a sum of
-    `terms` random harmonics; the form constructors drop zero sums."""
+    `terms` random harmonics; the form constructors drop zero sums.
+
+    A harmonic re cos(k.x) - im sin(k.x) with re = rn/rd, im = jn/jd is
+    the integer pair (rn jd, +-jn rd) at +-k over 2 rd jd (rn over rd
+    at k = 0), added straight into the component's slot: the same rng
+    calls and the same sum as TrigPoly.harmonic over _COEFF_POOL.
+    """
     comps = {}
     for key in keys:
         if rng.random() > density:
             continue
-        poly = TrigPoly.zero(dim)
+        slot = [1, {}]
         for _ in range(terms):
             k = tuple(rng.randint(-cutoff, cutoff) for _ in range(dim))
-            re = rng.choice(_COEFF_POOL)
-            im = 0 if all(x == 0 for x in k) else rng.choice(_COEFF_POOL)
-            poly = poly + TrigPoly.harmonic(dim, k, re, im)
-        comps[key] = poly
+            rn, rd = rng.choice(_POOL_PAIRS)
+            if any(k):
+                jn, jd = rng.choice(_POOL_PAIRS)
+                mk = tuple(-x for x in k)
+                _acc_add(slot, 2 * rd * jd,
+                         {k: (rn * jd, jn * rd), mk: (rn * jd, -jn * rd)}, 1, 1)
+            else:
+                _acc_add(slot, rd, {k: (rn, 0)}, 1, 1)
+        comps[key] = _wrap(dim, slot[0], slot[1])
     return comps
 
 

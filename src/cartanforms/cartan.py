@@ -455,28 +455,56 @@ def _arc_plane(plane):
     return tuple(plane)
 
 
+def _number(value, where):
+    """A finite JSON number (not a bool) as a float; else a CartanError
+    naming `where`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise CartanError(f"malformed path file ({where} must be a finite "
+                      f"number, got {value!r})")
+
+
+def _point(entry, i, key):
+    """Segment i's coordinate list `key`, each entry a finite number."""
+    value = entry[key]
+    if not isinstance(value, list):
+        raise CartanError(f"malformed path file (segment {i}: {key} must be "
+                          f"a list of numbers, got {value!r})")
+    return [_number(x, f"segment {i}: {key}[{j}]") for j, x in enumerate(value)]
+
+
 def load_path(path_file):
-    """Read a path file; a document of the wrong shape is a CartanError."""
+    """Read a path file; a document of the wrong shape is a CartanError.
+
+    Coordinates, radii and angles must be finite JSON numbers: a bool, a
+    string, NaN or Infinity is refused, naming the segment and the key.
+    """
     with open(path_file) as fh:
         doc = json.load(fh)
     segs = []
     try:
-        for entry in doc["segments"]:
+        for i, entry in enumerate(doc["segments"]):
             kind = entry.get("type", "line")
             if kind == "line":
-                if len(entry["from"]) != len(entry["to"]):
+                start, end = _point(entry, i, "from"), _point(entry, i, "to")
+                if len(start) != len(end):
                     raise CartanError(
                         f"line from {entry['from']!r} to {entry['to']!r}: "
                         f"the endpoints differ in length")
-                segs.append(Segment("line", {"start": entry["from"],
-                                             "end": entry["to"]}))
+                segs.append(Segment("line", {"start": start, "end": end}))
             elif kind == "arc":
                 segs.append(Segment("arc", {
-                    "center": entry["center"],
-                    "radius": float(entry["radius"]),
+                    "center": _point(entry, i, "center"),
+                    "radius": _number(entry["radius"], f"segment {i}: radius"),
                     "plane": _arc_plane(entry.get("plane", (0, 1))),
-                    "start_angle": float(entry["start_angle"]),
-                    "end_angle": float(entry["end_angle"])}))
+                    "start_angle": _number(entry["start_angle"],
+                                           f"segment {i}: start_angle"),
+                    "end_angle": _number(entry["end_angle"],
+                                         f"segment {i}: end_angle")}))
             else:
                 raise CartanError(f"unknown segment type {kind!r}")
     except (TypeError, AttributeError, KeyError) as exc:
