@@ -177,15 +177,52 @@ IDENTITY_IDS = tuple(IDENTITY_ALGEBRAS)
 # ---------------------------------------------------------------------------
 
 class ConnectionForms:
-    """The beta-independent forms of one Cartan connection omega + e.
+    """One Cartan connection omega + e: its forms and its exact functionals.
 
-    Each is built on first use and kept: A = omega + e, ~A = omega - e,
-    their dA and [A,A], d omega, [omega, omega], R, [e,e] and d_omega e.
-    No invariant form enters, so every check still does its own pairings.
+    The beta-independent forms are built on first use and kept: A = omega
+    + e, ~A = omega - e, their dA and [A,A], d omega, [omega, omega], R,
+    [e,e] and d_omega e.  So is each functional value, once per invariant
+    form: S_CS^beta(A), S_CS^beta(~A), the Palatini value and S_CS^beta(omega)
+    plus the torsion pairing.  A value is keyed by the form object, not by
+    (c0, c1), and its entry holds the form, so the id stays valid.  The A
+    and ~A values pair only A or ~A, the others only e and omega, so the
+    two sides of a split identity share no pairing.
     """
 
     def __init__(self, omega, e):
         self.omega, self.e = omega, e
+        self._values = {}
+
+    def _value(self, name, form, compute):
+        key = (name, id(form))
+        if key not in self._values:
+            self._values[key] = (form, compute())
+        return self._values[key][1]
+
+    def cs_a(self, form):
+        """S_CS^beta(A)."""
+        return self._value("cs_a", form,
+                           lambda: _cs_value(form, self.a, self.da, self.aa))
+
+    def cs_a_t(self, form):
+        """S_CS^beta(~A)."""
+        return self._value("cs_a_t", form, lambda: _cs_value(
+            form, self.a_t, self.da_t, self.aa_t))
+
+    def palatini(self, form):
+        """Int beta(e ^ R) + 1/6 Int beta(e ^ [e,e])."""
+        return self._value("palatini", form, lambda: (
+            pair_integral(form, self.e, self.r)
+            + SIXTH * pair_integral(form, self.e, self.ee)))
+
+    def torsion(self, form):
+        """1/2 Int beta(e ^ d_omega e)."""
+        return HALF * pair_integral(form, self.e, self.dwe)
+
+    def cs_omega_torsion(self, form):
+        """S_CS^beta(omega) plus the torsion pairing."""
+        return self._value("cs_omega_torsion", form, lambda: (
+            _cs_value(form, self.omega, self.dw, self.ww) + self.torsion(form)))
 
     @cached_property
     def a(self):
@@ -240,9 +277,9 @@ class FieldSet:
     """The seeded fields of one (algebra, seed, cutoff), each built once.
 
     Holds the random forms by (degree, support, density, dim), the random
-    Cartan connection of the 3d CS identities with its derived forms, and
-    the torsion-free connection of the analytic coframe (TMG identities)
-    with its solved quadrature grid.
+    Cartan connection of the 3d CS identities with its derived forms and
+    functional values, and the torsion-free connection of the analytic
+    coframe (TMG identities) with its solved quadrature grid.
     """
 
     def __init__(self, alg, seed, cutoff=1):
@@ -327,22 +364,6 @@ def _cs_value(form, a, da, aa):
             + SIXTH * pair_integral(form, a, aa))
 
 
-def _palatini_value(form, f):
-    """Int beta(e ^ R) + 1/6 Int beta(e ^ [e,e]) of ConnectionForms f."""
-    return (pair_integral(form, f.e, f.r)
-            + SIXTH * pair_integral(form, f.e, f.ee))
-
-
-def _torsion_value(form, f):
-    """1/2 Int beta(e ^ d_omega e) of ConnectionForms f."""
-    return HALF * pair_integral(form, f.e, f.dwe)
-
-
-def _cs_omega_torsion_value(form, f):
-    """S_CS^beta(omega) plus the torsion pairing, of ConnectionForms f."""
-    return _cs_value(form, f.omega, f.dw, f.ww) + _torsion_value(form, f)
-
-
 def cs_action(a, form):
     """S_CS^beta(A) = 1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A])."""
     if a.degree != 1:
@@ -356,20 +377,19 @@ def cs_action(a, form):
 def palatini_action(omega, e):
     """Int S(e ^ R) + 1/6 Int S(e ^ [e,e]) with the pure star form S."""
     s = _per_algebra(star_form, omega.algebra)
-    return _exact_value(e.dim, _palatini_value(s, ConnectionForms(omega, e)))
+    return _exact_value(e.dim, ConnectionForms(omega, e).palatini(s))
 
 
 def torsion_pairing(omega, e):
     """1/2 Int K(e ^ d_omega e)."""
     k = _per_algebra(killing_form, omega.algebra)
-    return _exact_value(e.dim, _torsion_value(k, ConnectionForms(omega, e)))
+    return _exact_value(e.dim, ConnectionForms(omega, e).torsion(k))
 
 
 def cs_omega_torsion_action(omega, e):
     """S_CS(omega) + torsion pairing; the involution-even half of S_CS^K."""
     k = _per_algebra(killing_form, omega.algebra)
-    return _exact_value(e.dim,
-                        _cs_omega_torsion_value(k, ConnectionForms(omega, e)))
+    return _exact_value(e.dim, ConnectionForms(omega, e).cs_omega_torsion(k))
 
 
 def mm_action(conn, form_h):
@@ -877,20 +897,19 @@ def _exact_residual(identity_id, fields, couplings):
                  f"CS_PERP needs a form with the h-p block zero; "
                  f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
     f = fields.connection
-    cs_a = _cs_value(form, f.a, f.da, f.aa)
+    cs_a = f.cs_a(form)
     if identity_id == "CS_NULL":
-        return cs_a - _palatini_value(form, f)
+        return cs_a - f.palatini(form)
     if identity_id == "CS_PERP":
-        return cs_a - _cs_omega_torsion_value(form, f)
+        return cs_a - f.cs_omega_torsion(form)
     k = _per_algebra(killing_form, alg)
     s = _per_algebra(star_form, alg)
     if identity_id == "EINSTEIN_CS":
-        return cs_a - (c1 * _palatini_value(s, f)
-                       + c0 * _cs_omega_torsion_value(k, f))
-    cs_at = _cs_value(form, f.a_t, f.da_t, f.aa_t)
+        return cs_a - (c1 * f.palatini(s) + c0 * f.cs_omega_torsion(k))
+    cs_at = f.cs_a_t(form)
     if identity_id == "TWO_CS_SUM":
-        return HALF * (cs_a + cs_at) - c0 * _cs_omega_torsion_value(k, f)
-    return HALF * (cs_a - cs_at) - c1 * _palatini_value(s, f)   # TWO_CS_DIFF
+        return HALF * (cs_a + cs_at) - c0 * f.cs_omega_torsion(k)
+    return HALF * (cs_a - cs_at) - c1 * f.palatini(s)   # TWO_CS_DIFF
 
 
 def _tmg_residual(identity_id, fields, couplings, grid):

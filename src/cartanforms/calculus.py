@@ -340,6 +340,17 @@ def multi_indices(dim, degree):
 # Lie-valued form has one value index per basis element of its algebra; a
 # scalar form has the single value index 0 and algebra None.
 
+def _check_key(values, dim, degree, alpha, idx):
+    """Refuse a component key (alpha, idx) that a degree-`degree` form on
+    T^dim with `values` value indices cannot have."""
+    if not 0 <= alpha < values:
+        raise CalculusError(f"algebra index {alpha} out of range")
+    if len(idx) != degree or list(idx) != sorted(set(idx)):
+        raise CalculusError(f"bad multi-index {idx}")
+    if idx and not (idx[0] >= 0 and idx[-1] < dim):
+        raise CalculusError(f"multi-index {idx} out of range on T^{dim}")
+
+
 class _Form:
     """Shared body of ScalarForm and LieForm: sparse TrigPoly components."""
 
@@ -355,10 +366,7 @@ class _Form:
         values = self._values
         for (alpha, idx), poly in comps.items():
             idx = tuple(idx)
-            if not 0 <= alpha < values:
-                raise CalculusError(f"algebra index {alpha} out of range")
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise CalculusError(f"bad multi-index {idx}")
+            _check_key(values, dim, degree, alpha, idx)
             if poly.is_zero():
                 continue
             self.comps[(alpha, idx)] = poly
@@ -712,7 +720,8 @@ def pair_integral(form, w, m):
     TrigPoly stores the Hermitian partner of each mode, so
     (f g)_0 = sum_k Re(f_k conj(g_k)) = sum_k (a_k c_k + b_k d_k) over the
     frequencies f and g share.  Terms are summed in integers per
-    denominator and the Fraction is built once.
+    denominator and the Fraction is built once.  Each component of w walks
+    its gram row and looks up the mate component of m at its complement.
     """
     w._check_mate(m)
     if form.algebra is not w.algebra:
@@ -720,22 +729,14 @@ def pair_integral(form, w, m):
     if w.degree + m.degree != w.dim:
         raise DegreeError(f"pairing degree {w.degree + m.degree} is not the "
                           f"top degree on T^{w.dim}")
-    rows = form.gram_ratios
-    mates = {}
-    for (beta, j_idx), g in m.comps.items():
-        mates.setdefault(j_idx, []).append((beta, g))
+    rows, mates = form.gram_ratios, m.comps
     sums = {}
     for (alpha, i_idx), f in w.comps.items():
         j_idx = _complement(w.dim, i_idx)
-        group = mates.get(j_idx)
-        if group is None:
-            continue
-        sign = _merge_indices(i_idx, j_idx)[0]
-        row = rows[alpha]
         fnums = f.nums
-        for beta, g in group:
-            coeff = row.get(beta)
-            if coeff is None:
+        for beta, (num, den) in rows[alpha].items():
+            g = mates.get((beta, j_idx))
+            if g is None:
                 continue
             small, big = ((fnums, g.nums) if len(fnums) <= len(g.nums)
                           else (g.nums, fnums))
@@ -745,8 +746,9 @@ def pair_integral(form, w, m):
                 if other is not None:
                     s += a * other[0] + b * other[1]
             if s:
-                den = coeff[1] * f.den * g.den
-                sums[den] = sums.get(den, 0) + sign * coeff[0] * s
+                d = den * f.den * g.den
+                sign = _merge_indices(i_idx, j_idx)[0]
+                sums[d] = sums.get(d, 0) + sign * num * s
     lcm = 1
     for den in sums:
         lcm = lcm // gcd(lcm, den) * den
@@ -939,31 +941,66 @@ def save_fields(path, algebra, forms):
         fh.write("\n")
 
 
+def _json_int(value, key):
+    """A JSON int, not a bool or a float; else a CalculusError naming key."""
+    if type(value) is not int:
+        raise CalculusError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_rational(value, key):
+    """A JSON number (not a bool) or a "p/q" string, as a finite Fraction;
+    else a CalculusError naming key."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise CalculusError(f"{key} must be a finite rational, got {value!r}")
+
+
 def load_fields(path, build=None):
     """Read a field-configuration file; returns (algebra, {name: LieForm}).
 
-    A document of the wrong shape (a missing key, or a value of the wrong
-    JSON type) is a CalculusError.
+    A document of the wrong shape is a CalculusError that names the form,
+    the component and the key where it failed: a missing key, a value of
+    the wrong JSON type, an integer given as a float or a bool, an `re` or
+    `im` that is not a finite rational, or a key or a coefficient set the
+    form refuses.
     """
     from .algebra import build_algebra
     build = build or build_algebra
     with open(path) as fh:
         doc = json.load(fh)
+    where = ""
     try:
         alg = build(doc["algebra"])
-        dim = int(doc["torus_dim"])
+        dim = _json_int(doc["torus_dim"], "torus_dim")
         forms = {}
-        for entry in doc["forms"]:
+        for n, entry in enumerate(doc["forms"]):
+            where = f"form {n}: "
+            name = entry["name"]
+            where = f"form {name!r}: "
+            degree = _json_int(entry["degree"], "degree")
             comps = {}
-            for comp in entry["components"]:
+            for i, comp in enumerate(entry["components"]):
+                where = f"form {name!r}, component {i}: "
+                key = (_json_int(comp["lie_index"], "lie_index"),
+                       tuple(_json_int(x, "multi_index")
+                             for x in comp["multi_index"]))
+                _check_key(alg.dim, dim, degree, *key)
                 poly_coeffs = {}
-                for c in comp["coeffs"]:
-                    k = tuple(int(x) for x in c["k"])
-                    poly_coeffs[k] = (Fraction(c["re"]), Fraction(c["im"]))
-                key = (int(comp["lie_index"]), tuple(comp["multi_index"]))
+                for j, c in enumerate(comp["coeffs"]):
+                    where = f"form {name!r}, component {i}, coeff {j}: "
+                    k = tuple(_json_int(x, "k") for x in c["k"])
+                    poly_coeffs[k] = (_json_rational(c["re"], "re"),
+                                      _json_rational(c["im"], "im"))
+                where = f"form {name!r}, component {i}: "
                 comps[key] = TrigPoly(dim, poly_coeffs)
-            forms[entry["name"]] = LieForm(alg, dim, int(entry["degree"]), comps)
+            forms[name] = LieForm(alg, dim, degree, comps)
+    except CalculusError as exc:
+        raise CalculusError(f"malformed field file ({where}{exc})") from None
     except (TypeError, AttributeError, KeyError) as exc:
-        raise CalculusError(
-            f"malformed field file ({type(exc).__name__}: {exc})") from None
+        raise CalculusError(f"malformed field file ({where}"
+                            f"{type(exc).__name__}: {exc})") from None
     return alg, forms

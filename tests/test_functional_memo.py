@@ -1,0 +1,268 @@
+"""Each exact Chern-Simons functional is computed once per field set and
+invariant form, and the battery's residuals are the ones it gave when every
+check did its own pairings.
+
+The reference is the per-check path kept here: a fresh FieldSet for every
+check and direct calls of the grouped pairing kernel below, which builds the
+mates of m by multi-index on every call.  The battery under test shares one
+field set per (algebra, seed, cutoff) and reads each S_CS^beta(A),
+S_CS^beta(~A), Palatini and S_CS^beta(omega) + torsion value from the
+ConnectionForms memo, through the row-driven `pair_integral`.
+"""
+
+import dataclasses
+import hashlib
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from cartanforms import actions, suites
+from cartanforms.actions import FieldSet
+from cartanforms.algebra import (
+    build_algebra,
+    invariant_form,
+    killing_form,
+    star_form,
+)
+from cartanforms.calculus import (
+    beta_pair,
+    integrate,
+    lie_bracket_forms,
+    pair_integral,
+    random_form,
+    _complement,
+    _merge_indices,
+)
+
+HALF, SIXTH = Fraction(1, 2), Fraction(1, 6)
+CUSTOM_ROWS = [("-1/2", "5/3"), (3, "-2/7")]
+
+
+# ---------------------------------------------------------------------------
+# the per-check reference path
+# ---------------------------------------------------------------------------
+
+def ref_pair_integral(form, w, m):
+    """Int beta(w ^ m): the mates of m grouped by multi-index on each call."""
+    rows = form.gram_ratios
+    mates = {}
+    for (beta, j_idx), g in m.comps.items():
+        mates.setdefault(j_idx, []).append((beta, g))
+    sums = {}
+    for (alpha, i_idx), f in w.comps.items():
+        j_idx = _complement(w.dim, i_idx)
+        group = mates.get(j_idx)
+        if group is None:
+            continue
+        sign = _merge_indices(i_idx, j_idx)[0]
+        for beta, g in group:
+            coeff = rows[alpha].get(beta)
+            if coeff is None:
+                continue
+            s = sum(a * g.nums[k][0] + b * g.nums[k][1]
+                    for k, (a, b) in f.nums.items() if k in g.nums)
+            if s:
+                den = coeff[1] * f.den * g.den
+                sums[den] = sums.get(den, 0) + sign * coeff[0] * s
+    lcm = 1
+    for den in sums:
+        lcm = lcm // gcd(lcm, den) * den
+    return Fraction(sum(n * (lcm // den) for den, n in sums.items()), lcm)
+
+
+def ref_cs(form, a, da, aa):
+    return (HALF * ref_pair_integral(form, a, da)
+            + SIXTH * ref_pair_integral(form, a, aa))
+
+
+def ref_palatini(form, f):
+    return (ref_pair_integral(form, f.e, f.r)
+            + SIXTH * ref_pair_integral(form, f.e, f.ee))
+
+
+def ref_cs_omega_torsion(form, f):
+    return (ref_cs(form, f.omega, f.dw, f.ww)
+            + HALF * ref_pair_integral(form, f.e, f.dwe))
+
+
+def ref_residual(identity_id, alg, seed, couplings, cutoff):
+    """lhs - rhs of an exact 3d identity, every pairing made afresh."""
+    c0, c1 = couplings.c0, couplings.c1
+    f = FieldSet(alg, seed, cutoff).connection
+    form = invariant_form(alg, c0, c1)
+    k, s = killing_form(alg), star_form(alg)
+    cs_a = ref_cs(form, f.a, f.da, f.aa)
+    cs_at = ref_cs(form, f.a_t, f.da_t, f.aa_t)
+    return {
+        "CS_NULL": lambda: cs_a - ref_palatini(form, f),
+        "CS_PERP": lambda: cs_a - ref_cs_omega_torsion(form, f),
+        "EINSTEIN_CS": lambda: cs_a - (c1 * ref_palatini(s, f)
+                                       + c0 * ref_cs_omega_torsion(k, f)),
+        "TWO_CS_SUM": lambda: (HALF * (cs_a + cs_at)
+                               - c0 * ref_cs_omega_torsion(k, f)),
+        "TWO_CS_DIFF": lambda: (HALF * (cs_a - cs_at)
+                                - c1 * ref_palatini(s, f)),
+    }[identity_id]()
+
+
+def _config(names, cutoff, seeds=(0, 4), custom=True):
+    cfg = suites.SuiteConfig(algebras=list(names), seed_start=seeds[0],
+                             seed_end=seeds[1], cutoff=cutoff)
+    if custom:
+        cfg.couplings = {n: [list(r) for r in suites.DEFAULT_COUPLINGS[n]]
+                         + [list(r) for r in CUSTOM_ROWS] for n in names}
+    return cfg
+
+
+def _battery_against_reference(cfg, alg_of):
+    """The battery's rows and the reference residual of each."""
+    plan = [check for identity_id in suites.EXACT_3D_IDENTITIES
+            for check in suites._plan_identity_battery(identity_id, cfg)]
+    rows = suites._run_planned(plan)
+    assert len(rows) == len(plan) > 0
+    refs = [ref_residual(c.identity_id, alg_of(c.alg.name), c.seed,
+                         c.couplings, c.cutoff) for c in plan]
+    return rows, refs
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("name", ["so31", "iso21", "so22", "so4", "iso3"])
+def test_battery_matches_per_check_reference(name, cutoff):
+    rows, refs = _battery_against_reference(_config([name], cutoff),
+                                            build_algebra)
+    assert len(rows) == 5 * 5 * 5       # identities x couplings x seeds
+    assert [r.residual for r in rows] == [str(x) for x in refs]
+    assert all(r.passed for r in rows)
+
+
+def _damaged_so31():
+    """so31 with one structure constant of [M01, P0] damaged."""
+    real = build_algebra("so31")
+    structure = [[list(row) for row in plane] for plane in real.structure]
+    structure[0][3][4] += 1
+    table = tuple(
+        tuple(tuple((c, Fraction(x)) for c, x in enumerate(structure[a][b])
+                    if x != 0) for b in range(real.dim))
+        for a in range(real.dim))
+    return dataclasses.replace(
+        real, structure=tuple(tuple(tuple(r) for r in p) for p in structure),
+        bracket_table=table)
+
+
+def test_damaged_battery_matches_per_check_reference(monkeypatch):
+    bad = _damaged_so31()
+    monkeypatch.setattr(suites, "algebra_factory", lambda name: bad)
+    failing = []
+    for cutoff in (1, 2):
+        rows, refs = _battery_against_reference(_config(["so31"], cutoff),
+                                                lambda name: bad)
+        assert [r.residual for r in rows] == [str(x) for x in refs]
+        failing += [x for x in refs if x != 0]
+    # the cutoff-1 fields reach the damaged constant in a zero mode
+    assert len(set(failing)) > 1
+
+
+# ---------------------------------------------------------------------------
+# one value per functional and form object
+# ---------------------------------------------------------------------------
+
+def _count_pairings(monkeypatch):
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return pair_integral(*args)
+
+    monkeypatch.setattr(actions, "pair_integral", counting)
+    return calls
+
+
+def test_cs_battery_shaped_run_pairs_each_value_once(monkeypatch):
+    """5 identities x {so31, iso21, so22} x 3 couplings on 40 seeds: 4120
+    distinct pairings, where doing each check's own took 10440."""
+    calls = _count_pairings(monkeypatch)
+    cfg = suites.SuiteConfig(seed_start=0, seed_end=39)
+    results, passed = suites.run_suite(cfg)
+    assert passed and len(results) == 1800
+    assert calls[0] <= 4120
+    report = suites.emit_report(results, cfg).encode()
+    assert hashlib.sha256(report).hexdigest().startswith("90bf5367")
+
+
+def test_values_are_keyed_by_the_form_object(monkeypatch):
+    alg = build_algebra("so31")
+    f = FieldSet(alg, 3).connection
+    twins = [invariant_form(alg, 2, 3), invariant_form(alg, 2, 3)]
+    forms = twins + [killing_form(alg), invariant_form(alg, 1, 0)]
+    calls = _count_pairings(monkeypatch)
+    for form in forms:
+        for _ in range(3):
+            assert f.cs_a(form) == ref_cs(form, f.a, f.da, f.aa)
+            assert f.cs_a_t(form) == ref_cs(form, f.a_t, f.da_t, f.aa_t)
+            assert f.palatini(form) == ref_palatini(form, f)
+            assert f.cs_omega_torsion(form) == ref_cs_omega_torsion(form, f)
+    # 2 + 2 + 2 + 3 pairings per form object, whatever its (c0, c1)
+    assert calls[0] == 9 * len(forms)
+
+
+def test_short_lived_forms_get_their_own_values():
+    """An entry holds its form, so a later form never takes its id."""
+    alg = build_algebra("so22")
+    f = FieldSet(alg, 1).connection
+    for c1 in range(-10, 10):
+        form = invariant_form(alg, 1, c1)
+        assert f.cs_a(form) == ref_cs(form, f.a, f.da, f.aa)
+        assert f.palatini(form) == ref_palatini(form, f)
+
+
+def test_public_functionals_do_not_share_values():
+    alg = build_algebra("so31")
+    fields = FieldSet(alg, 0)
+    omega, e = fields.connection.omega, fields.connection.e
+    k, s = killing_form(alg), star_form(alg)
+    f = fields.connection
+    assert actions.palatini_action(omega, e).exact == ref_palatini(s, f)
+    assert (actions.cs_omega_torsion_action(omega, e).exact
+            == ref_cs_omega_torsion(k, f))
+    assert (actions.torsion_pairing(omega, e).exact
+            == HALF * ref_pair_integral(k, e, f.dwe))
+    assert actions.cs_action(f.a, k).exact == ref_cs(k, f.a, f.da, f.aa)
+    # a changed e gets new values: nothing is kept between calls
+    e2 = e.scale(2)
+    assert (actions.palatini_action(omega, e2).exact
+            == ref_pair_integral(s, e2, f.r)
+            + SIXTH * ref_pair_integral(s, e2, lie_bracket_forms(e2, e2)))
+
+
+# ---------------------------------------------------------------------------
+# the row-driven pairing on forms whose gram has empty rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["so41", "so32"])
+def test_pair_integral_with_empty_gram_rows(name):
+    alg = build_algebra(name)
+    form = invariant_form(alg, 1, Fraction(1, 3))
+    assert form.support == "h_block"
+    empty = [a for a, row in enumerate(form.gram_ratios) if not row]
+    assert empty == list(alg.p_indices)
+    nonzero = 0
+    for seed in range(3):
+        # full support: w has components on the rows the form leaves empty
+        w = random_form(seed, 2, alg, dim=4, terms=4)
+        m = random_form(seed + 40, 2, alg, dim=4, terms=4)
+        assert any(alpha in empty for alpha, _ in w.comps)
+        for p, q in ((w, m), (m, w), (w, w)):
+            got = pair_integral(form, p, q)
+            assert got == ref_pair_integral(form, p, q)
+            assert got == integrate(beta_pair(form, p, q))
+            nonzero += got != 0
+        # only the p-rows of w: every row it reaches is empty
+        w_p = w.p_part()
+        assert not w_p.is_zero()
+        assert pair_integral(form, w_p, m) == 0
+    assert nonzero > 0
