@@ -501,13 +501,13 @@ SOLVED_GRID_BLOCKS = 8
 def _float_tables(alg):
     """The structure table and its C_hhh, C_pph and C_hpp blocks, as floats.
 
-    Each is laid out as c[c, a*k + b] = C_ab^c, so c @ (u_a v_b over a, b)
-    is [u, v]^c: the full table, then [h,h] -> h, [p,p] -> h and
-    [h,p] -> p, the only nonzero brackets of a symmetric pair.
+    Each is laid out as t[c, b, a] = C_ab^c, so t @ u_a is ad(u)[c, b]: the
+    full table, then [h,h] -> h, [p,p] -> h and [h,p] -> p, the only
+    nonzero brackets of a symmetric pair.
     """
     s = np.array(alg.structure, dtype=float)
     every, h, p = range(alg.dim), alg.h_indices, alg.p_indices
-    tables = tuple(s[np.ix_(x, y, z)].transpose(2, 0, 1).reshape(len(z), -1)
+    tables = tuple(np.ascontiguousarray(s[np.ix_(x, y, z)].transpose(2, 1, 0))
                    for x, y, z in ((every, every, every), (h, h, h),
                                    (p, p, h), (h, p, p)))
     for t in tables:
@@ -519,22 +519,25 @@ def _bracket(table, u, v):
     """[u_mu, v_nu] - [u_nu, v_mu] for 1-form arrays u (3, m, npts) and
     v (..., 3, k, npts), as (..., 3 pairs, r, npts).
 
-    table is (r, m*k) with table[c, a*k + b] = C_ab^c.  When v is u the
-    table must be antisymmetric in (a, b), as the full table and the
-    [h,h] and [p,p] blocks are.
+    table is (r, k, m) with table[c, b, a] = C_ab^c.  One matmul gives
+    ad(u_mu)[c, b] = C_ab^c u_mu^a for all three mu; each pair is then a
+    contraction over b at every point.  When v is u the table must be
+    antisymmetric in (a, b), as the full table and the [h,h] and [p,p]
+    blocks are, and a pair is one contraction.
     """
+    r, k, m = table.shape
+    ad = (table.reshape(r * k, m) @ u).reshape(3, r, k, -1)
     # C_ab^c = -C_ba^c makes the two terms of [u, u]_{mu nu} equal
     twice = v is u
-    lead = v.shape[:-3]
-    out = np.empty(lead + (3, table.shape[0], u.shape[-1]))
+    out = np.empty(v.shape[:-3] + (3, r, u.shape[-1]))
     for row, (mu, nu) in enumerate(_PAIRS3):
-        # one (..., m, k, npts) product at a time, contracted by a matmul
-        outer = u[mu, :, None] * v[..., nu, None, :, :]
+        pair = out[..., row, :, :]
+        np.einsum("cbn,...bn->...cn", ad[mu], v[..., nu, :, :], out=pair)
         if not twice:
-            outer -= u[nu, :, None] * v[..., mu, None, :, :]
-        out[..., row, :, :] = table @ outer.reshape(
-            lead + (table.shape[1], -1))
-    return 2.0 * out if twice else out
+            pair -= np.einsum("cbn,...bn->...cn", ad[nu], v[..., mu, :, :])
+    if twice:
+        out *= 2.0
+    return out
 
 
 def _pair_top(one, two, gram):
@@ -741,9 +744,9 @@ def _tmg_means(alg, blocks, mu, cs_terms=()):
     """
     _, hhh, pph, hpp = _per_algebra(_float_tables, alg)
     h, p = list(alg.h_indices), list(alg.p_indices)
-    k_hh = np.array(_per_algebra(killing_form, alg).gram, dtype=float)[np.ix_(h, h)]
-    s_ph = np.array(_per_algebra(star_form, alg).gram, dtype=float)[np.ix_(p, h)]
-    cs_grams = [(float(s), np.array(form.gram, dtype=float)[np.ix_(h + p, h + p)])
+    k_hh = _per_algebra(killing_form, alg).gram_float[np.ix_(h, h)]
+    s_ph = _per_algebra(star_form, alg).gram_float[np.ix_(p, h)]
+    cs_grams = [(float(s), form.gram_float[np.ix_(h + p, h + p)])
                 for s, form in cs_terms]
     inv_mu = float(1 / Fraction(mu))
     sums = np.zeros(1 + len(cs_grams))
@@ -821,7 +824,7 @@ def cs_action_numeric(a, form, grid=32):
     g3 = _Grid3(a.algebra, grid)
     a_arr, da_arr = _eval_on_points([a, exterior_d(a)], g3.axes)
     val = g3.mean(_cs_density(a_arr, da_arr, g3.two_form_bracket(a_arr, a_arr),
-                              np.asarray(form.gram, dtype=float)))
+                              form.gram_float))
     return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
                        quadrature_grid=grid)
 

@@ -522,6 +522,13 @@ class BilinearForm:
                       for b, c in enumerate(row) if c != 0}
                      for row in self.gram)
 
+    @cached_property
+    def gram_float(self):
+        """The gram as a read-only float array, for the quadrature paths."""
+        gram = np.array(self.gram, dtype=float)
+        gram.flags.writeable = False
+        return gram
+
     def pair(self, x, y):
         _check_same(x, y)
         if x.algebra is not self.algebra:

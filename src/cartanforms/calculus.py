@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -823,17 +824,20 @@ def _eval_on_points(forms, axes, rows=None):
     return [c @ table for c in coefs]
 
 
-def _det_on_points(m):
+def _det_on_points(m, cols=None):
     """Determinants of a points-last stack of matrices, (n, n, npts) -> (npts,).
 
     Cofactor expansion along the first row: elementwise over the points,
-    no LU factorization per point.
+    no LU factorization per point.  A minor is the next row over a tuple of
+    the remaining columns, so no sub-matrix is copied.
     """
-    if len(m) == 1:
-        return m[0, 0]
-    rest = m[1:]
-    return sum((-1) ** j * m[0, j] * _det_on_points(np.delete(rest, j, axis=1))
-               for j in range(len(m)))
+    if cols is None:
+        cols = tuple(range(len(m)))
+    row = len(m) - len(cols)
+    if len(cols) == 1:
+        return m[row, cols[0]]
+    return sum((-1) ** j * m[row, c] * _det_on_points(m, cols[:j] + cols[j + 1:])
+               for j, c in enumerate(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -948,10 +952,22 @@ def _json_int(value, key):
     return value
 
 
+_RATIONAL_STRING = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+
+
 def _json_rational(value, key):
-    """A JSON number (not a bool) or a "p/q" string, as a finite Fraction;
-    else a CalculusError naming key."""
-    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+    """A JSON number (not a bool) or a "p" / "p/q" integer string, as a
+    finite Fraction; else a CalculusError naming key.
+
+    Strings take only the form form_to_dict writes: a decimal point or an
+    exponent ("1e1000000") is refused, so a few characters cannot ask for
+    an arbitrarily large integer.
+    """
+    if isinstance(value, str):
+        ok = _RATIONAL_STRING.fullmatch(value) is not None
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError):

@@ -312,17 +312,22 @@ def sphere_spin_connection():
     d omega = e^1 ^ e^2 L12, so a loop holonomy is a rotation by exactly the
     enclosed metric area (the abelian Gauss-Bonnet law).  That makes this the
     model whose square-loop holonomy realizes the area law.
+
+    The chart is g = exp(X), X = x^1 P1 + x^2 P2.  Along P_i, g^-1 dg is
+    sum (-ad_X)^m(P_i)/(m+1)!, whose odd terms are its L12 part.  As
+    ad_X^2 = -r^2 on L12 (r = |x|), they sum in closed form to
+    -(1 - cos r)/r^2 [X, P_i], with [X, P1] = x^2 L12 and [X, P2] = -x^1 L12.
+    (1 - cos r)/r^2 = sinc(r / 2 pi)^2 / 2 (numpy's normalized sinc) is
+    stable at r = 0.
     """
-    p1 = _so3_gen(0, 2)
-    p2 = _so3_gen(1, 2)
     l12 = _so3_gen(0, 1)
-    gens = np.array([p1, p2])
 
     def matrices(x):
         x = np.asarray(x, dtype=float)
-        x_mat = x[..., 0, None, None] * p1 + x[..., 1, None, None] * p2
-        full = _mc_series(x_mat[..., None, :, :], gens)
-        return full[..., 0, 1, None, None] * l12  # stabilizer projection
+        r = np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])
+        scale = 0.5 * np.sinc(r / (2.0 * np.pi)) ** 2
+        coef = np.stack((-x[..., 1], x[..., 0]), axis=-1) * scale[..., None]
+        return coef[..., None, None] * l12  # the stabilizer part only
 
     return PointConnection(2, 3, matrices, _orthogonality_defect(np.eye(3)),
                            name="sphere")

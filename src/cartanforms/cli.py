@@ -182,7 +182,7 @@ def _cmd_holonomy(args):
         return 2
     with np.printoptions(formatter={"float_kind": lambda v: f"{v:.12g}"}):
         print(result.matrix)
-    print(f"steps: {result.steps}")
+    print(f"steps: {result.steps} (requested {args.steps})")
     print(f"group drift: {result.drift:.3e}")
     return 0
 

@@ -283,3 +283,16 @@ def test_holonomy_unknown_model(tmp_path, capsys):
                    "--steps", "10"])
     assert rc == 2
     assert "unknown model" in capsys.readouterr().err
+
+
+def test_holonomy_prints_steps_used_and_requested(tmp_path, capsys):
+    # four sides of 2.5 steps each round to 2: 8 used of 10 requested
+    f = square_path_file(tmp_path)
+    rc = cli.main(["holonomy", "--model", "sphere", "--path", str(f),
+                   "--steps", "10"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "steps: 8 (requested 10)" in lines
+    # the used count stays the first token after "steps:"
+    used = "\n".join(lines).partition("steps:")[2].split()[0]
+    assert used == "8"

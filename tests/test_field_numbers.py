@@ -77,6 +77,15 @@ CASES = [
      "form 'A', component 0, coeff 0: im must be a finite rational, got inf"),
     ("form_not_an_object", lambda d: d["forms"].append(5),
      "form 1: TypeError"),
+] + [
+    # strings take only the form form_to_dict writes, [-+]?[0-9]+(/[0-9]+)?;
+    # an exponent would ask Fraction for a million-digit integer
+    (f"re_{kind}", lambda d, text=text: _coeff(d).update(re=text),
+     f"form 'A', component 0, coeff 0: re must be a finite rational, "
+     f"got {text!r}")
+    for kind, text in (("exponent", "1e1000000"), ("decimal", "1.5"),
+                       ("space", " 1"), ("underscore", "1_000"),
+                       ("arabic_digit", "\u0663"))
 ]
 
 
@@ -127,3 +136,18 @@ def test_forms_refuse_out_of_range_multi_indices(idx):
     with pytest.raises(CalculusError, match="out of range on T\\^3"):
         ScalarForm(3, len(idx), {idx: poly})
     assert not LieForm(alg, 4, 1, {(0, (3,)): TrigPoly.constant(4, 1)}).is_zero()
+
+
+def test_signed_and_padded_rational_strings_load(tmp_path):
+    doc = _doc(tmp_path)
+    f = tmp_path / "same.json"
+    f.write_text(json.dumps(doc))
+    _, want = load_fields(f)
+    for comp in doc["forms"][0]["components"]:
+        for c in comp["coeffs"]:
+            for key in ("re", "im"):
+                if not c[key].startswith("-"):
+                    c[key] = "+0" + c[key]      # "1/2" as "+01/2"
+    f.write_text(json.dumps(doc))
+    _, got = load_fields(f)
+    assert got["A"] == want["A"]
