@@ -108,7 +108,6 @@ class CouplingConstants:
     c1: Fraction = Fraction(0)
     mu: Fraction | None = None
     gamma: Fraction | None = None
-    lambda_sign: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "c0", Fraction(self.c0))
@@ -134,6 +133,8 @@ class CouplingConstants:
 def couplings_from_immirzi(gamma):
     """The generalized 4d form labeling (c0, c1) = (1, 1/gamma)."""
     gamma = Fraction(gamma)
+    if gamma == 0:
+        raise ValueError("Immirzi parameter gamma must be nonzero")
     return CouplingConstants(c0=Fraction(1), c1=1 / gamma, gamma=gamma)
 
 
@@ -496,6 +497,8 @@ QUADRATURE_BLOCK = 4096
 # FieldSet.solved_grid keeps grids of at most this many blocks (grid <= 32,
 # 288 bytes a point: at most 9.4 MB) and streams larger ones
 SOLVED_GRID_BLOCKS = 8
+# a torsion-free solve refuses a coframe with |det e| <= _DET_TOL
+_DET_TOL = 1e-8
 
 
 def _float_tables(alg):
@@ -554,31 +557,6 @@ def _cs_density(a, da, aa, gram):
     return 0.5 * _pair_top(a, da, gram) + _pair_top(a, aa, gram) / 6.0
 
 
-class _Grid3:
-    """Uniform tensor grid on T^3 with vectorized pointwise Lie algebra."""
-
-    def __init__(self, alg, n):
-        self.axes = _lattice(n, 3)
-        self.c = _per_algebra(_float_tables, alg)[0]
-
-    def two_form_bracket(self, u, v):
-        """[u, v] for 1-form arrays (3, dim, npts) -> (3 pairs, dim, npts)."""
-        return _bracket(self.c, u, v)
-
-    def pair_top(self, one, two, gram):
-        """beta(1-form ^ 2-form) top component, shape (npts,)."""
-        return _pair_top(one, two, np.asarray(gram, dtype=float))
-
-    def mean(self, vals):
-        """Grid quadrature, reported as a multiple of (2 pi)^3."""
-        return float(vals.mean())
-
-
-def _eval_forms_at(forms, axes):
-    """Points-first values of LieForms: one (npts, ncomp, dim) array per form."""
-    return [np.moveaxis(v, -1, 0) for v in _eval_on_points(forms, axes)]
-
-
 # ---------------------------------------------------------------------------
 # torsion-free spin connection
 # ---------------------------------------------------------------------------
@@ -614,7 +592,7 @@ class LeviCivitaConnection:
     - [w_nu, e_mu]^a = 0 is solved for the stabilizer coefficients of w;
     derivatives of w come from differentiating the same system, so no
     finite differencing enters anywhere.  A solve refuses points where
-    |det e| <= tol.
+    |det e| <= _DET_TOL.
 
     The solve is closed-form.  Writing w_mu = e^c_mu W_c turns the system
     matrix into Lambda^2(e) K0, with K0 the constant 9x9 matrix of
@@ -629,7 +607,7 @@ class LeviCivitaConnection:
     (A, B) at k to (k_sigma B, -k_sigma A).
     """
 
-    def __init__(self, e, tol=1e-8):
+    def __init__(self, e):
         alg = e.algebra
         if alg.spacetime_dim != 3 or e.dim != 3:
             raise CartanError("torsion-free solve implemented on T^3")
@@ -637,7 +615,6 @@ class LeviCivitaConnection:
             raise CartanError("coframe must be translation-valued")
         self.e = e
         self.alg = alg
-        self.tol = tol
         self._k0_inv = _per_algebra(_torsion_tables, alg)
         self._c_hpp = _per_algebra(_float_tables, alg)[3]
         self._freqs, (e_c,) = _point_coefficients([e], list(alg.p_indices))
@@ -677,7 +654,7 @@ class LeviCivitaConnection:
         det = _det_on_points(e_arr)
         dets = np.abs(det)
         min_det = float(dets.min()) if dets.size else math.inf
-        if min_det <= self.tol:
+        if min_det <= _DET_TOL:
             k = int(dets.argmin())
             where = ", ".join(f"{float(ax[k]):.6g}" for ax in axes)
             raise CartanError(f"degenerate coframe: min |det e| = "
@@ -694,11 +671,6 @@ class LeviCivitaConnection:
         return {"E": e_arr, "dE": de_arr, "w": w, "dw": dw,
                 "min_abs_det": min_det}
 
-    def omega_at(self, points):
-        """Stabilizer coefficients of w at points, shape (npts, 3 mu, 3 i)."""
-        axes = [np.asarray(points, dtype=float)[:, j] for j in range(3)]
-        return np.moveaxis(self.solve(axes)["w"], -1, 0)
-
     def torsion_residual(self, points):
         """max |de + [w, e]| over probe points; solver self-check."""
         axes = [np.asarray(points, dtype=float)[:, j] for j in range(3)]
@@ -707,13 +679,14 @@ class LeviCivitaConnection:
         return float(np.abs(torsion).max())
 
 
-def levi_civita_connection(e, grid=16, tol=1e-8):
-    """Torsion-free stabilizer connection for a nondegenerate coframe."""
-    check = coframe_check(e, grid_size=grid, tol=tol)
+def levi_civita_connection(e):
+    """Torsion-free stabilizer connection for a coframe nondegenerate on the
+    16^3 lattice."""
+    check = coframe_check(e, grid_size=16, tol=_DET_TOL)
     if not check["nondegenerate"]:
         raise CartanError(
             f"degenerate coframe: min |det e| = {check['min_abs_det']:.3e}")
-    return LeviCivitaConnection(e, tol=tol)
+    return LeviCivitaConnection(e)
 
 
 # ---------------------------------------------------------------------------
@@ -770,31 +743,6 @@ def _tmg_means(alg, blocks, mu, cs_terms=()):
     return float(means[0]), [float(m) for m in means[1:]], min_det
 
 
-def _tmg_quadrature(lc, grid, mu, cs_terms=()):
-    """(S_TMG, [S_CS per term]) of one connection, its grid solved and
-    summed block by block (see _tmg_means).
-
-    No caller in the package: kept only for tests/test_numeric_kernels.py
-    and tests/test_suite_config.py, and can go with them.
-    """
-    tmg, cs, _ = _tmg_means(lc.alg, _solved_blocks(lc, grid), mu, cs_terms)
-    return tmg, cs
-
-
-def _tmg_grid_data(lc, grid):
-    """g3 and w, e, dw, de on the whole grid, padded to (3, alg.dim, npts)."""
-    g3 = _Grid3(lc.alg, grid)
-    sol = lc.solve(g3.axes)
-    alg = lc.alg
-    out = []
-    for key, idx in (("w", alg.h_indices), ("E", alg.p_indices),
-                     ("dw", alg.h_indices), ("dE", alg.p_indices)):
-        full = np.zeros((3, alg.dim, sol[key].shape[-1]))
-        full[:, list(idx)] = sol[key]
-        out.append(full)
-    return (g3, *out)
-
-
 def tmg_action(e, mu, grid=32, lc=None):
     """S_TMG(e) by spectral-accuracy quadrature on a uniform grid."""
     mu = Fraction(mu)
@@ -821,10 +769,9 @@ def cs_action_numeric(a, form, grid=32):
     """Quadrature evaluation of the exact Chern-Simons pipeline."""
     if a.dim != 3:
         raise CartanError("numeric CS evaluation lives on T^3")
-    g3 = _Grid3(a.algebra, grid)
-    a_arr, da_arr = _eval_on_points([a, exterior_d(a)], g3.axes)
-    val = g3.mean(_cs_density(a_arr, da_arr, g3.two_form_bracket(a_arr, a_arr),
-                              form.gram_float))
+    a_arr, da_arr = _eval_on_points([a, exterior_d(a)], _lattice(grid, 3))
+    aa = _bracket(_per_algebra(_float_tables, a.algebra)[0], a_arr, a_arr)
+    val = float(_cs_density(a_arr, da_arr, aa, form.gram_float).mean())
     return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
                        quadrature_grid=grid)
 
@@ -833,16 +780,21 @@ def cs_action_numeric(a, form, grid=32):
 # bundled analytic coframes
 # ---------------------------------------------------------------------------
 
-def analytic_coframe(alg, seed=0, amplitude=Fraction(1, 10), cutoff=1):
+# bound of the analytic coframe's perturbation coefficients
+_COFRAME_AMPLITUDE = Fraction(1, 10)
+
+
+def analytic_coframe(alg, seed=0, cutoff=1):
     """Identity coframe plus a small seeded harmonic perturbation.
 
-    Perturbation coefficients are bounded by `amplitude`, which keeps every
-    grid determinant near 1 and the torsion-free solve well conditioned.
+    Perturbation coefficients are bounded by _COFRAME_AMPLITUDE, which keeps
+    every grid determinant near 1 and the torsion-free solve well
+    conditioned.
     """
     if alg.spacetime_dim != 3:
         raise CartanError("bundled coframes are 3d")
     rng = _rng_for(seed, "coframe", alg.name, cutoff)
-    amplitude = Fraction(amplitude)
+    amplitude = _COFRAME_AMPLITUDE
     comps = {}
     for a, lie_idx in enumerate(alg.p_indices):
         for mu in range(3):

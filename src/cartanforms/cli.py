@@ -16,15 +16,19 @@ import numpy as np
 
 from . import actions, cartan, suites
 from .algebra import invariant_form
-from .calculus import load_fields
+from .calculus import load_fields, _RATIONAL_STRING
 from .cartan import CartanConnection
 
 
 def _frac(text):
+    """A "p/q" rational with an optional sign; decimals and exponents are
+    refused."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        if _RATIONAL_STRING.fullmatch(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}")
 
 
 def _positive_int(text):
@@ -127,10 +131,10 @@ def _eval_action(args, alg, forms):
             return actions.palatini_action(omega, e)
         if name == "cs_omega_torsion":
             return actions.cs_omega_torsion_action(omega, e)
-        c0, c1 = args.c0, args.c1
-        if args.gamma is not None:
-            c0, c1 = Fraction(1), 1 / Fraction(args.gamma)
-        form_h = invariant_form(alg, c0, c1)
+        couplings = (actions.CouplingConstants(args.c0, args.c1)
+                     if args.gamma is None
+                     else actions.couplings_from_immirzi(args.gamma))
+        form_h = invariant_form(alg, couplings.c0, couplings.c1)
         return actions.mm_action(CartanConnection(omega, e), form_h)
     # tmg
     if "e" not in forms:
@@ -150,6 +154,9 @@ def _cmd_eval(args):
         value = _eval_action(args, alg, forms)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: the value overflows a float: {exc}", file=sys.stderr)
         return 2
     doc = {
         "action": args.action,

@@ -36,7 +36,6 @@ from .actions import (
     _needs,
     _3D_ALGEBRAS as _3D,
     _4D_ALGEBRAS as _4D,
-    _TMG_ALGEBRAS,
 )
 from .calculus import (
     beta_pair,
@@ -46,6 +45,7 @@ from .calculus import (
     lie_bracket_forms,
     random_form,
     random_scalar_form,
+    _RATIONAL_STRING,
     _rng_for,
 )
 from . import exactla
@@ -194,12 +194,19 @@ def validate_config(cfg):
                 f"it needs {_needs(covered, 'gravity algebra')}")
 
 
+def _coupling_value(x):
+    """A JSON number, read through its decimal string so that 0.1 is 1/10,
+    or a "p/q" string."""
+    if isinstance(x, str) and _RATIONAL_STRING.fullmatch(x) is None:
+        raise ValueError(f"{x!r} is not a rational p/q")
+    return Fraction(str(x))
+
+
 def _coupling(row):
-    """CouplingConstants of a row [c0, c1[, mu[, gamma]]]; each value is
-    read through its decimal string, so a JSON 0.1 is 1/10."""
+    """CouplingConstants of a row [c0, c1[, mu[, gamma]]]."""
     if not isinstance(row, (list, tuple)) or not 2 <= len(row) <= 4:
         raise ValueError(f"row {row!r} is not [c0, c1[, mu[, gamma]]]")
-    return CouplingConstants(*(None if x is None else Fraction(str(x))
+    return CouplingConstants(*(None if x is None else _coupling_value(x)
                                for x in tuple(row) + (None,) * (4 - len(row))))
 
 

@@ -14,6 +14,7 @@ from cartanforms.calculus import (
     integrate,
     lie_bracket_forms,
     random_form,
+    _lattice,
 )
 from cartanforms.cartan import CartanConnection, CartanError
 from cartanforms.actions import (
@@ -34,7 +35,9 @@ from cartanforms.actions import (
     topological_terms,
     topological_variation_check,
     torsion_pairing,
-    _tmg_grid_data,
+    _bracket,
+    _float_tables,
+    _pair_top,
 )
 
 HALF = Fraction(1, 2)
@@ -250,7 +253,7 @@ def test_identity_coframe_gives_zero_connection():
     alg = build_algebra("so31")
     lc = levi_civita_connection(identity_coframe(alg))
     pts = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0]])
-    assert np.abs(lc.omega_at(pts)).max() < 1e-14
+    assert np.abs(lc.solve(list(pts.T))["w"]).max() < 1e-14
 
 
 def test_constant_diagonal_coframe_gives_zero_connection():
@@ -261,7 +264,7 @@ def test_constant_diagonal_coframe_gives_zero_connection():
              for a in range(n)}
     lc = levi_civita_connection(LieForm(alg, 3, 1, comps))
     pts = np.array([[0.4, 1.1, 2.2]])
-    assert np.abs(lc.omega_at(pts)).max() < 1e-14
+    assert np.abs(lc.solve(list(pts.T))["w"]).max() < 1e-14
 
 
 def test_torsion_residual_at_probe_points():
@@ -289,17 +292,32 @@ def test_tmg_identity_coframe_iso21_is_zero():
     assert abs(val.numeric) < 1e-14
 
 
+def tmg_grid_padded(lc, grid):
+    """w, e, dw, de on the whole grid^3 lattice, padded to (3, alg.dim, npts)
+    so that the full structure table and grams apply."""
+    sol = lc.solve(_lattice(grid, 3))
+    alg = lc.alg
+    out = []
+    for key, idx in (("w", alg.h_indices), ("E", alg.p_indices),
+                     ("dw", alg.h_indices), ("dE", alg.p_indices)):
+        full = np.zeros((3, alg.dim, sol[key].shape[-1]))
+        full[:, list(idx)] = sol[key]
+        out.append(full)
+    return out
+
+
 def test_tmg_large_mass_limit_approaches_negated_palatini():
     alg = build_algebra("so31")
     e = analytic_coframe(alg, seed=1)
     lc = levi_civita_connection(e)
-    g3, w, e_arr, dw, de = _tmg_grid_data(lc, 16)
-    s_gram = star_form(alg).gram
-    ww = g3.two_form_bracket(w, w)
+    w, e_arr, dw, de = tmg_grid_padded(lc, 16)
+    c = _float_tables(alg)[0]
+    s_gram = np.asarray(star_form(alg).gram, dtype=float)
+    ww = _bracket(c, w, w)
     r = dw + 0.5 * ww
-    ee = g3.two_form_bracket(e_arr, e_arr)
-    pal = g3.mean(g3.pair_top(e_arr, r, s_gram)
-                  + g3.pair_top(e_arr, ee, s_gram) / 6.0)
+    ee = _bracket(c, e_arr, e_arr)
+    pal = float((_pair_top(e_arr, r, s_gram)
+                 + _pair_top(e_arr, ee, s_gram) / 6.0).mean())
     big = tmg_action(e, Fraction(10 ** 9), grid=16, lc=lc)
     assert abs(big.numeric - (-pal)) < 1e-8
 

@@ -210,6 +210,45 @@ def test_eval_tmg_rejects_degenerate_coframe(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_eval_rationals_are_p_over_q_and_overflow_is_a_usage_error(
+        tmp_path, capsys):
+    alg = build_algebra("so31")
+    a = random_form(2, 1, alg)
+    f = tmp_path / "a.json"
+    save_fields(f, alg, {"A": a})
+    assert cs_action(a, invariant_form(alg, 1, 0)).exact == Fraction(-11, 6)
+    for text in ("1e400", "0.5", "1/2/3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--fields", str(f), "--action", "cs",
+                      "--c0", text])
+        assert exc.value.code == 2
+        assert "not a rational p/q" in capsys.readouterr().err
+    # a 401-digit p is a rational, but S_CS = -11/6 p overflows a float
+    rc = cli.main(["eval", "--fields", str(f), "--action", "cs",
+                   "--c0", "1" + "0" * 400])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "overflows" in err
+
+
+def test_eval_mm_refuses_zero_immirzi_parameter(tmp_path, capsys):
+    alg = build_algebra("so41")
+    f = tmp_path / "mm.json"
+    save_fields(f, alg, {"omega": LieForm.zero(alg, 4, 1),
+                         "e": LieForm.zero(alg, 4, 1)})
+    rc = cli.main(["eval", "--fields", str(f), "--action", "mm",
+                   "--gamma", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "gamma must be nonzero" in err
+    rc = cli.main(["eval", "--fields", str(f), "--action", "mm",
+                   "--gamma", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("0 x (2pi)^4")
+
+
 def test_eval_into_closed_pipe_exits_one_without_traceback(tmp_path):
     alg = build_algebra("so31")
     f = tmp_path / "e.json"

@@ -34,6 +34,7 @@ BAD_COUPLINGS = [
     {"so31": [[None, 1]]},
     {"so31": 5},
     [[1, 0]],
+    {"so31": [["1e100000", 1]]},     # not a "p/q" string
 ]
 
 
@@ -86,4 +87,3 @@ def test_arc_center_shorter_than_its_plane(tmp_path, capsys):
 def test_suites_take_the_algebra_lists_from_actions():
     assert suites._3D is actions._3D_ALGEBRAS
     assert suites._4D is actions._4D_ALGEBRAS
-    assert suites._TMG_ALGEBRAS is actions._TMG_ALGEBRAS

@@ -19,12 +19,12 @@ from cartanforms.actions import (
     identity_residual,
     levi_civita_connection,
     tmg_action,
-    _eval_forms_at,
-    _tmg_quadrature,
+    _solved_blocks,
+    _tmg_means,
 )
 from cartanforms.algebra import build_algebra, invariant_form
 from cartanforms.calculus import LieForm, TrigPoly, exterior_d, multi_indices, \
-    random_form
+    random_form, _eval_on_points
 from cartanforms.cartan import (
     CartanConnection,
     CartanError,
@@ -111,7 +111,8 @@ def test_eval_forms_at_matches_componentwise_evaluation():
     a = random_form(4, 1, alg, cutoff=2)
     forms = [a, exterior_d(a)]
     axes = list(np.random.default_rng(3).uniform(0, 2 * math.pi, size=(3, 50)))
-    for w, arr in zip(forms, _eval_forms_at(forms, axes)):
+    for w, arr in zip(forms, [np.moveaxis(v, -1, 0)
+                              for v in _eval_on_points(forms, axes)]):
         pos = {idx: i for i, idx in enumerate(multi_indices(3, w.degree))}
         ref = np.zeros_like(arr)
         for (alpha, idx), poly in w.comps.items():
@@ -125,9 +126,10 @@ def test_blocked_tmg_quadrature_equals_single_block(monkeypatch):
     lc = levi_civita_connection(analytic_coframe(alg, seed=2))
     form = invariant_form(alg, 1, 1)
     terms = [(1, form), (-1, form)]
-    blocked_tmg, blocked_cs = _tmg_quadrature(lc, 17, 5, terms)
+    blocked_tmg, blocked_cs, _ = _tmg_means(alg, _solved_blocks(lc, 17), 5,
+                                            terms)
     monkeypatch.setattr(actions, "QUADRATURE_BLOCK", 17 ** 3)
-    whole_tmg, whole_cs = _tmg_quadrature(lc, 17, 5, terms)
+    whole_tmg, whole_cs, _ = _tmg_means(alg, _solved_blocks(lc, 17), 5, terms)
     for got, want in zip([blocked_tmg] + blocked_cs, [whole_tmg] + whole_cs):
         assert abs(got - want) <= 1e-13 * abs(want)
     monkeypatch.undo()
