@@ -38,7 +38,6 @@ from . import exactla
 from .algebra import _per_algebra, invariant_form, killing_form, star_form
 from .calculus import (
     LieForm,
-    TrigPoly,
     covariant_d,
     exterior_d,
     lie_bracket_forms,
@@ -50,6 +49,7 @@ from .calculus import (
     _point_coefficients,
     _rng_for,
     _trig_table,
+    _wrap,
 )
 from .cartan import (
     CartanConnection,
@@ -585,6 +585,15 @@ def _torsion_tables(alg):
     return k0_inv
 
 
+def _check_solvable(e):
+    """Refuse a coframe the torsion-free solve does not take: one off T^3
+    or with stabilizer values."""
+    if e.algebra.spacetime_dim != 3 or e.dim != 3:
+        raise CartanError("torsion-free solve implemented on T^3")
+    if any(k[0] not in set(e.algebra.p_indices) for k in e.comps):
+        raise CartanError("coframe must be translation-valued")
+
+
 class LeviCivitaConnection:
     """Pointwise torsion-free stabilizer connection determined by a coframe.
 
@@ -608,11 +617,8 @@ class LeviCivitaConnection:
     """
 
     def __init__(self, e):
+        _check_solvable(e)
         alg = e.algebra
-        if alg.spacetime_dim != 3 or e.dim != 3:
-            raise CartanError("torsion-free solve implemented on T^3")
-        if any(k[0] not in set(alg.p_indices) for k in e.comps):
-            raise CartanError("coframe must be translation-valued")
         self.e = e
         self.alg = alg
         self._k0_inv = _per_algebra(_torsion_tables, alg)
@@ -681,7 +687,8 @@ class LeviCivitaConnection:
 
 def levi_civita_connection(e):
     """Torsion-free stabilizer connection for a coframe nondegenerate on the
-    16^3 lattice."""
+    16^3 lattice; the torus and the values are checked before the scan."""
+    _check_solvable(e)
     check = coframe_check(e, grid_size=16, tol=_DET_TOL)
     if not check["nondegenerate"]:
         raise CartanError(
@@ -790,19 +797,32 @@ def analytic_coframe(alg, seed=0, cutoff=1):
     Perturbation coefficients are bounded by _COFRAME_AMPLITUDE, which keeps
     every grid determinant near 1 and the torsion-free solve well
     conditioned.
+
+    Each component is 1 on the diagonal plus re cos(k.x) - im sin(k.x),
+    with re = amplitude * rn/3 and im = amplitude * jn/3 for random
+    integers rn, jn in [-3, 3].  With amplitude p/q, over the denominator
+    6 q that is the integer pair (p rn, p jn) at k and (p rn, -p jn) at -k
+    (2 p rn at k = 0), added straight into the component's numerators.
     """
     if alg.spacetime_dim != 3:
         raise CartanError("bundled coframes are 3d")
     rng = _rng_for(seed, "coframe", alg.name, cutoff)
-    amplitude = _COFRAME_AMPLITUDE
+    scale = _COFRAME_AMPLITUDE.numerator
+    den = 6 * _COFRAME_AMPLITUDE.denominator
+    zero = (0, 0, 0)
     comps = {}
     for a, lie_idx in enumerate(alg.p_indices):
         for mu in range(3):
-            poly = TrigPoly.constant(3, 1) if a == mu else TrigPoly.zero(3)
+            nums = {zero: (den, 0)} if a == mu else {}
             k = tuple(rng.randint(-cutoff, cutoff) for _ in range(3))
-            re = amplitude * Fraction(rng.randint(-3, 3), 3)
-            im = 0 if all(x == 0 for x in k) else amplitude * Fraction(rng.randint(-3, 3), 3)
-            poly = poly + TrigPoly.harmonic(3, k, re, im)
+            rn = scale * rng.randint(-3, 3)
+            if k == zero:
+                nums[zero] = (nums.get(zero, (0, 0))[0] + 2 * rn, 0)
+            else:
+                jn = scale * rng.randint(-3, 3)
+                nums[k] = (rn, jn)
+                nums[tuple(-x for x in k)] = (rn, -jn)
+            poly = _wrap(3, den, nums)
             if not poly.is_zero():
                 comps[(lie_idx, (mu,))] = poly
     return LieForm(alg, 3, 1, comps)

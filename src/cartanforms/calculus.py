@@ -816,6 +816,29 @@ def _trig_table(freqs, axes):
     return np.concatenate([np.cos(phase), np.sin(phase)])
 
 
+def _lattice_factors(freqs, n):
+    """exp(i k_j x) at the n coordinates x = 2 pi m/n that _lattice gives
+    each axis j: (dim, nf, n) for freqs (nf, dim)."""
+    return np.exp(np.multiply.outer(freqs.T, (2j * math.pi / n) * np.arange(n)))
+
+
+def _lattice_table(factors):
+    """_trig_table(freqs, _lattice(n, dim)) by outer products of the
+    _lattice_factors(freqs, n).
+
+    exp(i k.x) is the product over the axes of exp(i k_j x_j), so each
+    frequency needs the n phases of each axis once and every lattice point
+    costs only multiplies.  Points are in _lattice order; no frequencies
+    give a (0, n^dim) table.
+    """
+    _, nf, n = factors.shape
+    table = np.ones((nf, 1), dtype=complex)
+    for axis in factors:
+        table = (table[:, :, None] * axis[:, None, :]).reshape(
+            nf, table.shape[1] * n)
+    return np.concatenate((table.real, table.imag))
+
+
 def _eval_on_points(forms, axes, rows=None):
     """Values of LieForms at points, one (ncomp, dim, npts) array per form,
     or (ncomp, len(rows), npts) with `rows` (see _point_coefficients)."""
@@ -824,20 +847,45 @@ def _eval_on_points(forms, axes, rows=None):
     return [c @ table for c in coefs]
 
 
+def _eval_on_lattice(forms, n, rows=None):
+    """_eval_on_points on the n^dim lattice, without its full table.
+
+    The first axis folds into the weights: the value at x is
+    Re sum_k (A - iB) exp(i k_1 x_1) exp(i k'.x') over the other axes x',
+    so the weights (A, B) at k become (Re g, -Im g) per x_1, with
+    g = (A - iB) exp(i k_1 x_1), and one matmul with the _lattice_table of
+    the other axes gives the values.
+    """
+    freqs, coefs = _point_coefficients(forms, rows)
+    nf = len(freqs)
+    factors = _lattice_factors(freqs, n)
+    rest = _lattice_table(factors[1:])                     # (2 nf, n^(dim-1))
+    values = []
+    for c in coefs:
+        g = (c[..., None, :nf] - 1j * c[..., None, nf:]) * factors[0].T
+        folded = np.concatenate((g.real, -g.imag), axis=-1)  # (..., n, 2 nf)
+        values.append((folded @ rest).reshape(c.shape[:-1] + (-1,)))
+    return values
+
+
 def _det_on_points(m, cols=None):
     """Determinants of a points-last stack of matrices, (n, n, npts) -> (npts,).
 
     Cofactor expansion along the first row: elementwise over the points,
     no LU factorization per point.  A minor is the next row over a tuple of
-    the remaining columns, so no sub-matrix is copied.
+    the remaining columns, so no sub-matrix is copied.  Odd terms are
+    subtracted, not scaled by -1, so each term costs one multiply.
     """
     if cols is None:
         cols = tuple(range(len(m)))
     row = len(m) - len(cols)
     if len(cols) == 1:
         return m[row, cols[0]]
-    return sum((-1) ** j * m[row, c] * _det_on_points(m, cols[:j] + cols[j + 1:])
-               for j, c in enumerate(cols))
+    det = m[row, cols[0]] * _det_on_points(m, cols[1:])
+    for j in range(1, len(cols)):
+        term = m[row, cols[j]] * _det_on_points(m, cols[:j] + cols[j + 1:])
+        det = det - term if j % 2 else det + term
+    return det
 
 
 # ---------------------------------------------------------------------------

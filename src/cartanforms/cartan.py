@@ -24,8 +24,7 @@ from .calculus import (
     exterior_d,
     lie_bracket_forms,
     _det_on_points,
-    _eval_on_points,
-    _lattice,
+    _eval_on_lattice,
 )
 
 HALF = Fraction(1, 2)
@@ -120,11 +119,9 @@ def coframe_check(e, grid_size=16, tol=1e-8):
     """
     if isinstance(e, CartanConnection):
         e = e.coframe
-    n = e.dim
-    if n != e.algebra.spacetime_dim:
+    if e.dim != e.algebra.spacetime_dim:
         raise CartanError("torus dimension must equal the translation dimension")
-    (vals,) = _eval_on_points([e], _lattice(grid_size, n),
-                              rows=list(e.algebra.p_indices))
+    (vals,) = _eval_on_lattice([e], grid_size, rows=list(e.algebra.p_indices))
     dets = np.abs(_det_on_points(vals))
     min_det = float(dets.min()) if dets.size else 0.0
     return {"nondegenerate": bool(min_det > tol), "min_abs_det": min_det}

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,18 @@ def _frac(text):
     except (ValueError, ZeroDivisionError):
         pass
     raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "-p/q" as a value, as it reads "-1", so
+    `--mu -1/2` works like `--mu=-1/2`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern of a negative number, plus -p/q; a token
+        # that matches is a value unless an option looks like a number
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _positive_int(text):
@@ -53,7 +66,7 @@ def _seed_range(text):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cartanforms",
         description="Exact verification of symmetric-space gravity actions")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -181,10 +194,14 @@ def _cmd_eval(args):
 
 def _cmd_holonomy(args):
     try:
-        model = cartan.get_model(args.model)
         path = cartan.load_path(args.path)
-        result = cartan.holonomy(model, path, args.steps)
     except (OSError, ValueError, KeyError) as exc:
+        print(f"cannot read path file: {exc}", file=sys.stderr)
+        return 2
+    try:
+        model = cartan.get_model(args.model)
+        result = cartan.holonomy(model, path, args.steps)
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with np.printoptions(formatter={"float_kind": lambda v: f"{v:.12g}"}):

@@ -1,0 +1,119 @@
+"""CLI inputs: the reason a TMG coframe is refused, negative p/q flag
+values, and unreadable path files.
+
+- A coframe with stabilizer values, or one on T^4, is refused for what it
+  is, before the 16^3 nondegeneracy scan can call it degenerate.
+- `--c0`, `--c1`, `--mu` and `--gamma` take `-p/q` as a separate word, as
+  they take `-1` and `--mu=-1/2`.
+- A path file that cannot be read or parsed is named as the path file.
+Each refusal exits 2 with one line.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from cartanforms import cli
+from cartanforms.actions import analytic_coframe, levi_civita_connection, \
+    tmg_action
+from cartanforms.algebra import build_algebra
+from cartanforms.calculus import random_form, save_fields
+from cartanforms.cartan import CartanError
+
+# (algebra, support of a random 1-form, the refusal)
+BAD_COFRAMES = [
+    ("so31", "h", "coframe must be translation-valued"),
+    ("so31", "full", "coframe must be translation-valued"),
+    ("so41", "p", r"torsion-free solve implemented on T\^3"),
+]
+
+
+def _one_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("name,support,reason", BAD_COFRAMES,
+                         ids=[f"{n}-{s}" for n, s, _ in BAD_COFRAMES])
+def test_tmg_refuses_coframe_for_its_values_or_torus(tmp_path, capsys, name,
+                                                     support, reason):
+    alg = build_algebra(name)
+    e = random_form(1, 1, alg, support=support)
+    with pytest.raises(CartanError, match=reason):
+        levi_civita_connection(e)
+    with pytest.raises(CartanError, match=reason):
+        tmg_action(e, 5, grid=8)
+    f = tmp_path / "e.json"
+    save_fields(f, alg, {"e": e})
+    rc = cli.main(["eval", "--fields", str(f), "--action", "tmg",
+                   "--mu", "5"])
+    err = _one_line(capsys)
+    assert rc == 2
+    assert reason.replace("\\", "") in err and "degenerate" not in err
+
+
+FLAGS = ["--c0", "--c1", "--mu", "--gamma"]
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+@pytest.mark.parametrize("words,value", [
+    (["-1/2"], Fraction(-1, 2)),
+    (["-3"], Fraction(-3)),
+    (["=-7/4"], Fraction(-7, 4)),
+    (["+5/3"], Fraction(5, 3)),
+], ids=["minus-p-over-q", "minus-int", "equals-minus-p-over-q", "plus"])
+def test_rational_flags_take_negative_values(flag, words, value):
+    if words[0].startswith("="):
+        argv = [flag + words[0]]
+    else:
+        argv = [flag] + words
+    args = cli.build_parser().parse_args(
+        ["eval", "--fields", "f.json", "--action", "tmg"] + argv)
+    assert getattr(args, flag[2:]) == value
+
+
+@pytest.mark.parametrize("text", ["-1/2/3", "-0.5", "-1e3", "-x"])
+def test_rational_flags_still_refuse_non_rationals(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(
+            ["eval", "--fields", "f.json", "--action", "tmg", "--mu", text])
+    assert exc.value.code == 2
+
+
+def test_eval_with_negative_p_over_q_matches_equals_form(tmp_path, capsys):
+    alg = build_algebra("so31")
+    f = tmp_path / "e.json"
+    save_fields(f, alg, {"e": analytic_coframe(alg, seed=0),
+                         "A": random_form(2, 1, alg)})
+    base = ["eval", "--fields", str(f), "--grid", "8"]
+    outs = []
+    for argv in (["--action", "tmg", "--mu", "-1/2"],
+                 ["--action", "tmg", "--mu=-1/2"],
+                 ["--action", "cs", "--c0", "-3/2", "--c1", "-1/4"],
+                 ["--action", "cs", "--c0=-3/2", "--c1=-1/4"]):
+        assert cli.main(base + argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    expected = tmg_action(analytic_coframe(alg, seed=0), Fraction(-1, 2),
+                          grid=8).numeric
+    assert json.loads(outs[0].split("\n", 1)[1])["numeric"] == expected
+
+
+@pytest.mark.parametrize("text", ["{not json", "", "\xff"])
+def test_unreadable_path_file_is_named(tmp_path, capsys, text):
+    f = tmp_path / "path.json"
+    f.write_bytes(text.encode("latin-1"))
+    rc = cli.main(["holonomy", "--model", "sphere", "--path", str(f),
+                   "--steps", "10"])
+    err = _one_line(capsys)
+    assert rc == 2 and err.startswith("cannot read path file: ")
+
+
+def test_missing_path_file_is_named(tmp_path, capsys):
+    rc = cli.main(["holonomy", "--model", "sphere",
+                   "--path", str(tmp_path / "missing.json"), "--steps", "10"])
+    err = _one_line(capsys)
+    assert rc == 2 and err.startswith("cannot read path file: ")
+    assert "missing.json" in err
