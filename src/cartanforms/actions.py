@@ -43,9 +43,12 @@ from .calculus import (
     lie_bracket_forms,
     pair_integral,
     random_form,
+    _bracket_pairing_matrix,
     _det_on_points,
     _eval_on_points,
+    _gram_contract,
     _lattice,
+    _pairing_matrix,
     _point_coefficients,
     _rng_for,
     _trig_table,
@@ -178,16 +181,23 @@ IDENTITY_IDS = tuple(IDENTITY_ALGEBRAS)
 # ---------------------------------------------------------------------------
 
 class ConnectionForms:
-    """One Cartan connection omega + e: its forms and its exact functionals.
+    """One Cartan connection omega + e: its pairing matrices and its exact
+    functionals.
 
-    The beta-independent forms are built on first use and kept: A = omega
-    + e, ~A = omega - e, their dA and [A,A], d omega, [omega, omega], R,
-    [e,e] and d_omega e.  So is each functional value, once per invariant
-    form: S_CS^beta(A), S_CS^beta(~A), the Palatini value and S_CS^beta(omega)
-    plus the torsion pairing.  A value is keyed by the form object, not by
-    (c0, c1), and its entry holds the form, so the id stays valid.  The A
-    and ~A values pair only A or ~A, the others only e and omega, so the
-    two sides of a split identity share no pairing.
+    Each functional contracts the grams of its invariant form with
+    beta-independent pairing matrices (calculus._PairingMatrix), each
+    built on first use and kept: (A, dA), (A, [A,A]), (~A, d~A),
+    (~A, [~A,~A]) for A = omega + e and ~A = omega - e, then (omega,
+    d omega), (omega, [omega, omega]), (e, R), (e, [e,e]) and
+    (e, d_omega e).  A matrix with a bracket reads it as a trilinear zero
+    mode, so no bracket is formed.  Each functional value is kept too,
+    once per invariant form: S_CS^beta(A), S_CS^beta(~A), the Palatini
+    value and S_CS^beta(omega) plus the torsion pairing.  A value is keyed
+    by the form object, not by (c0, c1), and its entry holds the form, so
+    the id stays valid.  The A and ~A values pair only A or ~A, the others
+    only e and omega, so the two sides of a split identity share no
+    matrix.  The operand forms (dA, [A,A], R, d_omega e, ...) are built
+    only on request.
     """
 
     def __init__(self, omega, e):
@@ -203,27 +213,72 @@ class ConnectionForms:
     def cs_a(self, form):
         """S_CS^beta(A)."""
         return self._value("cs_a", form,
-                           lambda: _cs_value(form, self.a, self.da, self.aa))
+                           lambda: _chern_simons(form, self.a_da, self.a_aa))
 
     def cs_a_t(self, form):
         """S_CS^beta(~A)."""
-        return self._value("cs_a_t", form, lambda: _cs_value(
-            form, self.a_t, self.da_t, self.aa_t))
+        return self._value("cs_a_t", form, lambda: _chern_simons(
+            form, self.a_t_da_t, self.a_t_aa_t))
 
     def palatini(self, form):
         """Int beta(e ^ R) + 1/6 Int beta(e ^ [e,e])."""
         return self._value("palatini", form, lambda: (
-            pair_integral(form, self.e, self.r)
-            + SIXTH * pair_integral(form, self.e, self.ee)))
+            _gram_contract(form, self.e_r)
+            + SIXTH * _gram_contract(form, self.e_ee)))
 
     def torsion(self, form):
         """1/2 Int beta(e ^ d_omega e)."""
-        return HALF * pair_integral(form, self.e, self.dwe)
+        return HALF * _gram_contract(form, self.e_dwe)
 
     def cs_omega_torsion(self, form):
         """S_CS^beta(omega) plus the torsion pairing."""
         return self._value("cs_omega_torsion", form, lambda: (
-            _cs_value(form, self.omega, self.dw, self.ww) + self.torsion(form)))
+            _chern_simons(form, self.omega_dw, self.omega_ww)
+            + self.torsion(form)))
+
+    # -- pairing matrices ---------------------------------------------------
+
+    @cached_property
+    def a_da(self):
+        return _pairing_matrix(self.a, self.da)
+
+    @cached_property
+    def a_aa(self):
+        return _bracket_pairing_matrix(self.a, self.a, self.a)
+
+    @cached_property
+    def a_t_da_t(self):
+        return _pairing_matrix(self.a_t, self.da_t)
+
+    @cached_property
+    def a_t_aa_t(self):
+        return _bracket_pairing_matrix(self.a_t, self.a_t, self.a_t)
+
+    @cached_property
+    def omega_dw(self):
+        return _pairing_matrix(self.omega, self.dw)
+
+    @cached_property
+    def omega_ww(self):
+        return _bracket_pairing_matrix(self.omega, self.omega, self.omega)
+
+    @cached_property
+    def e_r(self):
+        """(e, R) with R = d omega + 1/2 [omega, omega]."""
+        return _pairing_matrix(self.e, self.dw).add(
+            _bracket_pairing_matrix(self.e, self.omega, self.omega), HALF)
+
+    @cached_property
+    def e_ee(self):
+        return _bracket_pairing_matrix(self.e, self.e, self.e)
+
+    @cached_property
+    def e_dwe(self):
+        """(e, d_omega e) with d_omega e = de + [omega, e]."""
+        return _pairing_matrix(self.e, self.de).add(
+            _bracket_pairing_matrix(self.e, self.omega, self.e))
+
+    # -- operand forms ------------------------------------------------------
 
     @cached_property
     def a(self):
@@ -260,6 +315,10 @@ class ConnectionForms:
     @cached_property
     def r(self):
         return self.dw + self.ww.scale(HALF)
+
+    @cached_property
+    def de(self):
+        return exterior_d(self.e)
 
     @cached_property
     def ee(self):
@@ -359,10 +418,11 @@ def _field_set(alg, seed, cutoff):
 # exact action functionals
 # ---------------------------------------------------------------------------
 
-def _cs_value(form, a, da, aa):
-    """1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A]) from A, dA and [A,A]."""
-    return (HALF * pair_integral(form, a, da)
-            + SIXTH * pair_integral(form, a, aa))
+def _chern_simons(form, a_da, a_aa):
+    """1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A]) from the pairing
+    matrices of (A, dA) and (A, [A,A])."""
+    return (HALF * _gram_contract(form, a_da)
+            + SIXTH * _gram_contract(form, a_aa))
 
 
 def cs_action(a, form):
@@ -371,26 +431,39 @@ def cs_action(a, form):
         raise CartanError("Chern-Simons argument must be a 1-form")
     if a.dim != 3:
         raise CartanError("Chern-Simons action lives on a 3-torus")
-    return _exact_value(3, _cs_value(form, a, exterior_d(a),
-                                     lie_bracket_forms(a, a)))
+    return _exact_value(3, _chern_simons(
+        form, _pairing_matrix(a, exterior_d(a)),
+        _bracket_pairing_matrix(a, a, a)))
+
+
+def _connection_3d(omega, e):
+    """ConnectionForms of omega + e, refused unless it is a Cartan
+    connection (see CartanConnection) on T^3."""
+    CartanConnection(omega, e)
+    if e.dim != 3:
+        raise CartanError("the 3d Cartan actions live on a 3-torus")
+    return ConnectionForms(omega, e)
 
 
 def palatini_action(omega, e):
     """Int S(e ^ R) + 1/6 Int S(e ^ [e,e]) with the pure star form S."""
+    f = _connection_3d(omega, e)
     s = _per_algebra(star_form, omega.algebra)
-    return _exact_value(e.dim, ConnectionForms(omega, e).palatini(s))
+    return _exact_value(3, f.palatini(s))
 
 
 def torsion_pairing(omega, e):
     """1/2 Int K(e ^ d_omega e)."""
+    f = _connection_3d(omega, e)
     k = _per_algebra(killing_form, omega.algebra)
-    return _exact_value(e.dim, ConnectionForms(omega, e).torsion(k))
+    return _exact_value(3, f.torsion(k))
 
 
 def cs_omega_torsion_action(omega, e):
     """S_CS(omega) + torsion pairing; the involution-even half of S_CS^K."""
+    f = _connection_3d(omega, e)
     k = _per_algebra(killing_form, omega.algebra)
-    return _exact_value(e.dim, ConnectionForms(omega, e).cs_omega_torsion(k))
+    return _exact_value(3, f.cs_omega_torsion(k))
 
 
 def mm_action(conn, form_h):
@@ -759,17 +832,6 @@ def tmg_action(e, mu, grid=32, lc=None):
     val, _, min_det = _tmg_means(lc.alg, _solved_blocks(lc, grid), mu)
     return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
                        quadrature_grid=grid, min_abs_det=min_det)
-
-
-def tmg_refinement_report(e, mu, grids=(4, 8, 16), reference_grid=48):
-    """Quadrature errors against a fine reference; spectral decay expected."""
-    lc = levi_civita_connection(e)
-    ref = tmg_action(e, mu, grid=reference_grid, lc=lc).numeric
-    rows = []
-    for g in grids:
-        v = tmg_action(e, mu, grid=g, lc=lc).numeric
-        rows.append({"grid": g, "value": v, "error": abs(v - ref)})
-    return {"reference_grid": reference_grid, "reference": ref, "rows": rows}
 
 
 def cs_action_numeric(a, form, grid=32):

@@ -16,10 +16,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 import numpy as np
@@ -713,47 +714,224 @@ def _complement(dim, idx):
     return tuple(i for i in range(dim) if i not in idx)
 
 
+def _check_top(w, *mates):
+    """Refuse the operands of an integral over T^n of w wedged with the
+    mates: another algebra or torus, or degrees that do not sum to n."""
+    for m in mates:
+        w._check_mate(m)
+    deg = w.degree + sum(m.degree for m in mates)
+    if deg != w.dim:
+        raise DegreeError(f"pairing degree {deg} is not the top degree on "
+                          f"T^{w.dim}")
+
+
+def _zero_mode(fnums, gnums):
+    """Numerator of the zero mode of f g from the numerators of f and g.
+
+    Every TrigPoly stores the Hermitian partner of each mode, so
+    (f g)_0 = sum_k Re(f_k conj(g_k)) = sum_k (a_k c_k + b_k d_k) over the
+    frequencies f and g share.
+    """
+    if len(fnums) > len(gnums):
+        fnums, gnums = gnums, fnums
+    s = 0
+    for k, (a, b) in fnums.items():
+        other = gnums.get(k)
+        if other is not None:
+            s += a * other[0] + b * other[1]
+    return s
+
+
+def _over_lcm(sums):
+    """(numerator, lcm) of a sum given as {denominator: numerator}."""
+    lcm = math.lcm(*sums)
+    return sum(n * (lcm // den) for den, n in sums.items()), lcm
+
+
 def pair_integral(form, w, m):
     """Int beta(w ^ m) over T^n, as the rational multiple of (2 pi)^n.
 
     The same Fraction as integrating the scalar form beta_pair(form, w, m),
-    but only the zero mode of each component product is formed: every
-    TrigPoly stores the Hermitian partner of each mode, so
-    (f g)_0 = sum_k Re(f_k conj(g_k)) = sum_k (a_k c_k + b_k d_k) over the
-    frequencies f and g share.  Terms are summed in integers per
-    denominator and the Fraction is built once.  Each component of w walks
-    its gram row and looks up the mate component of m at its complement.
+    but only the zero mode of each component product is formed
+    (_zero_mode).  Terms are summed in integers per denominator and the
+    Fraction is built once.  Each component of w walks its gram row and
+    looks up the mate component of m at its complement.
+
+    For many forms on the same operands, build their _PairingMatrix once
+    and contract it with each gram instead.
     """
-    w._check_mate(m)
+    _check_top(w, m)
     if form.algebra is not w.algebra:
         raise AlgebraError("bilinear form belongs to a different algebra")
-    if w.degree + m.degree != w.dim:
-        raise DegreeError(f"pairing degree {w.degree + m.degree} is not the "
-                          f"top degree on T^{w.dim}")
     rows, mates = form.gram_ratios, m.comps
     sums = {}
     for (alpha, i_idx), f in w.comps.items():
         j_idx = _complement(w.dim, i_idx)
-        fnums = f.nums
         for beta, (num, den) in rows[alpha].items():
             g = mates.get((beta, j_idx))
             if g is None:
                 continue
-            small, big = ((fnums, g.nums) if len(fnums) <= len(g.nums)
-                          else (g.nums, fnums))
-            s = 0
-            for k, (a, b) in small.items():
-                other = big.get(k)
-                if other is not None:
-                    s += a * other[0] + b * other[1]
+            s = _zero_mode(f.nums, g.nums)
             if s:
                 d = den * f.den * g.den
                 sign = _merge_indices(i_idx, j_idx)[0]
                 sums[d] = sums.get(d, 0) + sign * num * s
-    lcm = 1
-    for den in sums:
-        lcm = lcm // gcd(lcm, den) * den
-    return Fraction(sum(n * (lcm // den) for den, n in sums.items()), lcm)
+    return Fraction(*_over_lcm(sums))
+
+
+# ---------------------------------------------------------------------------
+# pairing matrices
+# ---------------------------------------------------------------------------
+
+class _PairingMatrix:
+    """Int w^alpha ^ m^beta over T^n for every pair of value indices of two
+    Lie-valued forms w and m of top total degree, as rational multiples of
+    (2 pi)^n: integer numerators nums[(alpha, beta)] over one denominator.
+
+    Int beta(w ^ m) is the contraction of the matrix with the gram of the
+    invariant form beta (_gram_contract), so operands paired with several
+    forms are walked once.  Built from `sums`, {denominator: {(alpha,
+    beta): numerator}}, whose parts are added.
+    """
+
+    __slots__ = ("algebra", "den", "nums")
+
+    def __init__(self, algebra, sums):
+        lcm = math.lcm(*sums)
+        nums = {}
+        for den, part in sums.items():
+            scale = lcm // den
+            for key, n in part.items():
+                nums[key] = nums.get(key, 0) + n * scale
+        self.algebra, self.den = algebra, lcm
+        self.nums = {key: n for key, n in nums.items() if n}
+
+    def add(self, other, coeff=ONE):
+        """This matrix plus coeff times other."""
+        if other.algebra is not self.algebra:
+            raise AlgebraError("pairing matrices of different algebras")
+        coeff = Fraction(coeff)
+        sums = {self.den: dict(self.nums)}
+        for key, n in other.nums.items():
+            _add_to(sums, other.den * coeff.denominator, key,
+                    n * coeff.numerator)
+        return _PairingMatrix(self.algebra, sums)
+
+
+def _add_to(sums, den, key, n):
+    part = sums.setdefault(den, {})
+    part[key] = part.get(key, 0) + n
+
+
+def _pairing_matrix(w, m):
+    """The _PairingMatrix of Int w^alpha ^ m^beta.
+
+    Each component of w looks up the components of m at its complement and
+    reads the zero mode of each product, as pair_integral does for one
+    gram row.
+    """
+    _check_top(w, m)
+    mates = {}
+    for (beta, j_idx), g in m.comps.items():
+        mates.setdefault(j_idx, []).append((beta, g))
+    sums = {}
+    for (alpha, i_idx), f in w.comps.items():
+        j_idx = _complement(w.dim, i_idx)
+        sign = _merge_indices(i_idx, j_idx)[0]
+        for beta, g in mates.get(j_idx, ()):
+            s = _zero_mode(f.nums, g.nums)
+            if s:
+                _add_to(sums, f.den * g.den, (alpha, beta), sign * s)
+    return _PairingMatrix(w.algebra, sums)
+
+
+def _bracket_pairing_matrix(w, u, v):
+    """The _PairingMatrix of Int w^alpha ^ [u, v]^gamma, without [u, v].
+
+    The integral of a component product f g h is its zero mode,
+    sum over k1 + k2 + k3 = 0 of Re(g_k1 h_k2 f_k3).  So each pair of
+    components of u and v walks the bracket table and the merge sign as
+    lie_bracket_forms does (the unordered walk and _self_bracket_table when
+    v is u), and for each pair of modes (k1, k2) looks up the components
+    of w at the complementary multi-index at -(k1 + k2); product terms that
+    no pairing reads are never formed.
+
+    Frequencies are looked up by a linear code, sum_i k_i base^i: with
+    base > 6 max |k_i|, the codes of three frequencies sum to 0 exactly
+    when the frequencies do.
+    """
+    _check_top(w, u, v)
+    alg, dim = w.algebra, w.dim
+    unordered = v is u and u.degree >= 1
+    if unordered:
+        table = _per_algebra(_self_bracket_table, alg, u.degree % 2)
+    else:
+        table = alg.bracket_table
+    operands = {id(x): x for x in (w, u, v)}
+    top = max(map(abs, chain.from_iterable(chain.from_iterable(
+        p.nums for x in operands.values() for p in x.comps.values()))),
+        default=0)
+    weights = [(6 * top + 1) ** i for i in range(dim)]
+    # per operand: (key, den, [(code of k, a, b) per mode]) per component
+    coded = {i: [(key, p.den, [(sum(map(operator.mul, k, weights)), a, b)
+                               for k, (a, b) in p.nums.items()])
+                 for key, p in x.comps.items()]
+             for i, x in operands.items()}
+    # per multi-index of w: its (alpha, den) slots, and per code of -k the
+    # slots that have the mode k, with its numerators
+    w_by_idx = {}
+    for (alpha, i_idx), fden, fmodes in coded[id(w)]:
+        slots, lookup = w_by_idx.setdefault(i_idx, ([], {}))
+        for code, a, b in fmodes:
+            lookup.setdefault(-code, []).append((len(slots), a, b))
+        slots.append((alpha, fden))
+    u_comps, v_comps = coded[id(u)], coded[id(v)]
+    sums = {}
+    for p, ((beta, i1), gden, gmodes) in enumerate(u_comps):
+        row = table[beta]
+        for (delta, i2), hden, hmodes in (v_comps[p + 1:] if unordered
+                                          else v_comps):
+            targets = row[delta]
+            if not targets:
+                continue
+            sign, merged = _merge_indices(i1, i2)
+            if sign == 0:
+                continue
+            i_idx = _complement(dim, merged)
+            if i_idx not in w_by_idx:
+                continue
+            slots, lookup = w_by_idx[i_idx]
+            sign *= _merge_indices(i_idx, merged)[0]
+            acc = [0] * len(slots)
+            for c1, a1, b1 in gmodes:
+                for c2, a2, b2 in hmodes:
+                    hits = lookup.get(c1 + c2)
+                    if hits:
+                        re = a1 * a2 - b1 * b2
+                        im = a1 * b2 + b1 * a2
+                        for slot, a3, b3 in hits:
+                            acc[slot] += re * a3 - im * b3
+            for (alpha, fden), s in zip(slots, acc):
+                if s:
+                    for gamma, coeff in targets:
+                        _add_to(sums, fden * gden * hden * coeff.denominator,
+                                (alpha, gamma), sign * coeff.numerator * s)
+    return _PairingMatrix(alg, sums)
+
+
+def _gram_contract(form, matrix):
+    """Int beta(w ^ m) from the _PairingMatrix of w and m: the sum of
+    gram[alpha][beta] matrix[alpha][beta], a Fraction."""
+    if form.algebra is not matrix.algebra:
+        raise AlgebraError("bilinear form belongs to a different algebra")
+    rows = form.gram_ratios
+    sums = {}
+    for (alpha, beta), n in matrix.nums.items():
+        ratio = rows[alpha].get(beta)
+        if ratio is not None:
+            sums[ratio[1]] = sums.get(ratio[1], 0) + ratio[0] * n
+    num, lcm = _over_lcm(sums)
+    return Fraction(num, lcm * matrix.den)
 
 
 def integrate(w):

@@ -32,10 +32,11 @@ from cartanforms.actions import (
     cs_variation,
     identity_residual,
     levi_civita_connection,
-    tmg_refinement_report,
     topological_terms,
     topological_variation_check,
 )
+
+from tmg_refinement import tmg_refinement_report
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

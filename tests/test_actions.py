@@ -31,7 +31,6 @@ from cartanforms.actions import (
     mm_action,
     palatini_action,
     tmg_action,
-    tmg_refinement_report,
     topological_terms,
     topological_variation_check,
     torsion_pairing,
@@ -39,6 +38,8 @@ from cartanforms.actions import (
     _float_tables,
     _pair_top,
 )
+
+from tmg_refinement import tmg_refinement_report
 
 HALF = Fraction(1, 2)
 

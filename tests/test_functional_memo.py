@@ -4,10 +4,11 @@ check did its own pairings.
 
 The reference is the per-check path kept here: a fresh FieldSet for every
 check and direct calls of the grouped pairing kernel below, which builds the
-mates of m by multi-index on every call.  The battery under test shares one
-field set per (algebra, seed, cutoff) and reads each S_CS^beta(A),
-S_CS^beta(~A), Palatini and S_CS^beta(omega) + torsion value from the
-ConnectionForms memo, through the row-driven `pair_integral`.
+mates of m by multi-index on every call, on the operand forms ([A,A], R,
+d_omega e, ...) that ConnectionForms builds on request.  The battery under
+test shares one field set per (algebra, seed, cutoff) and reads each
+S_CS^beta(A), S_CS^beta(~A), Palatini and S_CS^beta(omega) + torsion value
+from the ConnectionForms memo, as gram contractions of its pairing matrices.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from cartanforms.calculus import (
     pair_integral,
     random_form,
     _complement,
+    _gram_contract,
     _merge_indices,
 )
 
@@ -172,13 +174,14 @@ def test_damaged_battery_matches_per_check_reference(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _count_pairings(monkeypatch):
+    """Count the gram contractions of pairing matrices, one per pairing."""
     calls = [0]
 
     def counting(*args):
         calls[0] += 1
-        return pair_integral(*args)
+        return _gram_contract(*args)
 
-    monkeypatch.setattr(actions, "pair_integral", counting)
+    monkeypatch.setattr(actions, "_gram_contract", counting)
     return calls
 
 

@@ -1,0 +1,204 @@
+"""The pairing matrices against the pairings they replace.
+
+`_pairing_matrix(w, m)` holds Int w^alpha ^ m^beta for every pair of value
+indices, and `_bracket_pairing_matrix(w, u, v)` holds
+Int w^alpha ^ [u, v]^gamma without forming [u, v]; `_gram_contract` pairs
+either with an invariant form.  Entry by entry each must equal the
+reference matrix of the full pairing (integrate(beta_pair(...)) with unit
+grams, on the bracket built by lie_bracket_forms), and contracted with
+every form of the family, degenerate ones included, the Fraction that
+`pair_integral` and the full pairing give.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from cartanforms.actions import CouplingConstants, FieldSet, identity_residual
+from cartanforms.algebra import AlgebraError, build_algebra, killing_form
+from cartanforms.calculus import (
+    CalculusError,
+    DegreeError,
+    lie_bracket_forms,
+    pair_integral,
+    random_form,
+    _bracket_pairing_matrix,
+    _gram_contract,
+    _pairing_matrix,
+)
+
+from test_pair_integral import (
+    forms_of,
+    reference,
+    reference_matrix,
+    _use_reference_matrices,
+)
+
+ALGEBRAS_3D = ["so31", "iso21", "so22", "so4", "iso3"]
+
+
+def entries(matrix):
+    return {key: Fraction(n, matrix.den) for key, n in matrix.nums.items()}
+
+
+def check_matrix(got, w, m, forms):
+    """got is the pairing matrix of (w, m); the number of nonzero values."""
+    assert entries(got) == entries(reference_matrix(w, m))
+    nonzero = 0
+    for form in forms:
+        value = _gram_contract(form, got)
+        assert isinstance(value, Fraction)
+        assert value == pair_integral(form, w, m) == reference(form, w, m)
+        nonzero += value != 0
+    return nonzero
+
+
+def check_bracket(w, u, v, forms):
+    return check_matrix(_bracket_pairing_matrix(w, u, v), w,
+                        lie_bracket_forms(u, v), forms)
+
+
+def random_forms(alg, seed, cutoff, dim=None):
+    """Random forms of every degree on T^dim, three of degree 1, with
+    enough harmonics per component that products reach the zero mode."""
+    dim = dim or alg.spacetime_dim
+    terms = 3
+
+    def form(offset, degree):
+        return random_form(seed + offset, degree, alg, dim=dim, cutoff=cutoff,
+                           terms=terms)
+
+    return {"0": form(0, 0), "1": form(1, 1), "1b": form(2, 1),
+            "1c": form(3, 1), "2": form(4, 2), "3": form(5, 3)}
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("name", ALGEBRAS_3D)
+def test_matrices_match_full_pairing_on_random_forms(name, cutoff):
+    alg = build_algebra(name)
+    forms = forms_of(alg)
+    nonzero = 0
+    for seed in range(3):
+        f = random_forms(alg, seed, cutoff)
+        for w, m in ((f["1"], f["2"]), (f["2"], f["1"]), (f["0"], f["3"]),
+                     (f["3"], f["0"])):
+            nonzero += check_matrix(_pairing_matrix(w, m), w, m, forms)
+        # self brackets: degree 1 (unordered walk), degree 0 (ordered),
+        # with w one of the operands or not; then mixed brackets
+        for w, u, v in ((f["1"], f["1b"], f["1b"]), (f["1"], f["1"], f["1"]),
+                        (f["3"], f["0"], f["0"]), (f["1"], f["1b"], f["1c"]),
+                        (f["1b"], f["1"], f["1b"]), (f["0"], f["1"], f["2"]),
+                        (f["0"], f["2"], f["1"]), (f["1"], f["0"], f["2"]),
+                        (f["2"], f["1"], f["0"]), (f["2"], f["0"], f["1"])):
+            nonzero += check_bracket(w, u, v, forms)
+    assert nonzero > 0
+
+
+def test_degree_2_self_bracket_on_t4():
+    """The self-bracket table of even degree, on so41 and so32."""
+    nonzero = 0
+    for name in ("so41", "so32"):
+        alg = build_algebra(name)
+        forms = forms_of(alg)
+        f = random_forms(alg, 0, 1)
+        for w, u, v in ((f["0"], f["2"], f["2"]), (f["2"], f["1"], f["1"]),
+                        (f["1"], f["1b"], f["2"])):
+            nonzero += check_bracket(w, u, v, forms)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("name", ALGEBRAS_3D)
+def test_connection_matrices_match_their_operand_forms(name, cutoff):
+    """Each pairing matrix of the battery against the full pairing of the
+    operand forms it stands for."""
+    alg = build_algebra(name)
+    forms = forms_of(alg)
+    for seed in range(3):
+        f = FieldSet(alg, seed, cutoff).connection
+        for got, w, m in ((f.a_da, f.a, f.da), (f.a_aa, f.a, f.aa),
+                          (f.a_t_da_t, f.a_t, f.da_t),
+                          (f.a_t_aa_t, f.a_t, f.aa_t),
+                          (f.omega_dw, f.omega, f.dw),
+                          (f.omega_ww, f.omega, f.ww), (f.e_r, f.e, f.r),
+                          (f.e_ee, f.e, f.ee), (f.e_dwe, f.e, f.dwe)):
+            check_matrix(got, w, m, forms)
+
+
+def _damaged_so31():
+    """so31 with one structure constant of [M01, P0] damaged, so the
+    table is no longer antisymmetric."""
+    real = build_algebra("so31")
+    structure = [[list(row) for row in plane] for plane in real.structure]
+    structure[0][3][4] += 1
+    table = tuple(
+        tuple(tuple((c, Fraction(x)) for c, x in enumerate(structure[a][b])
+                    if x != 0) for b in range(real.dim))
+        for a in range(real.dim))
+    return dataclasses.replace(
+        real, structure=tuple(tuple(tuple(r) for r in p) for p in structure),
+        bracket_table=table)
+
+
+def test_damaged_table_matches_full_pairing(monkeypatch):
+    bad = _damaged_so31()
+    forms = forms_of(bad)
+    for cutoff in (1, 2):
+        f = random_forms(bad, 7, cutoff)
+        for w, u, v in ((f["1"], f["1b"], f["1b"]), (f["1"], f["1"], f["1"]),
+                        (f["1"], f["1b"], f["1c"]), (f["3"], f["0"], f["0"])):
+            check_bracket(w, u, v, forms)
+
+    def residuals():
+        return [identity_residual(i, bad, seed, CouplingConstants(c0, c1))
+                .residual for i in ("EINSTEIN_CS", "TWO_CS_SUM", "TWO_CS_DIFF")
+                for c0, c1 in ((2, 3), (1, 0)) for seed in range(8)]
+
+    got = residuals()
+    assert len({r for r in got if r != 0}) > 1
+    _use_reference_matrices(monkeypatch)
+    assert residuals() == got
+
+
+def test_add_matches_entrywise_sum():
+    alg = build_algebra("so22")
+    f = FieldSet(alg, 2).connection
+    p, t = _pairing_matrix(f.e, f.dw), _bracket_pairing_matrix(
+        f.e, f.omega, f.omega)
+    for x, y, c in ((p, t, Fraction(1, 2)), (p, t, 1), (t, p, -3),
+                    (p, p, 1), (p, p, -1), (t, t, Fraction(1, 3))):
+        want = dict(entries(x))
+        for key, value in entries(y).items():
+            want[key] = want.get(key, 0) + c * value
+        assert entries(x.add(y, c)) == {k: v for k, v in want.items() if v}
+    assert not p.add(p, -1).nums
+
+
+def test_kernels_refuse_what_pair_integral_refuses():
+    so31, so22 = build_algebra("so31"), build_algebra("so22")
+    zero, one, two = (random_form(0, d, so31) for d in (0, 1, 2))
+    other = random_form(1, 1, so22)
+    on_t4 = random_form(2, 1, so31, dim=4)
+    with pytest.raises(AlgebraError):
+        _pairing_matrix(one, random_form(1, 2, so22))
+    with pytest.raises(CalculusError, match="torus"):
+        _pairing_matrix(one, random_form(3, 2, so31, dim=4))
+    for w, m in ((one, one), (two, two), (zero, two)):
+        with pytest.raises(DegreeError):
+            _pairing_matrix(w, m)
+    for w, u, v in ((other, one, one), (one, other, one), (one, one, other)):
+        with pytest.raises(AlgebraError):
+            _bracket_pairing_matrix(w, u, v)
+    for w, u, v in ((on_t4, one, one), (one, on_t4, one), (one, one, on_t4)):
+        with pytest.raises(CalculusError, match="torus"):
+            _bracket_pairing_matrix(w, u, v)
+    for w, u, v in ((one, one, two), (two, one, one), (zero, one, one),
+                    (one, zero, one)):
+        with pytest.raises(DegreeError):
+            _bracket_pairing_matrix(w, u, v)
+    matrix = _pairing_matrix(one, two)
+    with pytest.raises(AlgebraError):
+        _gram_contract(killing_form(so22), matrix)
+    with pytest.raises(AlgebraError):
+        matrix.add(_pairing_matrix(other, random_form(1, 2, so22)))
