@@ -20,7 +20,7 @@ import operator
 import random
 import re
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -742,43 +742,6 @@ def _zero_mode(fnums, gnums):
     return s
 
 
-def _over_lcm(sums):
-    """(numerator, lcm) of a sum given as {denominator: numerator}."""
-    lcm = math.lcm(*sums)
-    return sum(n * (lcm // den) for den, n in sums.items()), lcm
-
-
-def pair_integral(form, w, m):
-    """Int beta(w ^ m) over T^n, as the rational multiple of (2 pi)^n.
-
-    The same Fraction as integrating the scalar form beta_pair(form, w, m),
-    but only the zero mode of each component product is formed
-    (_zero_mode).  Terms are summed in integers per denominator and the
-    Fraction is built once.  Each component of w walks its gram row and
-    looks up the mate component of m at its complement.
-
-    For many forms on the same operands, build their _PairingMatrix once
-    and contract it with each gram instead.
-    """
-    _check_top(w, m)
-    if form.algebra is not w.algebra:
-        raise AlgebraError("bilinear form belongs to a different algebra")
-    rows, mates = form.gram_ratios, m.comps
-    sums = {}
-    for (alpha, i_idx), f in w.comps.items():
-        j_idx = _complement(w.dim, i_idx)
-        for beta, (num, den) in rows[alpha].items():
-            g = mates.get((beta, j_idx))
-            if g is None:
-                continue
-            s = _zero_mode(f.nums, g.nums)
-            if s:
-                d = den * f.den * g.den
-                sign = _merge_indices(i_idx, j_idx)[0]
-                sums[d] = sums.get(d, 0) + sign * num * s
-    return Fraction(*_over_lcm(sums))
-
-
 # ---------------------------------------------------------------------------
 # pairing matrices
 # ---------------------------------------------------------------------------
@@ -827,8 +790,7 @@ def _pairing_matrix(w, m):
     """The _PairingMatrix of Int w^alpha ^ m^beta.
 
     Each component of w looks up the components of m at its complement and
-    reads the zero mode of each product, as pair_integral does for one
-    gram row.
+    reads the zero mode of each product.
     """
     _check_top(w, m)
     mates = {}
@@ -855,10 +817,6 @@ def _bracket_pairing_matrix(w, u, v):
     v is u), and for each pair of modes (k1, k2) looks up the components
     of w at the complementary multi-index at -(k1 + k2); product terms that
     no pairing reads are never formed.
-
-    Frequencies are looked up by a linear code, sum_i k_i base^i: with
-    base > 6 max |k_i|, the codes of three frequencies sum to 0 exactly
-    when the frequencies do.
     """
     _check_top(w, u, v)
     alg, dim = w.algebra, w.dim
@@ -867,30 +825,20 @@ def _bracket_pairing_matrix(w, u, v):
         table = _per_algebra(_self_bracket_table, alg, u.degree % 2)
     else:
         table = alg.bracket_table
-    operands = {id(x): x for x in (w, u, v)}
-    top = max(map(abs, chain.from_iterable(chain.from_iterable(
-        p.nums for x in operands.values() for p in x.comps.values()))),
-        default=0)
-    weights = [(6 * top + 1) ** i for i in range(dim)]
-    # per operand: (key, den, [(code of k, a, b) per mode]) per component
-    coded = {i: [(key, p.den, [(sum(map(operator.mul, k, weights)), a, b)
-                               for k, (a, b) in p.nums.items()])
-                 for key, p in x.comps.items()]
-             for i, x in operands.items()}
-    # per multi-index of w: its (alpha, den) slots, and per code of -k the
-    # slots that have the mode k, with its numerators
+    # per multi-index of w: its (alpha, den) slots, and per frequency -k
+    # the slots that have the mode k, with its numerators
     w_by_idx = {}
-    for (alpha, i_idx), fden, fmodes in coded[id(w)]:
+    for (alpha, i_idx), f in w.comps.items():
         slots, lookup = w_by_idx.setdefault(i_idx, ([], {}))
-        for code, a, b in fmodes:
-            lookup.setdefault(-code, []).append((len(slots), a, b))
-        slots.append((alpha, fden))
-    u_comps, v_comps = coded[id(u)], coded[id(v)]
+        for k, (a, b) in f.nums.items():
+            lookup.setdefault(tuple(-x for x in k), []).append(
+                (len(slots), a, b))
+        slots.append((alpha, f.den))
+    mates = list(v.comps.items())
     sums = {}
-    for p, ((beta, i1), gden, gmodes) in enumerate(u_comps):
+    for p, ((beta, i1), g) in enumerate(u.comps.items()):
         row = table[beta]
-        for (delta, i2), hden, hmodes in (v_comps[p + 1:] if unordered
-                                          else v_comps):
+        for (delta, i2), h in (mates[p + 1:] if unordered else mates):
             targets = row[delta]
             if not targets:
                 continue
@@ -903,9 +851,9 @@ def _bracket_pairing_matrix(w, u, v):
             slots, lookup = w_by_idx[i_idx]
             sign *= _merge_indices(i_idx, merged)[0]
             acc = [0] * len(slots)
-            for c1, a1, b1 in gmodes:
-                for c2, a2, b2 in hmodes:
-                    hits = lookup.get(c1 + c2)
+            for k1, (a1, b1) in g.nums.items():
+                for k2, (a2, b2) in h.nums.items():
+                    hits = lookup.get(tuple(map(operator.add, k1, k2)))
                     if hits:
                         re = a1 * a2 - b1 * b2
                         im = a1 * b2 + b1 * a2
@@ -914,7 +862,7 @@ def _bracket_pairing_matrix(w, u, v):
             for (alpha, fden), s in zip(slots, acc):
                 if s:
                     for gamma, coeff in targets:
-                        _add_to(sums, fden * gden * hden * coeff.denominator,
+                        _add_to(sums, fden * g.den * h.den * coeff.denominator,
                                 (alpha, gamma), sign * coeff.numerator * s)
     return _PairingMatrix(alg, sums)
 
@@ -930,8 +878,20 @@ def _gram_contract(form, matrix):
         ratio = rows[alpha].get(beta)
         if ratio is not None:
             sums[ratio[1]] = sums.get(ratio[1], 0) + ratio[0] * n
-    num, lcm = _over_lcm(sums)
+    lcm = math.lcm(*sums)
+    num = sum(n * (lcm // den) for den, n in sums.items())
     return Fraction(num, lcm * matrix.den)
+
+
+def pair_integral(form, w, m):
+    """Int beta(w ^ m) over T^n, as the rational multiple of (2 pi)^n.
+
+    The same Fraction as integrating the scalar form beta_pair(form, w, m),
+    but only the zero mode of each component product is formed: the gram
+    contraction of the _PairingMatrix of w and m.  For many forms on the
+    same operands, build the matrix once and contract it with each gram.
+    """
+    return _gram_contract(form, _pairing_matrix(w, m))
 
 
 def integrate(w):

@@ -197,6 +197,41 @@ def test_cs_battery_shaped_run_pairs_each_value_once(monkeypatch):
     assert hashlib.sha256(report).hexdigest().startswith("90bf5367")
 
 
+def _count_kernels(monkeypatch):
+    """Count the pairing-matrix builds: 5 pairing and 6 bracket kernel
+    calls make the 9 matrices of one connection."""
+    calls = {}
+    for name in ("_pairing_matrix", "_bracket_pairing_matrix"):
+        def counting(*args, _name=name, _kernel=getattr(actions, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _kernel(*args)
+        monkeypatch.setattr(actions, name, counting)
+    return calls
+
+
+def test_cs_battery_shaped_run_builds_each_matrix_once(monkeypatch):
+    """The 1800 checks on {so31, iso21, so22} x 40 seeds use 120 field sets;
+    each builds its 9 matrices once, whatever the number of forms."""
+    calls = _count_kernels(monkeypatch)
+    results, passed = suites.run_suite(
+        suites.SuiteConfig(seed_start=0, seed_end=39))
+    assert passed and len(results) == 1800
+    assert calls == {"_pairing_matrix": 5 * 120,
+                     "_bracket_pairing_matrix": 6 * 120}
+
+
+def test_matrices_are_kept_per_connection(monkeypatch):
+    alg = build_algebra("so22")
+    f = FieldSet(alg, 2).connection
+    calls = _count_kernels(monkeypatch)
+    forms = [invariant_form(alg, 1, 0), invariant_form(alg, 2, -3),
+             killing_form(alg), star_form(alg)]
+    for form in forms:
+        for functional in (f.cs_a, f.cs_a_t, f.palatini, f.cs_omega_torsion):
+            functional(form)
+    assert calls == {"_pairing_matrix": 5, "_bracket_pairing_matrix": 6}
+
+
 def test_values_are_keyed_by_the_form_object(monkeypatch):
     alg = build_algebra("so31")
     f = FieldSet(alg, 3).connection
@@ -243,7 +278,7 @@ def test_public_functionals_do_not_share_values():
 
 
 # ---------------------------------------------------------------------------
-# the row-driven pairing on forms whose gram has empty rows
+# the pairing on forms whose gram has empty rows
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["so41", "so32"])
