@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -38,17 +38,16 @@ from . import exactla
 from .algebra import _per_algebra, invariant_form, killing_form, star_form
 from .calculus import (
     LieForm,
-    covariant_d,
     exterior_d,
     lie_bracket_forms,
     pair_integral,
     random_form,
     _bracket_pairing_matrix,
+    _d_pairing_matrix,
     _det_on_points,
     _eval_on_points,
     _gram_contract,
     _lattice,
-    _pairing_matrix,
     _point_coefficients,
     _rng_for,
     _trig_table,
@@ -111,6 +110,9 @@ class CouplingConstants:
     c1: Fraction = Fraction(0)
     mu: Fraction | None = None
     gamma: Fraction | None = None
+    # {id(alg): (alg, form)} of invariant_form; no part of the value
+    _forms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c0", Fraction(self.c0))
@@ -123,6 +125,17 @@ class CouplingConstants:
             object.__setattr__(self, "gamma", Fraction(self.gamma))
             if self.gamma == 0:
                 raise ValueError("Immirzi parameter gamma must be nonzero")
+
+    def invariant_form(self, alg):
+        """The invariant form (c0, c1) of alg, looked up once per algebra
+        object and kept here: a battery shares one couplings object among
+        all seeds of an (identity, algebra, coupling row), and the lookup
+        key of _per_algebra hashes both Fractions on every call."""
+        hit = self._forms.get(id(alg))
+        if hit is None:     # the entry holds alg, so its id stays valid
+            hit = self._forms[id(alg)] = (
+                alg, _per_algebra(invariant_form, alg, self.c0, self.c1))
+        return hit[1]
 
     def as_dict(self):
         return {
@@ -189,15 +202,14 @@ class ConnectionForms:
     built on first use and kept: (A, dA), (A, [A,A]), (~A, d~A),
     (~A, [~A,~A]) for A = omega + e and ~A = omega - e, then (omega,
     d omega), (omega, [omega, omega]), (e, R), (e, [e,e]) and
-    (e, d_omega e).  A matrix with a bracket reads it as a trilinear zero
-    mode, so no bracket is formed.  Each functional value is kept too,
-    once per invariant form: S_CS^beta(A), S_CS^beta(~A), the Palatini
-    value and S_CS^beta(omega) plus the torsion pairing.  A value is keyed
-    by the form object, not by (c0, c1), and its entry holds the form, so
-    the id stays valid.  The A and ~A values pair only A or ~A, the others
-    only e and omega, so the two sides of a split identity share no
-    matrix.  The operand forms (dA, [A,A], R, d_omega e, ...) are built
-    only on request.
+    (e, d_omega e).  A matrix reads a d as a derivative pairing and a
+    bracket as a trilinear zero mode, so neither dA, d~A, d omega, de nor
+    any bracket is formed.  Each functional value is kept too, once per
+    invariant form: S_CS^beta(A), S_CS^beta(~A), the Palatini value and
+    S_CS^beta(omega) plus the torsion pairing.  A value is keyed by the
+    form object, not by (c0, c1), and its entry holds the form, so the id
+    stays valid.  The A and ~A values pair only A or ~A, the others only e
+    and omega, so the two sides of a split identity share no matrix.
     """
 
     def __init__(self, omega, e):
@@ -236,11 +248,19 @@ class ConnectionForms:
             _chern_simons(form, self.omega_dw, self.omega_ww)
             + self.torsion(form)))
 
+    @cached_property
+    def a(self):
+        return self.omega + self.e
+
+    @cached_property
+    def a_t(self):
+        return self.omega - self.e
+
     # -- pairing matrices ---------------------------------------------------
 
     @cached_property
     def a_da(self):
-        return _pairing_matrix(self.a, self.da)
+        return _d_pairing_matrix(self.a, self.a)
 
     @cached_property
     def a_aa(self):
@@ -248,7 +268,7 @@ class ConnectionForms:
 
     @cached_property
     def a_t_da_t(self):
-        return _pairing_matrix(self.a_t, self.da_t)
+        return _d_pairing_matrix(self.a_t, self.a_t)
 
     @cached_property
     def a_t_aa_t(self):
@@ -256,7 +276,7 @@ class ConnectionForms:
 
     @cached_property
     def omega_dw(self):
-        return _pairing_matrix(self.omega, self.dw)
+        return _d_pairing_matrix(self.omega, self.omega)
 
     @cached_property
     def omega_ww(self):
@@ -265,7 +285,7 @@ class ConnectionForms:
     @cached_property
     def e_r(self):
         """(e, R) with R = d omega + 1/2 [omega, omega]."""
-        return _pairing_matrix(self.e, self.dw).add(
+        return _d_pairing_matrix(self.e, self.omega).add(
             _bracket_pairing_matrix(self.e, self.omega, self.omega), HALF)
 
     @cached_property
@@ -275,58 +295,8 @@ class ConnectionForms:
     @cached_property
     def e_dwe(self):
         """(e, d_omega e) with d_omega e = de + [omega, e]."""
-        return _pairing_matrix(self.e, self.de).add(
+        return _d_pairing_matrix(self.e, self.e).add(
             _bracket_pairing_matrix(self.e, self.omega, self.e))
-
-    # -- operand forms ------------------------------------------------------
-
-    @cached_property
-    def a(self):
-        return self.omega + self.e
-
-    @cached_property
-    def da(self):
-        return exterior_d(self.a)
-
-    @cached_property
-    def aa(self):
-        return lie_bracket_forms(self.a, self.a)
-
-    @cached_property
-    def a_t(self):
-        return self.omega - self.e
-
-    @cached_property
-    def da_t(self):
-        return exterior_d(self.a_t)
-
-    @cached_property
-    def aa_t(self):
-        return lie_bracket_forms(self.a_t, self.a_t)
-
-    @cached_property
-    def dw(self):
-        return exterior_d(self.omega)
-
-    @cached_property
-    def ww(self):
-        return lie_bracket_forms(self.omega, self.omega)
-
-    @cached_property
-    def r(self):
-        return self.dw + self.ww.scale(HALF)
-
-    @cached_property
-    def de(self):
-        return exterior_d(self.e)
-
-    @cached_property
-    def ee(self):
-        return lie_bracket_forms(self.e, self.e)
-
-    @cached_property
-    def dwe(self):
-        return covariant_d(self.omega, self.e)
 
 
 # field density of the random connection behind the 3d CS identities
@@ -432,8 +402,7 @@ def cs_action(a, form):
     if a.dim != 3:
         raise CartanError("Chern-Simons action lives on a 3-torus")
     return _exact_value(3, _chern_simons(
-        form, _pairing_matrix(a, exterior_d(a)),
-        _bracket_pairing_matrix(a, a, a)))
+        form, _d_pairing_matrix(a, a), _bracket_pairing_matrix(a, a, a)))
 
 
 def _connection_3d(omega, e):
@@ -907,7 +876,8 @@ def _needs(covered, noun="algebra"):
 
 
 def _gram_blocks_zero(form, rows, cols):
-    return all(form.gram[i][j] == 0 for i in rows for j in cols)
+    ratios = form.gram_ratios      # the nonzero entries of each row
+    return not any(j in ratios[i] for i in rows for j in cols)
 
 
 def _exact_residual(identity_id, fields, couplings):
@@ -917,7 +887,7 @@ def _exact_residual(identity_id, fields, couplings):
         e = fields.random_form(1, "p", 0.5, dim=4)
         ee = lie_bracket_forms(e, e)
         return pair_integral(_per_algebra(killing_form, alg), ee, ee)
-    form = _per_algebra(invariant_form, alg, c0, c1)
+    form = couplings.invariant_form(alg)
     if identity_id == "MM_EXPANSION":
         conn = CartanConnection(fields.random_form(1, "h", 0.35, dim=4),
                                 fields.random_form(1, "p", 0.5, dim=4))

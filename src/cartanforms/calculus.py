@@ -354,9 +354,13 @@ def _check_key(values, dim, degree, alpha, idx):
 
 
 class _Form:
-    """Shared body of ScalarForm and LieForm: sparse TrigPoly components."""
+    """Shared body of ScalarForm and LieForm: sparse TrigPoly components.
 
-    __slots__ = ("algebra", "dim", "degree", "comps")
+    `comps` is written only when the form is made; `_index` keeps the
+    frequency index of the components (_freq_index) once it is built.
+    """
+
+    __slots__ = ("algebra", "dim", "degree", "comps", "_index")
 
     def __init__(self, algebra, dim, degree, comps):
         if not 0 <= degree <= dim:
@@ -364,6 +368,7 @@ class _Form:
         self.algebra = algebra
         self.dim = dim
         self.degree = degree
+        self._index = None
         self.comps = {}
         values = self._values
         for (alpha, idx), poly in comps.items():
@@ -382,6 +387,7 @@ class _Form:
         """A form of this kind on the same torus; comps is taken as is."""
         f = object.__new__(type(self))
         f.algebra, f.dim, f.degree, f.comps = self.algebra, self.dim, degree, comps
+        f._index = None
         return f
 
     def _check_mate(self, other):
@@ -714,37 +720,43 @@ def _complement(dim, idx):
     return tuple(i for i in range(dim) if i not in idx)
 
 
-def _check_top(w, *mates):
+def _check_top(w, *mates, derivatives=0):
     """Refuse the operands of an integral over T^n of w wedged with the
-    mates: another algebra or torus, or degrees that do not sum to n."""
+    mates, after `derivatives` exterior derivatives of the last: another
+    algebra or torus, or degrees that do not sum to n."""
     for m in mates:
         w._check_mate(m)
-    deg = w.degree + sum(m.degree for m in mates)
+    deg = w.degree + sum(m.degree for m in mates) + derivatives
     if deg != w.dim:
         raise DegreeError(f"pairing degree {deg} is not the top degree on "
                           f"T^{w.dim}")
 
 
-def _zero_mode(fnums, gnums):
-    """Numerator of the zero mode of f g from the numerators of f and g.
-
-    Every TrigPoly stores the Hermitian partner of each mode, so
-    (f g)_0 = sum_k Re(f_k conj(g_k)) = sum_k (a_k c_k + b_k d_k) over the
-    frequencies f and g share.
-    """
-    if len(fnums) > len(gnums):
-        fnums, gnums = gnums, fnums
-    s = 0
-    for k, (a, b) in fnums.items():
-        other = gnums.get(k)
-        if other is not None:
-            s += a * other[0] + b * other[1]
-    return s
+def _freq_index(form):
+    """{multi-index: {k: [(alpha, re, im, den)]}}: the modes of the form by
+    block and frequency, the numerators re + i im over the component's
+    denominator.  Built on first use and kept on the form, whose
+    components never change."""
+    index = form._index
+    if index is None:
+        index = {}
+        for (alpha, idx), poly in form.comps.items():
+            block = index.setdefault(idx, {})
+            den = poly.den
+            for k, (a, b) in poly.nums.items():
+                block.setdefault(k, []).append((alpha, a, b, den))
+        form._index = index
+    return index
 
 
 # ---------------------------------------------------------------------------
 # pairing matrices
 # ---------------------------------------------------------------------------
+#
+# Each matrix is a join of the frequency indices of its operands.  Every
+# TrigPoly stores the Hermitian partner of each mode, so the zero mode of a
+# product f g is sum_k Re(f_k conj(g_k)) over the frequencies f and g
+# share, and the mode of f at -k is the conjugate of its mode at k.
 
 class _PairingMatrix:
     """Int w^alpha ^ m^beta over T^n for every pair of value indices of two
@@ -789,21 +801,71 @@ def _add_to(sums, den, key, n):
 def _pairing_matrix(w, m):
     """The _PairingMatrix of Int w^alpha ^ m^beta.
 
-    Each component of w looks up the components of m at its complement and
-    reads the zero mode of each product.
+    Each block I of w meets the block of m at the complement of I; at each
+    shared frequency k the entry gains sign(I, complement) (a c + b d) for
+    the modes a + i b of w and c + i d of m.
     """
     _check_top(w, m)
-    mates = {}
-    for (beta, j_idx), g in m.comps.items():
-        mates.setdefault(j_idx, []).append((beta, g))
+    mates = _freq_index(m)
     sums = {}
-    for (alpha, i_idx), f in w.comps.items():
+    for i_idx, fblock in _freq_index(w).items():
         j_idx = _complement(w.dim, i_idx)
+        gblock = mates.get(j_idx)
+        if gblock is None:
+            continue
         sign = _merge_indices(i_idx, j_idx)[0]
-        for beta, g in mates.get(j_idx, ()):
-            s = _zero_mode(f.nums, g.nums)
-            if s:
-                _add_to(sums, f.den * g.den, (alpha, beta), sign * s)
+        for k, fs in fblock.items():
+            gs = gblock.get(k)
+            if gs is None:
+                continue
+            for alpha, a, b, fden in fs:
+                for beta, c, d, gden in gs:
+                    s = a * c + b * d
+                    if s:
+                        _add_to(sums, fden * gden, (alpha, beta), sign * s)
+    return _PairingMatrix(w.algebra, sums)
+
+
+@functools.cache
+def _d_pairing_sign(dim, i_idx, j_idx):
+    """(l, sign) when blocks I of w and J of m leave exactly the index l
+    free: J is paired with the d_l part of dm at L = (l, J) merged, with
+    sign(l, J) sign(I, L).  None for any other pair of blocks."""
+    sign, merged = _merge_indices(i_idx, j_idx)
+    free = _complement(dim, merged) if sign else ()
+    if len(free) != 1:
+        return None
+    l_sign, l_idx = _merge_indices(free, j_idx)
+    return free[0], l_sign * _merge_indices(i_idx, l_idx)[0]
+
+
+def _d_pairing_matrix(w, m):
+    """The _PairingMatrix of Int w^alpha ^ (dm)^beta, without dm.
+
+    The mode k of d_l g is i k_l (c + i d), so a block I of w meets each
+    block J of m that leaves one index l free (_d_pairing_sign), and at
+    each shared frequency k the entry gains sign k_l (b c - a d).  Refuses
+    what _pairing_matrix(w, exterior_d(m)) refuses.
+    """
+    _check_top(w, m, derivatives=1)
+    dim, mates = w.dim, _freq_index(m)
+    sums = {}
+    for i_idx, fblock in _freq_index(w).items():
+        for j_idx, gblock in mates.items():
+            hit = _d_pairing_sign(dim, i_idx, j_idx)
+            if hit is None:
+                continue
+            l, sign = hit
+            for k, fs in fblock.items():
+                gs = gblock.get(k)
+                if gs is None or not k[l]:
+                    continue
+                kl = sign * k[l]
+                for alpha, a, b, fden in fs:
+                    for beta, c, d, gden in gs:
+                        s = b * c - a * d
+                        if s:
+                            _add_to(sums, fden * gden, (alpha, beta), kl * s)
     return _PairingMatrix(w.algebra, sums)
 
 
@@ -812,11 +874,16 @@ def _bracket_pairing_matrix(w, u, v):
 
     The integral of a component product f g h is its zero mode,
     sum over k1 + k2 + k3 = 0 of Re(g_k1 h_k2 f_k3).  So each pair of
-    components of u and v walks the bracket table and the merge sign as
-    lie_bracket_forms does (the unordered walk and _self_bracket_table when
-    v is u), and for each pair of modes (k1, k2) looks up the components
-    of w at the complementary multi-index at -(k1 + k2); product terms that
-    no pairing reads are never formed.
+    blocks (I1, I2) of u and v takes its merge sign and the block of w at
+    the complement once, joins the frequencies k1 and k2 of its modes, and
+    only where w has a mode at -(k1 + k2), the conjugate of its mode
+    a + i b at k1 + k2, reads the bracket table for the components there:
+    (g h)_re a + (g h)_im b per value triple.  [u, v] is never formed.
+
+    A self-bracket of degree >= 1 visits each unordered block pair once,
+    I1 < I2, with the table D of _self_bracket_table, which folds both
+    orders of a pair into one (see there); a pair within one block repeats
+    an index.
     """
     _check_top(w, u, v)
     alg, dim = w.algebra, w.dim
@@ -825,45 +892,49 @@ def _bracket_pairing_matrix(w, u, v):
         table = _per_algebra(_self_bracket_table, alg, u.degree % 2)
     else:
         table = alg.bracket_table
-    # per multi-index of w: its (alpha, den) slots, and per frequency -k
-    # the slots that have the mode k, with its numerators
-    w_by_idx = {}
-    for (alpha, i_idx), f in w.comps.items():
-        slots, lookup = w_by_idx.setdefault(i_idx, ([], {}))
-        for k, (a, b) in f.nums.items():
-            lookup.setdefault(tuple(-x for x in k), []).append(
-                (len(slots), a, b))
-        slots.append((alpha, f.den))
-    mates = list(v.comps.items())
+    windex, vindex = _freq_index(w), _freq_index(v)
     sums = {}
-    for p, ((beta, i1), g) in enumerate(u.comps.items()):
-        row = table[beta]
-        for (delta, i2), h in (mates[p + 1:] if unordered else mates):
-            targets = row[delta]
-            if not targets:
+    for i1, gblock in _freq_index(u).items():
+        for i2, hblock in vindex.items():
+            if unordered and i2 <= i1:
                 continue
             sign, merged = _merge_indices(i1, i2)
             if sign == 0:
                 continue
             i_idx = _complement(dim, merged)
-            if i_idx not in w_by_idx:
+            fblock = windex.get(i_idx)
+            if fblock is None:
                 continue
-            slots, lookup = w_by_idx[i_idx]
             sign *= _merge_indices(i_idx, merged)[0]
-            acc = [0] * len(slots)
-            for k1, (a1, b1) in g.nums.items():
-                for k2, (a2, b2) in h.nums.items():
-                    hits = lookup.get(tuple(map(operator.add, k1, k2)))
-                    if hits:
-                        re = a1 * a2 - b1 * b2
-                        im = a1 * b2 + b1 * a2
-                        for slot, a3, b3 in hits:
-                            acc[slot] += re * a3 - im * b3
-            for (alpha, fden), s in zip(slots, acc):
-                if s:
-                    for gamma, coeff in targets:
-                        _add_to(sums, fden * g.den * h.den * coeff.denominator,
-                                (alpha, gamma), sign * coeff.numerator * s)
+            part = {}
+            for k1, gs in gblock.items():
+                for k2, hs in hblock.items():
+                    # unrolled in 3d: map() takes about three times as long
+                    if dim == 3:
+                        k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
+                    else:
+                        k = tuple(map(operator.add, k1, k2))
+                    fs = fblock.get(k)
+                    if fs is None:
+                        continue
+                    for beta, a1, b1, _ in gs:
+                        row = table[beta]
+                        for delta, a2, b2, _ in hs:
+                            if not row[delta]:
+                                continue
+                            re = a1 * a2 - b1 * b2
+                            im = a1 * b2 + b1 * a2
+                            for alpha, a3, b3, _ in fs:
+                                key = (alpha, beta, delta)
+                                part[key] = part.get(key, 0) + re * a3 + im * b3
+            for (alpha, beta, delta), s in part.items():
+                if not s:
+                    continue
+                den = (w.comps[(alpha, i_idx)].den * u.comps[(beta, i1)].den
+                       * v.comps[(delta, i2)].den)
+                for gamma, coeff in table[beta][delta]:
+                    _add_to(sums, den * coeff.denominator, (alpha, gamma),
+                            sign * coeff.numerator * s)
     return _PairingMatrix(alg, sums)
 
 

@@ -169,6 +169,9 @@ def validate_config(cfg):
         try:
             if name not in _alg_mod.ALGEBRA_NAMES:
                 raise ValueError("not an algebra")
+            if not isinstance(rows, (list, tuple)) or not rows:
+                # an empty table would drop the algebra from every battery
+                raise ValueError(f"rows must be a non-empty list, got {rows!r}")
             for row in rows:
                 _coupling(row)
         except (TypeError, ValueError, ZeroDivisionError) as exc:

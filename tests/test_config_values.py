@@ -56,6 +56,17 @@ def test_validate_config_refuses_bad_couplings(couplings):
         suites.validate_config(suites.SuiteConfig(couplings=couplings))
 
 
+@pytest.mark.parametrize("rows", [[], {}], ids=str)
+def test_empty_coupling_rows_are_usage_errors(tmp_path, capsys, rows):
+    """An empty row list would drop so31 from every battery of the run,
+    though it is configured."""
+    rc = _verify(tmp_path, {"couplings": {"so31": rows}})
+    err = _one_line_usage_error(capsys, rc, tmp_path)
+    assert "couplings for 'so31'" in err
+    with pytest.raises(suites.SuiteConfigError, match="'so31'"):
+        suites.validate_config(suites.SuiteConfig(couplings={"so31": rows}))
+
+
 @pytest.mark.parametrize("key, value", [
     ("cutoff", 1.7), ("cutoff", True), ("grid", True), ("grid", 12.0),
     ("seeds", [0, 1.9]), ("seeds", [False, 2]), ("seeds", ["0", 2]),

@@ -34,6 +34,8 @@ from cartanforms.calculus import (
     save_fields,
 )
 
+from connection_operands import ConnectionOperands
+
 ACTIONS = [palatini_action, torsion_pairing, cs_omega_torsion_action]
 CLI_ACTIONS = ["palatini", "cs_omega_torsion"]
 
@@ -108,7 +110,7 @@ def test_zero_forms_stay_valid(tmp_path, capsys):
     # e = 0: only S_CS(omega) is left
     assert cs_omega_torsion_action(f.omega, zero).exact == (
         Fraction(1, 2) * pair_integral(k, f.omega, f.omega.d())
-        + Fraction(1, 6) * pair_integral(k, f.omega, f.ww))
+        + Fraction(1, 6) * pair_integral(k, f.omega, ConnectionOperands(f).ww))
     for action in ACTIONS:
         assert action(zero, zero).exact == 0
     path = tmp_path / "fields.json"

@@ -231,3 +231,40 @@ def test_verify_requested_suites_with_no_checks_fail(tmp_path, capsys):
     assert rc == 1
     assert "no checks" in capsys.readouterr().err
     assert json.loads(out.read_text())["summary"]["total"] == 0
+
+
+def test_couplings_keep_their_invariant_form_per_algebra_object():
+    so31, bad = build_algebra("so31"), corrupted_so31()
+    cc = CouplingConstants(2, 3)
+    form = cc.invariant_form(so31)
+    assert form is actions._per_algebra(actions.invariant_form, so31,
+                                        Fraction(2), Fraction(3))
+    assert cc.invariant_form(so31) is form
+    # equal couplings find the same form; the kept form is no field
+    twin = CouplingConstants(2, 3)
+    assert twin == cc and hash(twin) == hash(cc)
+    assert twin.invariant_form(so31) is form
+    assert repr(cc) == repr(twin) and cc.as_dict() == twin.as_dict()
+    # a damaged algebra under the same name gets its own form
+    assert cc.invariant_form(bad) is not form
+    assert cc.invariant_form(bad).algebra is bad
+
+
+def test_battery_looks_up_each_invariant_form_once_per_couplings(
+        monkeypatch):
+    """The planner shares one couplings object among the seeds of an
+    (identity, algebra, coupling row), so a 5 x 3 x 3 battery on 4 seeds
+    looks its invariant forms up 45 times, not once per check."""
+    lookups = []
+    per_algebra = actions._per_algebra
+
+    def counting(build, alg, *args):
+        if build is actions.invariant_form:
+            lookups.append((alg.name, *args))
+        return per_algebra(build, alg, *args)
+
+    monkeypatch.setattr(actions, "_per_algebra", counting)
+    cfg = suites.SuiteConfig(seed_start=0, seed_end=3)
+    results, passed = suites.run_suite(cfg)
+    assert passed and len(results) == 5 * 3 * 3 * 4
+    assert len(lookups) == 5 * 3 * 3

@@ -4,8 +4,8 @@ check did its own pairings.
 
 The reference is the per-check path kept here: a fresh FieldSet for every
 check and direct calls of the grouped pairing kernel below, which builds the
-mates of m by multi-index on every call, on the operand forms ([A,A], R,
-d_omega e, ...) that ConnectionForms builds on request.  The battery under
+mates of m by multi-index on every call, on the operand forms (dA, [A,A], R,
+d_omega e, ...) that `connection_operands` builds from (omega, e).  The battery under
 test shares one field set per (algebra, seed, cutoff) and reads each
 S_CS^beta(A), S_CS^beta(~A), Palatini and S_CS^beta(omega) + torsion value
 from the ConnectionForms memo, as gram contractions of its pairing matrices.
@@ -18,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from cartanforms import actions, suites
+from cartanforms import actions, calculus, suites
 from cartanforms.actions import FieldSet
 from cartanforms.algebra import (
     build_algebra,
@@ -36,6 +36,8 @@ from cartanforms.calculus import (
     _gram_contract,
     _merge_indices,
 )
+
+from connection_operands import ConnectionOperands
 
 HALF, SIXTH = Fraction(1, 2), Fraction(1, 6)
 CUSTOM_ROWS = [("-1/2", "5/3"), (3, "-2/7")]
@@ -91,7 +93,7 @@ def ref_cs_omega_torsion(form, f):
 def ref_residual(identity_id, alg, seed, couplings, cutoff):
     """lhs - rhs of an exact 3d identity, every pairing made afresh."""
     c0, c1 = couplings.c0, couplings.c1
-    f = FieldSet(alg, seed, cutoff).connection
+    f = ConnectionOperands(FieldSet(alg, seed, cutoff).connection)
     form = invariant_form(alg, c0, c1)
     k, s = killing_form(alg), star_form(alg)
     cs_a = ref_cs(form, f.a, f.da, f.aa)
@@ -198,14 +200,32 @@ def test_cs_battery_shaped_run_pairs_each_value_once(monkeypatch):
 
 
 def _count_kernels(monkeypatch):
-    """Count the pairing-matrix builds: 5 pairing and 6 bracket kernel
-    calls make the 9 matrices of one connection."""
+    """Count the pairing-matrix builds: 5 derivative pairing and 6 bracket
+    kernel calls make the 9 matrices of one connection.  A plain pairing
+    matrix (pair_integral's kernel) is counted too; the 3d functionals
+    build none."""
     calls = {}
-    for name in ("_pairing_matrix", "_bracket_pairing_matrix"):
-        def counting(*args, _name=name, _kernel=getattr(actions, name)):
+    for module, name in ((calculus, "_pairing_matrix"),
+                         (actions, "_d_pairing_matrix"),
+                         (actions, "_bracket_pairing_matrix")):
+        def counting(*args, _name=name, _kernel=getattr(module, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _kernel(*args)
-        monkeypatch.setattr(actions, name, counting)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _count_differentials(monkeypatch):
+    """Count exterior derivatives, whichever name they are taken by
+    (exterior_d, covariant_d and d() all go through _Form.d)."""
+    calls = [0]
+    d = calculus._Form.d
+
+    def counting(w):
+        calls[0] += 1
+        return d(w)
+
+    monkeypatch.setattr(calculus._Form, "d", counting)
     return calls
 
 
@@ -216,8 +236,20 @@ def test_cs_battery_shaped_run_builds_each_matrix_once(monkeypatch):
     results, passed = suites.run_suite(
         suites.SuiteConfig(seed_start=0, seed_end=39))
     assert passed and len(results) == 1800
-    assert calls == {"_pairing_matrix": 5 * 120,
+    assert calls == {"_d_pairing_matrix": 5 * 120,
                      "_bracket_pairing_matrix": 6 * 120}
+
+
+def test_cs_battery_shaped_run_forms_no_differential(monkeypatch):
+    """dA, d~A, d omega and de are read as derivative pairings, never
+    built; the same run still gives the pinned report."""
+    calls = _count_differentials(monkeypatch)
+    cfg = suites.SuiteConfig(seed_start=0, seed_end=39)
+    results, passed = suites.run_suite(cfg)
+    assert passed and len(results) == 1800
+    assert calls == [0]
+    report = suites.emit_report(results, cfg).encode()
+    assert hashlib.sha256(report).hexdigest().startswith("90bf5367")
 
 
 def test_matrices_are_kept_per_connection(monkeypatch):
@@ -229,21 +261,22 @@ def test_matrices_are_kept_per_connection(monkeypatch):
     for form in forms:
         for functional in (f.cs_a, f.cs_a_t, f.palatini, f.cs_omega_torsion):
             functional(form)
-    assert calls == {"_pairing_matrix": 5, "_bracket_pairing_matrix": 6}
+    assert calls == {"_d_pairing_matrix": 5, "_bracket_pairing_matrix": 6}
 
 
 def test_values_are_keyed_by_the_form_object(monkeypatch):
     alg = build_algebra("so31")
     f = FieldSet(alg, 3).connection
+    o = ConnectionOperands(f)
     twins = [invariant_form(alg, 2, 3), invariant_form(alg, 2, 3)]
     forms = twins + [killing_form(alg), invariant_form(alg, 1, 0)]
     calls = _count_pairings(monkeypatch)
     for form in forms:
         for _ in range(3):
-            assert f.cs_a(form) == ref_cs(form, f.a, f.da, f.aa)
-            assert f.cs_a_t(form) == ref_cs(form, f.a_t, f.da_t, f.aa_t)
-            assert f.palatini(form) == ref_palatini(form, f)
-            assert f.cs_omega_torsion(form) == ref_cs_omega_torsion(form, f)
+            assert f.cs_a(form) == ref_cs(form, o.a, o.da, o.aa)
+            assert f.cs_a_t(form) == ref_cs(form, o.a_t, o.da_t, o.aa_t)
+            assert f.palatini(form) == ref_palatini(form, o)
+            assert f.cs_omega_torsion(form) == ref_cs_omega_torsion(form, o)
     # 2 + 2 + 2 + 3 pairings per form object, whatever its (c0, c1)
     assert calls[0] == 9 * len(forms)
 
@@ -252,10 +285,11 @@ def test_short_lived_forms_get_their_own_values():
     """An entry holds its form, so a later form never takes its id."""
     alg = build_algebra("so22")
     f = FieldSet(alg, 1).connection
+    o = ConnectionOperands(f)
     for c1 in range(-10, 10):
         form = invariant_form(alg, 1, c1)
-        assert f.cs_a(form) == ref_cs(form, f.a, f.da, f.aa)
-        assert f.palatini(form) == ref_palatini(form, f)
+        assert f.cs_a(form) == ref_cs(form, o.a, o.da, o.aa)
+        assert f.palatini(form) == ref_palatini(form, o)
 
 
 def test_public_functionals_do_not_share_values():
@@ -263,7 +297,7 @@ def test_public_functionals_do_not_share_values():
     fields = FieldSet(alg, 0)
     omega, e = fields.connection.omega, fields.connection.e
     k, s = killing_form(alg), star_form(alg)
-    f = fields.connection
+    f = ConnectionOperands(fields.connection)
     assert actions.palatini_action(omega, e).exact == ref_palatini(s, f)
     assert (actions.cs_omega_torsion_action(omega, e).exact
             == ref_cs_omega_torsion(k, f))

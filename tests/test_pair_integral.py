@@ -27,6 +27,7 @@ from cartanforms.algebra import (
 from cartanforms.calculus import (
     DegreeError,
     beta_pair,
+    exterior_d,
     integrate,
     lie_bracket_forms,
     pair_integral,
@@ -34,6 +35,8 @@ from cartanforms.calculus import (
     _PairingMatrix,
 )
 from cartanforms.cartan import CartanConnection, curvature
+
+from connection_operands import ConnectionOperands
 
 
 def reference(form, w, m):
@@ -65,9 +68,13 @@ def reference_bracket_matrix(w, u, v):
     return reference_matrix(w, lie_bracket_forms(u, v))
 
 
+def reference_d_matrix(w, m):
+    return reference_matrix(w, exterior_d(m))
+
+
 def _use_reference_matrices(monkeypatch):
     """Have the battery pair through the full-pairing reference matrices."""
-    monkeypatch.setattr(actions, "_pairing_matrix", reference_matrix)
+    monkeypatch.setattr(actions, "_d_pairing_matrix", reference_d_matrix)
     monkeypatch.setattr(actions, "_bracket_pairing_matrix",
                         reference_bracket_matrix)
 
@@ -112,12 +119,12 @@ def test_matches_full_pairing_on_3d_battery_operands(name, cutoff):
     alg = build_algebra(name)
     forms = forms_of(alg)
     for seed in range(3):
-        f = FieldSet(alg, seed, cutoff).connection
-        operands = [(f.a, f.da), (f.a, f.aa), (f.a_t, f.da_t), (f.a_t, f.aa_t),
-                    (f.omega, f.dw), (f.omega, f.ww), (f.e, f.r), (f.e, f.ee),
-                    (f.e, f.dwe), (f.da, f.a)]
+        f = ConnectionOperands(FieldSet(alg, seed, cutoff).connection)
+        pairs = [(f.a, f.da), (f.a, f.aa), (f.a_t, f.da_t), (f.a_t, f.aa_t),
+                 (f.omega, f.dw), (f.omega, f.ww), (f.e, f.r), (f.e, f.ee),
+                 (f.e, f.dwe), (f.da, f.a)]
         for form in forms:
-            for w, m in operands:
+            for w, m in pairs:
                 assert pair_integral(form, w, m) == reference(form, w, m)
 
 

@@ -1,13 +1,15 @@
 """The pairing matrices against the pairings they replace.
 
 `_pairing_matrix(w, m)` holds Int w^alpha ^ m^beta for every pair of value
-indices, and `_bracket_pairing_matrix(w, u, v)` holds
+indices, `_d_pairing_matrix(w, m)` holds Int w^alpha ^ (dm)^beta without
+forming dm, and `_bracket_pairing_matrix(w, u, v)` holds
 Int w^alpha ^ [u, v]^gamma without forming [u, v]; `_gram_contract` pairs
-either with an invariant form.  Entry by entry each must equal the
+any of them with an invariant form.  Entry by entry each must equal the
 reference matrix of the full pairing (integrate(beta_pair(...)) with unit
-grams, on the bracket built by lie_bracket_forms), and contracted with
-every form of the family, degenerate ones included, the Fraction that
-`pair_integral` and the full pairing give.
+grams, on the dm built by exterior_d and the bracket built by
+lie_bracket_forms), and contracted with every form of the family,
+degenerate ones included, the Fraction that `pair_integral` and the full
+pairing give.
 """
 
 import dataclasses
@@ -20,14 +22,19 @@ from cartanforms.algebra import AlgebraError, build_algebra, killing_form
 from cartanforms.calculus import (
     CalculusError,
     DegreeError,
+    LieForm,
+    TrigPoly,
+    exterior_d,
     lie_bracket_forms,
     pair_integral,
     random_form,
     _bracket_pairing_matrix,
+    _d_pairing_matrix,
     _gram_contract,
     _pairing_matrix,
 )
 
+from connection_operands import ConnectionOperands
 from test_pair_integral import (
     forms_of,
     reference,
@@ -57,6 +64,15 @@ def check_matrix(got, w, m, forms):
 def check_bracket(w, u, v, forms):
     return check_matrix(_bracket_pairing_matrix(w, u, v), w,
                         lie_bracket_forms(u, v), forms)
+
+
+def check_d(w, m, forms):
+    """_d_pairing_matrix(w, m) against the matrices of w and the built dm:
+    the kernel's and the full pairing's."""
+    dm = exterior_d(m)
+    got = _d_pairing_matrix(w, m)
+    assert entries(got) == entries(_pairing_matrix(w, dm))
+    return check_matrix(got, w, dm, forms)
 
 
 def random_forms(alg, seed, cutoff, dim=None):
@@ -117,12 +133,13 @@ def test_connection_matrices_match_their_operand_forms(name, cutoff):
     forms = forms_of(alg)
     for seed in range(3):
         f = FieldSet(alg, seed, cutoff).connection
-        for got, w, m in ((f.a_da, f.a, f.da), (f.a_aa, f.a, f.aa),
-                          (f.a_t_da_t, f.a_t, f.da_t),
-                          (f.a_t_aa_t, f.a_t, f.aa_t),
-                          (f.omega_dw, f.omega, f.dw),
-                          (f.omega_ww, f.omega, f.ww), (f.e_r, f.e, f.r),
-                          (f.e_ee, f.e, f.ee), (f.e_dwe, f.e, f.dwe)):
+        o = ConnectionOperands(f)
+        for got, w, m in ((f.a_da, o.a, o.da), (f.a_aa, o.a, o.aa),
+                          (f.a_t_da_t, o.a_t, o.da_t),
+                          (f.a_t_aa_t, o.a_t, o.aa_t),
+                          (f.omega_dw, o.omega, o.dw),
+                          (f.omega_ww, o.omega, o.ww), (f.e_r, o.e, o.r),
+                          (f.e_ee, o.e, o.ee), (f.e_dwe, o.e, o.dwe)):
             check_matrix(got, w, m, forms)
 
 
@@ -163,7 +180,7 @@ def test_damaged_table_matches_full_pairing(monkeypatch):
 
 def test_add_matches_entrywise_sum():
     alg = build_algebra("so22")
-    f = FieldSet(alg, 2).connection
+    f = ConnectionOperands(FieldSet(alg, 2).connection)
     p, t = _pairing_matrix(f.e, f.dw), _bracket_pairing_matrix(
         f.e, f.omega, f.omega)
     for x, y, c in ((p, t, Fraction(1, 2)), (p, t, 1), (t, p, -3),
@@ -202,3 +219,94 @@ def test_kernels_refuse_what_pair_integral_refuses():
         _gram_contract(killing_form(so22), matrix)
     with pytest.raises(AlgebraError):
         matrix.add(_pairing_matrix(other, random_form(1, 2, so22)))
+
+
+# ---------------------------------------------------------------------------
+# the derivative pairing Int w ^ dm
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("name", ALGEBRAS_3D)
+def test_d_matrix_matches_full_pairing_on_battery_operands(name, cutoff):
+    """The five derivative pairings of a connection, and (omega, de).
+
+    With one harmonic per component the operands seldom share a frequency;
+    at cutoff 2 so31 and so22 leave every matrix here empty, which the
+    random forms of every degree split below do not.
+    """
+    alg = build_algebra(name)
+    forms = forms_of(alg)
+    filled = 0
+    for seed in range(3):
+        f = FieldSet(alg, seed, cutoff).connection
+        for w, m in ((f.a, f.a), (f.a_t, f.a_t), (f.omega, f.omega),
+                     (f.e, f.omega), (f.e, f.e), (f.omega, f.e)):
+            check_d(w, m, forms)
+            filled += bool(_d_pairing_matrix(w, m).nums)
+    assert filled > 0 or cutoff == 2
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("name", ALGEBRAS_3D)
+def test_d_matrix_every_degree_split_on_t3(name, cutoff):
+    alg = build_algebra(name)
+    forms = forms_of(alg)
+    nonzero = 0
+    for seed in range(3):
+        f, g = random_forms(alg, seed, cutoff), random_forms(alg, seed + 20,
+                                                              cutoff)
+        for w, m in ((f["0"], g["2"]), (f["1"], g["1"]), (f["2"], g["0"]),
+                     (f["1"], f["1"]), (f["1"], f["1b"])):
+            nonzero += check_d(w, m, forms)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("name", ["so41", "so32"])
+def test_d_matrix_every_degree_split_on_t4(name):
+    alg = build_algebra(name)
+    forms = forms_of(alg)
+    nonzero = 0
+    for seed in range(2):
+        f, g = random_forms(alg, seed, 1), random_forms(alg, seed + 20, 1)
+        for w, m in ((f["0"], g["3"]), (f["1"], g["2"]), (f["2"], g["1"]),
+                     (f["3"], g["0"])):
+            nonzero += check_d(w, m, forms)
+    assert nonzero > 0
+
+
+def test_d_matrix_on_zero_and_constant_forms():
+    """A zero operand and a constant m (dm = 0) give the empty matrix."""
+    alg = build_algebra("so31")
+    forms = forms_of(alg)
+    f = random_forms(alg, 4, 1)
+    constant = LieForm(alg, 3, 1, {
+        (alpha, (i,)): TrigPoly.constant(3, alpha + i)
+        for alpha in range(alg.dim) for i in range(3)})
+    assert not constant.is_zero() and exterior_d(constant).is_zero()
+    for w, m in ((LieForm.zero(alg, 3, 1), f["1"]),
+                 (f["1"], LieForm.zero(alg, 3, 1)), (f["1"], constant),
+                 (LieForm.zero(alg, 3, 0), LieForm.zero(alg, 3, 2))):
+        assert not _d_pairing_matrix(w, m).nums
+        assert check_d(w, m, forms) == 0
+    # a constant w pairs to zero with any dm (no derivative has a zero mode)
+    assert not _d_pairing_matrix(constant, f["1"]).nums
+    assert check_d(constant, f["1"], forms) == 0
+
+
+def test_d_matrix_refuses_what_the_built_pairing_refuses():
+    """Another algebra or torus, or deg w + deg m + 1 != n: the same error
+    as pairing w with exterior_d(m)."""
+    so31, so22 = build_algebra("so31"), build_algebra("so22")
+    zero, one, two, three = (random_form(0, d, so31) for d in range(4))
+    cases = [(one, random_form(1, 1, so22), AlgebraError),
+             (random_form(1, 1, so22), one, AlgebraError),
+             (one, random_form(3, 1, so31, dim=4), CalculusError),
+             (random_form(3, 1, so31, dim=4), one, CalculusError)]
+    cases += [(w, m, DegreeError) for w, m in (
+        (one, two), (two, two), (zero, zero), (zero, one), (two, one),
+        (three, zero), (zero, three), (one, three))]
+    for w, m, error in cases:
+        with pytest.raises(error):
+            _d_pairing_matrix(w, m)
+        with pytest.raises(error):
+            _pairing_matrix(w, exterior_d(m))
