@@ -65,6 +65,12 @@ def _seed_range(text):
     return start, end
 
 
+def _out_path(text):
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def build_parser():
     parser = _Parser(
         prog="cartanforms",
@@ -75,7 +81,7 @@ def build_parser():
     p_verify.add_argument("--config", help="suite config JSON file")
     p_verify.add_argument("--seeds", type=_seed_range,
                           help="seed range a..b (overrides config)")
-    p_verify.add_argument("--out", help="report output path")
+    p_verify.add_argument("--out", type=_out_path, help="report output path")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall_time_ms (breaks byte determinism)")
 
@@ -88,7 +94,8 @@ def build_parser():
     p_eval.add_argument("--mu", type=_frac)
     p_eval.add_argument("--gamma", type=_frac)
     p_eval.add_argument("--grid", type=_positive_int, default=32)
-    p_eval.add_argument("--out", help="optional JSON output path")
+    p_eval.add_argument("--out", type=_out_path,
+                        help="optional JSON output path")
 
     p_hol = sub.add_parser("holonomy", help="transport along a stored path")
     p_hol.add_argument("--model", required=True,
@@ -112,7 +119,11 @@ def _cmd_verify(args):
         return 2
     text = suites.emit_report(results, cfg, timings=args.timings)
     if cfg.out:
-        path = suites.write_report(text, cfg.out)
+        try:
+            path = suites.write_report(text, cfg.out)
+        except OSError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         print(f"report written to {path}")
     else:
         print(text, end="")
@@ -185,7 +196,11 @@ def _cmd_eval(args):
     print(value.render())
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        path = suites.write_report(text, args.out)
+        try:
+            path = suites.write_report(text, args.out)
+        except OSError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         print(f"written to {path}")
     else:
         print(text, end="")

@@ -13,6 +13,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _esc
 
 from . import algebra as _alg_mod
 from .algebra import (
@@ -160,8 +161,9 @@ def validate_config(cfg):
         if type(value) is not int or value < 1:
             raise SuiteConfigError(
                 f"{key} must be a positive integer, got {value!r}")
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        raise SuiteConfigError(f"out must be a path string, got {cfg.out!r}")
+    if cfg.out is not None and not (isinstance(cfg.out, str) and cfg.out):
+        raise SuiteConfigError(
+            f"out must be a non-empty path string, got {cfg.out!r}")
     if not isinstance(cfg.couplings or {}, dict):
         raise SuiteConfigError(
             f"couplings must map algebra names to rows, got {cfg.couplings!r}")
@@ -566,47 +568,68 @@ def run_suite(cfg):
 # report emission
 # ---------------------------------------------------------------------------
 
+# One result row as json.dumps(doc, indent=2, sort_keys=True) writes it inside
+# the "results" list: keys in sorted order, the last slot for wall_time_ms.
+_ROW = ('    {\n      "algebra": %s,\n      "check": %s,\n      "couplings": %s,'
+        '\n      "inputs_digest": %s,\n      "passed": %s,\n      "residual": %s,'
+        '\n      "seed": %s,\n      "suite": %s%s\n    }')
+_int_repr = int.__repr__   # what json writes for an int
+
+
+def _nested(value, indent):
+    """json.dumps(value, indent=2, sort_keys=True) as it reads nested
+    `indent` deep: the encoder writes a newline only between tokens."""
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + indent)
+
+
 def emit_report(results, cfg, timings=False):
-    """Schema-stable JSON document; byte-deterministic unless timings on."""
-    rows = []
+    """Schema-stable JSON document; byte-deterministic unless timings on.
+
+    The text is json.dumps(doc, indent=2, sort_keys=True) + "\n" of the
+    document {config, results, schema, summary}, written row by row: the
+    indenting encoder is pure Python, so each row is filled into `_ROW`,
+    strings through the stdlib's own C escaper and each distinct couplings
+    dict (keyed by its repr) formatted once.  Row fields hold the types
+    CheckResult declares.
+    """
+    blocks, rows = {}, []
     for r in results:
-        row = {
-            "suite": r.suite,
-            "check": r.check,
-            "algebra": r.algebra,
-            "seed": r.seed,
-            "couplings": r.couplings,
-            "residual": r.residual,
-            "passed": r.passed,
-            "inputs_digest": r.inputs_digest,
-        }
-        if timings:
-            row["wall_time_ms"] = round(r.wall_time_ms, 3)
-        rows.append(row)
-    doc = {
-        "schema": 1,
-        "config": {
-            "suites": list(cfg.suites),
-            "algebras": list(cfg.algebras),
-            "seeds": [cfg.seed_start, cfg.seed_end],
-            "cutoff": cfg.cutoff,
-            "grid": cfg.grid,
-        },
-        "results": rows,
-        "summary": {
-            "total": len(rows),
-            "passed": sum(r.passed for r in results),
-            "failed": sum(not r.passed for r in results),
-        },
+        key = repr(r.couplings)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _nested(r.couplings, " " * 6)
+        rows.append(_ROW % (
+            _esc(r.algebra), _esc(r.check), block, _esc(r.inputs_digest),
+            "true" if r.passed else "false", _esc(r.residual),
+            "null" if r.seed is None else _int_repr(r.seed), _esc(r.suite),
+            f',\n      "wall_time_ms": {round(r.wall_time_ms, 3)!r}'
+            if timings else ""))
+    config = {
+        "suites": list(cfg.suites),
+        "algebras": list(cfg.algebras),
+        "seeds": [cfg.seed_start, cfg.seed_end],
+        "cutoff": cfg.cutoff,
+        "grid": cfg.grid,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    passed = sum(r.passed for r in results)
+    summary = {"total": len(rows), "passed": passed,
+               "failed": len(rows) - passed}
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return (f'{{\n  "config": {_nested(config, "  ")},\n  "results": {body},'
+            f'\n  "schema": 1,\n  "summary": {_nested(summary, "  ")}\n}}\n')
 
 
 def write_report(text, out_path):
+    """Write text to out_path (under $CARTANFORMS_OUT_DIR when relative);
+    an OSError names the resolved path."""
     directory = os.environ.get("CARTANFORMS_OUT_DIR")
     if directory and not os.path.isabs(out_path):
         out_path = os.path.join(directory, out_path)
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    with open(out_path, "w") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write report to {out_path}: {exc}") from exc
     return out_path

@@ -6,6 +6,9 @@ values, and unreadable path files.
 - `--c0`, `--c1`, `--mu` and `--gamma` take `-p/q` as a separate word, as
   they take `-1` and `--mu=-1/2`.
 - A path file that cannot be read or parsed is named as the path file.
+- A report path that cannot be written (a directory, a path under a
+  regular file, or $CARTANFORMS_OUT_DIR naming a file) is named, and an
+  empty `--out` is refused.
 Each refusal exits 2 with one line.
 """
 
@@ -117,3 +120,41 @@ def test_missing_path_file_is_named(tmp_path, capsys):
     err = _one_line(capsys)
     assert rc == 2 and err.startswith("cannot read path file: ")
     assert "missing.json" in err
+
+
+def _report_argv(command, tmp_path, out):
+    if command == "verify":
+        return ["verify", "--seeds", "0", "--out", out]
+    alg = build_algebra("so31")
+    f = tmp_path / "a.json"
+    save_fields(f, alg, {"A": random_form(2, 1, alg)})
+    return ["eval", "--fields", str(f), "--action", "cs", "--out", out]
+
+
+@pytest.mark.parametrize("command", ["verify", "eval"])
+@pytest.mark.parametrize("where", ["directory", "under-a-file", "out-dir-a-file"])
+def test_unwritable_report_path_is_named(tmp_path, capsys, monkeypatch,
+                                         command, where):
+    (tmp_path / "plain").write_text("not a directory")
+    if where == "directory":
+        out = expected = str(tmp_path)
+    elif where == "under-a-file":
+        out = expected = str(tmp_path / "plain" / "report.json")
+    else:
+        monkeypatch.setenv("CARTANFORMS_OUT_DIR", str(tmp_path / "plain"))
+        out = "report.json"
+        expected = str(tmp_path / "plain" / "report.json")
+    rc = cli.main(_report_argv(command, tmp_path, out))
+    err = _one_line(capsys)
+    assert rc == 2
+    assert err.startswith(f"cannot write report to {expected}: ")
+    assert (tmp_path / "plain").read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", ["verify", "eval"])
+def test_empty_out_path_is_refused(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_report_argv(command, tmp_path, ""))
+    assert exc.value.code == 2
+    err = capsys.readouterr()
+    assert err.out == "" and "--out: must be a non-empty path" in err.err

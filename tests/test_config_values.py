@@ -1,6 +1,7 @@
 """Config values are checked as read, not coerced: a malformed couplings
-table, a non-integer size or seed and a non-string `out` are usage errors
-(exit 2, one line on stderr); so is an arc center of the wrong length."""
+table, a non-integer size or seed and a non-string or empty `out` are usage
+errors (exit 2, one line on stderr); so is an arc center of the wrong
+length."""
 
 import json
 
@@ -70,7 +71,7 @@ def test_empty_coupling_rows_are_usage_errors(tmp_path, capsys, rows):
 @pytest.mark.parametrize("key, value", [
     ("cutoff", 1.7), ("cutoff", True), ("grid", True), ("grid", 12.0),
     ("seeds", [0, 1.9]), ("seeds", [False, 2]), ("seeds", ["0", 2]),
-    ("seeds", 3), ("out", 5), ("out", ["r.json"]),
+    ("seeds", 3), ("out", 5), ("out", ["r.json"]), ("out", ""),
 ])
 def test_config_scalars_are_not_coerced(tmp_path, capsys, key, value):
     rc = _verify(tmp_path, {"suites": ["CS_NULL"], "algebras": ["so31"],
