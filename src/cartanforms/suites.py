@@ -568,11 +568,6 @@ def run_suite(cfg):
 # report emission
 # ---------------------------------------------------------------------------
 
-# One result row as json.dumps(doc, indent=2, sort_keys=True) writes it inside
-# the "results" list: keys in sorted order, the last slot for wall_time_ms.
-_ROW = ('    {\n      "algebra": %s,\n      "check": %s,\n      "couplings": %s,'
-        '\n      "inputs_digest": %s,\n      "passed": %s,\n      "residual": %s,'
-        '\n      "seed": %s,\n      "suite": %s%s\n    }')
 _int_repr = int.__repr__   # what json writes for an int
 
 
@@ -588,10 +583,10 @@ def emit_report(results, cfg, timings=False):
 
     The text is json.dumps(doc, indent=2, sort_keys=True) + "\n" of the
     document {config, results, schema, summary}, written row by row: the
-    indenting encoder is pure Python, so each row is filled into `_ROW`,
-    strings through the stdlib's own C escaper and each distinct couplings
-    dict (keyed by its repr) formatted once.  Row fields hold the types
-    CheckResult declares.
+    indenting encoder is pure Python, so each row is filled into one
+    template with its keys in sorted order, strings through the stdlib's
+    own C escaper and each distinct couplings dict (keyed by its repr)
+    formatted once.  Row fields hold the types CheckResult declares.
     """
     blocks, rows = {}, []
     for r in results:
@@ -599,12 +594,17 @@ def emit_report(results, cfg, timings=False):
         block = blocks.get(key)
         if block is None:
             block = blocks[key] = _nested(r.couplings, " " * 6)
-        rows.append(_ROW % (
-            _esc(r.algebra), _esc(r.check), block, _esc(r.inputs_digest),
-            "true" if r.passed else "false", _esc(r.residual),
-            "null" if r.seed is None else _int_repr(r.seed), _esc(r.suite),
-            f',\n      "wall_time_ms": {round(r.wall_time_ms, 3)!r}'
-            if timings else ""))
+        wall = (f',\n      "wall_time_ms": {round(r.wall_time_ms, 3)!r}'
+                if timings else "")
+        rows.append(
+            f'    {{\n      "algebra": {_esc(r.algebra)},'
+            f'\n      "check": {_esc(r.check)},'
+            f'\n      "couplings": {block},'
+            f'\n      "inputs_digest": {_esc(r.inputs_digest)},'
+            f'\n      "passed": {"true" if r.passed else "false"},'
+            f'\n      "residual": {_esc(r.residual)},'
+            f'\n      "seed": {"null" if r.seed is None else _int_repr(r.seed)},'
+            f'\n      "suite": {_esc(r.suite)}{wall}\n    }}')
     config = {
         "suites": list(cfg.suites),
         "algebras": list(cfg.algebras),
