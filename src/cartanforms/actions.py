@@ -48,6 +48,7 @@ from .calculus import (
     _eval_on_points,
     _gram_contract,
     _lattice,
+    _lattice_axis,
     _point_coefficients,
     _rng_for,
     _trig_table,
@@ -309,13 +310,15 @@ class FieldSet:
     Holds the random forms by (degree, support, density, dim), the random
     Cartan connection of the 3d CS identities with its derived forms and
     functional values, and the torsion-free connection of the analytic
-    coframe (TMG identities) with its solved quadrature grid.
+    coframe (TMG identities) with its solved quadrature grid and its
+    moment matrix per grid.
     """
 
     def __init__(self, alg, seed, cutoff=1):
         self.alg, self.seed, self.cutoff = alg, seed, cutoff
         self._random = {}
         self._solved = (None, None)
+        self._moments = {}
 
     def matches(self, alg, seed, cutoff):
         return self.alg is alg and self.seed == seed and self.cutoff == cutoff
@@ -355,6 +358,15 @@ class FieldSet:
                       for b in _solved_blocks(self.levi_civita, grid)]
             self._solved = (grid, blocks)
         return self._solved[1]
+
+    def tmg_moments(self, grid):
+        """_tmg_moments of solved_grid(grid) with the Chern-Simons columns:
+        (M, min |det e|), kept per grid, so the TMG checks of one grid
+        read its solved blocks once and then only contract M."""
+        if grid not in self._moments:
+            self._moments[grid] = _tmg_moments(
+                self.alg, self.solved_grid(grid), cs=True)
+        return self._moments[grid]
 
 
 _SCOPE = contextvars.ContextVar("cartanforms_run_scope", default=None)
@@ -560,9 +572,10 @@ def _float_tables(alg):
     return tables
 
 
-def _bracket(table, u, v):
+def _bracket(table, u, v, out=None):
     """[u_mu, v_nu] - [u_nu, v_mu] for 1-form arrays u (3, m, npts) and
-    v (..., 3, k, npts), as (..., 3 pairs, r, npts).
+    v (..., 3, k, npts), as (..., 3 pairs, r, npts), written into `out`
+    when given.
 
     table is (r, k, m) with table[c, b, a] = C_ab^c.  One matmul gives
     ad(u_mu)[c, b] = C_ab^c u_mu^a for all three mu; each pair is then a
@@ -574,7 +587,8 @@ def _bracket(table, u, v):
     ad = (table.reshape(r * k, m) @ u).reshape(3, r, k, -1)
     # C_ab^c = -C_ba^c makes the two terms of [u, u]_{mu nu} equal
     twice = v is u
-    out = np.empty(v.shape[:-3] + (3, r, u.shape[-1]))
+    if out is None:
+        out = np.empty(v.shape[:-3] + (3, r, u.shape[-1]))
     for row, (mu, nu) in enumerate(_PAIRS3):
         pair = out[..., row, :, :]
         np.einsum("cbn,...bn->...cn", ad[mu], v[..., nu, :, :], out=pair)
@@ -746,50 +760,98 @@ def _solved_blocks(lc, grid):
     """Solve lc on the grid^3 lattice, QUADRATURE_BLOCK points at a time.
 
     Yields (w, e, dw, de, min |det e|) per block: the h blocks w, dw and
-    the p blocks e, de, each (3, 3, npts).  Nothing is kept between blocks.
+    the p blocks e, de, each (3, 3, npts).  A block's coordinates come
+    from its flat lattice indices, in _lattice order and with its values,
+    so nothing grid-sized is built and nothing is kept between blocks.
     """
-    axes = _lattice(grid, 3)
-    for start in range(0, axes[0].size, QUADRATURE_BLOCK):
-        sol = lc.solve([ax[start:start + QUADRATURE_BLOCK] for ax in axes])
+    ax = _lattice_axis(grid)
+    shape = (grid,) * 3
+    for start in range(0, grid ** 3, QUADRATURE_BLOCK):
+        flat = np.arange(start, min(start + QUADRATURE_BLOCK, grid ** 3))
+        sol = lc.solve([ax[i] for i in np.unravel_index(flat, shape)])
         yield sol["w"], sol["E"], sol["dw"], sol["dE"], sol["min_abs_det"]
+
+
+# column blocks of the TMG moment matrix: dw, [w,w], [e,e], then de and
+# [w,e], which only the Chern-Simons terms read
+_DW, _WW, _EE, _DE, _WE = (slice(3 * i, 3 * i + 3) for i in range(5))
+
+
+def _tmg_moments(alg, blocks, cs=False):
+    """(M, min |det e|) over solved blocks, as _solved_blocks yields them.
+
+    M[a, b] is the grid mean of sum_mu sign_mu one_mu^a two_top(mu)^b (the
+    top component of one ^ two) for the rows one = (w | e) and the
+    columns two = (dw | [w,w] | [e,e]), then (de | [w,e]) when cs is set.
+    Each block's brackets are written into one (3 pairs, columns, npts)
+    array and each direction mu is one matmul, so beta(one ^ two) for any
+    gram g over these rows and columns is the contraction of g with a
+    3x3 block of M.
+    """
+    _, hhh, pph, hpp = _per_algebra(_float_tables, alg)
+    moments = np.zeros((6, 15 if cs else 9))
+    npts, min_det = 0, math.inf
+    for w, e, dw, de, block_det in blocks:
+        one = np.concatenate((w, e), axis=1)
+        two = np.empty((3, moments.shape[1], w.shape[-1]))
+        two[:, _DW] = dw
+        _bracket(hhh, w, w, out=two[:, _WW])
+        _bracket(pph, e, e, out=two[:, _EE])
+        if cs:
+            two[:, _DE] = de
+            _bracket(hpp, w, e, out=two[:, _WE])
+        for mu, top in enumerate(_TOP_PAIR):
+            moments += _TOP_SIGN[mu] * (one[mu] @ two[top].T)
+        npts += w.shape[-1]
+        min_det = min(min_det, block_det)
+    return moments / npts, min_det
+
+
+def _tmg_values(alg, moments, mu, cs_terms=()):
+    """(S_TMG, [S_CS per term]) from the moment matrix of _tmg_moments.
+
+    Each gram g over (h | p) is tiled to the rows and columns of M, and
+    B[i, j] = g_{ij} . M_{ij} is the contraction of each 3x3 block: i over
+    (w, e), j over the columns.  cs_terms lists (s, form) pairs: s = +1
+    for A(e) = w + e, s = -1 for ~A(e) = w - e.  The grading [h,h] +
+    [p,p] ⊂ h, [h,p] ⊂ p gives [A,A] = ([w,w] + s^2 [e,e], 2s [w,e]) in
+    (h, p) blocks, so each CS term is its own form's B expanded in s.
+    The values are multiples of (2 pi)^3.
+    """
+    h, p = list(alg.h_indices), list(alg.p_indices)
+    cols = [h, h, h, p, p][:moments.shape[1] // 3]
+
+    def contracted(gram):
+        tiled = gram[np.ix_(h + p, sum(cols, []))]
+        return (tiled * moments).reshape(2, 3, -1, 3).sum(axis=(1, 3)).tolist()
+
+    w_dw, w_ww = contracted(_per_algebra(killing_form, alg).gram_float)[0][:2]
+    e_dw, e_ww, e_ee = contracted(_per_algebra(star_form, alg).gram_float)[1][:3]
+    tmg = (float(1 / Fraction(mu)) * (0.5 * w_dw + w_ww / 6.0)
+           - (e_dw + 0.5 * e_ww + e_ee / 6.0))
+    values = []
+    for s, form in cs_terms:
+        s = float(s)
+        (w_dw, w_ww, w_ee, w_de, w_we), (e_dw, e_ww, e_ee, e_de, e_we) = \
+            contracted(form.gram_float)
+        quadratic = w_dw + s * w_de + s * e_dw + s * s * e_de
+        cubic = (w_ww + s * s * w_ee + 2.0 * s * w_we
+                 + s * (e_ww + s * s * e_ee) + 2.0 * s * s * e_we)
+        values.append(0.5 * quadratic + cubic / 6.0)
+    return tmg, values
 
 
 def _tmg_means(alg, blocks, mu, cs_terms=()):
     """Grid quadrature of S_TMG(e) and of S_CS^beta at A(e) or ~A(e).
 
-    blocks are solved blocks as _solved_blocks yields them, each summed as
-    it comes.  cs_terms lists (s, form) pairs: s = +1 for A(e) = w + e,
-    s = -1 for ~A(e) = w - e.  The grading [h,h] + [p,p] ⊂ h, [h,p] ⊂ p
-    gives [A,A] = ([w,w] + s^2 [e,e], 2s [w,e]) in (h, p) blocks; each CS
-    term pairs A = (w, s e) with all four blocks of its own form.  Returns
-    (S_TMG, [S_CS per term], min |det e|), the values multiples of (2 pi)^3.
+    blocks are solved blocks as _solved_blocks yields them, each reduced
+    to moments as it comes; cs_terms as for _tmg_values.  Returns
+    (S_TMG, [S_CS per term], min |det e|), the values multiples of
+    (2 pi)^3.
     """
-    _, hhh, pph, hpp = _per_algebra(_float_tables, alg)
-    h, p = list(alg.h_indices), list(alg.p_indices)
-    k_hh = _per_algebra(killing_form, alg).gram_float[np.ix_(h, h)]
-    s_ph = _per_algebra(star_form, alg).gram_float[np.ix_(p, h)]
-    cs_grams = [(float(s), form.gram_float[np.ix_(h + p, h + p)])
-                for s, form in cs_terms]
-    inv_mu = float(1 / Fraction(mu))
-    sums = np.zeros(1 + len(cs_grams))
-    npts, min_det = 0, math.inf
-    for w, e, dw, de, block_det in blocks:
-        ww = _bracket(hhh, w, w)
-        ee = _bracket(pph, e, e)
-        pal = _pair_top(e, dw + 0.5 * ww, s_ph) + _pair_top(e, ee, s_ph) / 6.0
-        cs_w = _cs_density(w, dw, ww, k_hh)
-        sums[0] += (inv_mu * cs_w - pal).sum()
-        if cs_grams:
-            we = _bracket(hpp, w, e)
-        for i, (s, gram) in enumerate(cs_grams, 1):
-            a = np.concatenate((w, s * e), axis=1)
-            da = np.concatenate((dw, s * de), axis=1)
-            aa = np.concatenate((ww + (s * s) * ee, (2.0 * s) * we), axis=1)
-            sums[i] += _cs_density(a, da, aa, gram).sum()
-        npts += w.shape[-1]
-        min_det = min(min_det, block_det)
-    means = sums / npts
-    return float(means[0]), [float(m) for m in means[1:]], min_det
+    moments, min_det = _tmg_moments(alg, blocks, cs=bool(cs_terms))
+    tmg, values = _tmg_values(alg, moments, mu, cs_terms)
+    return tmg, values, min_det
 
 
 def tmg_action(e, mu, grid=32, lc=None):
@@ -925,16 +987,16 @@ def _tmg_residual(identity_id, fields, couplings, grid):
     _require(identity_id == "CS_TMG" or couplings.c0 != 0,
              "TWO_CS_TMG needs c0 != 0 in the normalized form")
     alg, mu, c0 = fields.alg, couplings.mu, couplings.c0
-    # checks on one field set in a run scope share the solved grid
-    blocks = fields.solved_grid(grid)
+    # checks on one field set in a run scope share the moment matrix
+    moments, _ = fields.tmg_moments(grid)
     if identity_id == "CS_TMG":
         # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S
         form = _per_algebra(invariant_form, alg, 1 / mu, -1)
-        tmg, (rhs,), _ = _tmg_means(alg, blocks, mu, [(1, form)])
+        tmg, (rhs,) = _tmg_values(alg, moments, mu, [(1, form)])
     else:  # TWO_CS_TMG
         form = _per_algebra(invariant_form, alg, c0, 1)
-        tmg, (cs_a, cs_at), _ = _tmg_means(alg, blocks, mu,
-                                           [(1, form), (-1, form)])
+        tmg, (cs_a, cs_at) = _tmg_values(alg, moments, mu,
+                                         [(1, form), (-1, form)])
         coeff = float(1 / (mu * c0))
         rhs = -0.5 * (1.0 - coeff) * cs_a + 0.5 * (1.0 + coeff) * cs_at
     scale = max(abs(tmg), abs(rhs), 1e-12)

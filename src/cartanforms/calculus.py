@@ -980,9 +980,14 @@ def integrate(w):
 # Lie indices lead and every per-point operation is either elementwise over
 # a contiguous points vector or one matmul with a constant matrix.
 
+def _lattice_axis(n):
+    """The n coordinates 2 pi m/n of one axis of the uniform grid."""
+    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+
+
 def _lattice(n, dim):
     """The n^dim uniform grid on T^dim as dim flat coordinate arrays."""
-    ax = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    ax = _lattice_axis(n)
     return [m.ravel() for m in np.meshgrid(*[ax] * dim, indexing="ij")]
 
 

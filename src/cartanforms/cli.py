@@ -113,10 +113,17 @@ def _cmd_verify(args):
             cfg.seed_start, cfg.seed_end = args.seeds
         if args.out:
             cfg.out = args.out
-        results, ok = suites.run_suite(cfg)
+        suites.validate_config(cfg)
     except suites.SuiteConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if cfg.out:
+        try:    # refused before any check runs
+            suites.report_path(cfg.out)
+        except OSError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+    results, ok = suites.run_suite(cfg)
     text = suites.emit_report(results, cfg, timings=args.timings)
     if cfg.out:
         try:

@@ -8,6 +8,7 @@ corrupted descriptors.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import time
@@ -620,12 +621,32 @@ def emit_report(results, cfg, timings=False):
             f'\n  "schema": 1,\n  "summary": {_nested(summary, "  ")}\n}}\n')
 
 
-def write_report(text, out_path):
-    """Write text to out_path (under $CARTANFORMS_OUT_DIR when relative);
-    an OSError names the resolved path."""
+def report_path(out_path):
+    """The path write_report writes out_path to: under
+    $CARTANFORMS_OUT_DIR when relative.  A directory, or a path under a
+    regular file, is refused up front with an OSError that names it;
+    nothing is created or truncated."""
     directory = os.environ.get("CARTANFORMS_OUT_DIR")
     if directory and not os.path.isabs(out_path):
         out_path = os.path.join(directory, out_path)
+    if os.path.isdir(out_path):
+        reason = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                   out_path)
+    else:
+        # the nearest existing ancestor, which write_report's makedirs extends
+        parent = os.path.dirname(os.path.abspath(out_path))
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        reason = None if os.path.isdir(parent) else NotADirectoryError(
+            errno.ENOTDIR, os.strerror(errno.ENOTDIR), parent)
+    if reason is not None:
+        raise OSError(f"cannot write report to {out_path}: {reason}")
+    return out_path
+
+
+def write_report(text, out_path):
+    """Write text to report_path(out_path); an OSError names that path."""
+    out_path = report_path(out_path)
     try:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         with open(out_path, "w") as fh:

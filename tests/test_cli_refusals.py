@@ -8,7 +8,7 @@ values, and unreadable path files.
 - A path file that cannot be read or parsed is named as the path file.
 - A report path that cannot be written (a directory, a path under a
   regular file, or $CARTANFORMS_OUT_DIR naming a file) is named, and an
-  empty `--out` is refused.
+  empty `--out` is refused; `verify` refuses it before any check runs.
 Each refusal exits 2 with one line.
 """
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartanforms import cli
+from cartanforms import cli, suites
 from cartanforms.actions import analytic_coframe, levi_civita_connection, \
     tmg_action
 from cartanforms.algebra import build_algebra
@@ -149,6 +149,37 @@ def test_unwritable_report_path_is_named(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert err.startswith(f"cannot write report to {expected}: ")
     assert (tmp_path / "plain").read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file",
+                                   "deep-under-a-file", "config-out"])
+def test_report_path_is_refused_before_any_check(tmp_path, capsys,
+                                                 monkeypatch, where):
+    calls = []
+    real = suites.identity_residual
+    monkeypatch.setattr(suites, "identity_residual",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    (tmp_path / "plain").write_text("not a directory")
+    out = {"directory": str(tmp_path),
+           "under-a-file": str(tmp_path / "plain" / "report.json"),
+           "deep-under-a-file": str(tmp_path / "plain" / "a" / "b.json"),
+           "config-out": str(tmp_path / "plain" / "report.json")}[where]
+    argv = ["verify", "--seeds", "0", "--out", out]
+    if where == "config-out":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": out}))
+        argv = ["verify", "--seeds", "0", "--config", str(config)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = cli.main(argv)
+    err = _one_line(capsys)
+    assert rc == 2 and err.startswith(f"cannot write report to {out}: ")
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "plain").read_text() == "not a directory"
+    # the same battery with a writable path runs all of its checks
+    assert cli.main(["verify", "--seeds", "0",
+                     "--out", str(tmp_path / "ok.json")]) == 0
+    assert len(calls) == 45
 
 
 @pytest.mark.parametrize("command", ["verify", "eval"])
