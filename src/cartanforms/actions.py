@@ -310,14 +310,13 @@ class FieldSet:
     Holds the random forms by (degree, support, density, dim), the random
     Cartan connection of the 3d CS identities with its derived forms and
     functional values, and the torsion-free connection of the analytic
-    coframe (TMG identities) with its solved quadrature grid and its
-    moment matrix per grid.
+    coframe (TMG identities) with, per grid, only its moment matrix M and
+    min |det e|: each grid is solved once, block by block, at every size.
     """
 
     def __init__(self, alg, seed, cutoff=1):
         self.alg, self.seed, self.cutoff = alg, seed, cutoff
         self._random = {}
-        self._solved = (None, None)
         self._moments = {}
 
     def matches(self, alg, seed, cutoff):
@@ -342,30 +341,13 @@ class FieldSet:
         return levi_civita_connection(
             analytic_coframe(self.alg, seed=self.seed, cutoff=self.cutoff))
 
-    def solved_grid(self, grid):
-        """The solved blocks of levi_civita on the grid^3 lattice.
-
-        The (w, e, dw, de, min |det e|) blocks that _solved_blocks yields.
-        A grid of at most SOLVED_GRID_BLOCKS blocks is kept as a list of
-        compact copies (288 bytes a point), only the grid last asked for;
-        a larger grid is streamed, solved again on every call.
-        """
-        if grid ** 3 > SOLVED_GRID_BLOCKS * QUADRATURE_BLOCK:
-            return _solved_blocks(self.levi_civita, grid)
-        if self._solved[0] != grid:
-            self._solved = (None, None)     # free the old grid first
-            blocks = [tuple(np.array(x) for x in b[:4]) + b[4:]
-                      for b in _solved_blocks(self.levi_civita, grid)]
-            self._solved = (grid, blocks)
-        return self._solved[1]
-
     def tmg_moments(self, grid):
-        """_tmg_moments of solved_grid(grid) with the Chern-Simons columns:
-        (M, min |det e|), kept per grid, so the TMG checks of one grid
-        read its solved blocks once and then only contract M."""
+        """_tmg_moments of levi_civita solved on the grid, with the
+        Chern-Simons columns: (M, min |det e|), kept per grid, so the TMG
+        checks of one grid solve it once and then only contract M."""
         if grid not in self._moments:
             self._moments[grid] = _tmg_moments(
-                self.alg, self.solved_grid(grid), cs=True)
+                self.alg, _solved_blocks(self.levi_civita, grid), cs=True)
         return self._moments[grid]
 
 
@@ -548,9 +530,6 @@ _MINOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
 # grid points per block of the TMG solve: bounds the working arrays of one
 # solve (a few MB) whatever the grid size
 QUADRATURE_BLOCK = 4096
-# FieldSet.solved_grid keeps grids of at most this many blocks (grid <= 32,
-# 288 bytes a point: at most 9.4 MB) and streams larger ones
-SOLVED_GRID_BLOCKS = 8
 # a torsion-free solve refuses a coframe with |det e| <= _DET_TOL
 _DET_TOL = 1e-8
 

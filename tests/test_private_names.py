@@ -1,6 +1,7 @@
 """Every module-level private function and class of the package is named
 somewhere in the package besides its definition: a helper that only tests
-reach belongs in the test that uses it."""
+reach belongs in the test that uses it.  Every module-level constant is
+read somewhere in the package."""
 
 import ast
 import pathlib
@@ -30,3 +31,32 @@ def test_every_private_helper_has_a_caller_in_the_package():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in named]
     assert unused == []
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a tuning constant left behind by a deleted code path fails here
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and not name.id.startswith("__")
+                            and name.id not in read):
+                        unread.append(f"{module}:{name.id}")
+    assert unread == []

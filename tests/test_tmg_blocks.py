@@ -3,14 +3,16 @@
 The quadrature carries w, dw (stabilizer coefficients) and e, de
 (translation coefficients) as 3-row blocks, brackets them with the
 C_hhh, C_pph and C_hpp blocks of the structure table and solves each
-(algebra, seed, grid) once per run scope.  The reference below is the
-full-dimension quadrature: every field padded to the full algebra
-dimension, brackets with the full table, pairings with the full grams.
+(algebra, seed, grid) once per run scope, keeping only its moment
+matrix.  The reference below is the full-dimension quadrature: every
+field padded to the full algebra dimension, brackets with the full
+table, pairings with the full grams.
 """
 
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -108,7 +110,13 @@ def test_block_quadrature_equals_padded_reference(name):
                     assert abs(got - want) <= 1e-14 * abs(want)
 
 
-def test_tmg_pair_solves_each_block_once(monkeypatch):
+_PAIR = [("CS_TMG", CouplingConstants(mu=5)),
+         ("TWO_CS_TMG", CouplingConstants(c0=2, mu=5))]
+
+
+@pytest.mark.parametrize("grid", [17, 33])
+def test_tmg_pair_solves_each_block_once(monkeypatch, grid):
+    # grid 17 is two blocks, grid 33 nine: one block count for every size
     solved = []
     real = actions.LeviCivitaConnection.solve
 
@@ -118,30 +126,17 @@ def test_tmg_pair_solves_each_block_once(monkeypatch):
 
     monkeypatch.setattr(actions.LeviCivitaConnection, "solve", counting)
     alg = build_algebra("so31")
-    pair = [("CS_TMG", CouplingConstants(mu=5)),
-            ("TWO_CS_TMG", CouplingConstants(c0=2, mu=5))]
-    alone = [identity_residual(i, alg, 3, cc, grid=17).residual
-             for i, cc in pair]
-    assert solved == [4096, 817] * 2        # each check solves the grid
+    blocks = [min(actions.QUADRATURE_BLOCK, grid ** 3 - start)
+              for start in range(0, grid ** 3, actions.QUADRATURE_BLOCK)]
+    alone = [identity_residual(i, alg, 3, cc, grid=grid).residual
+             for i, cc in _PAIR]
+    assert solved == blocks * 2         # each check solves the grid
     solved.clear()
     with actions.run_scope():
-        shared = [identity_residual(i, alg, 3, cc, grid=17).residual
-                  for i, cc in pair]
-    assert solved == [4096, 817]            # once per block for the pair
+        shared = [identity_residual(i, alg, 3, cc, grid=grid).residual
+                  for i, cc in _PAIR]
+    assert solved == blocks             # once per block for the pair
     assert shared == alone
-
-
-def test_field_set_keeps_the_last_grid_compact():
-    fields = actions.FieldSet(build_algebra("so22"), 1)
-    first = fields.solved_grid(17)
-    assert fields.solved_grid(17) is first
-    for *arrays, min_det in first:
-        assert all(x.base is None and x.shape[:2] == (3, 3) for x in arrays)
-        assert 0.5 < min_det < 1.0
-    assert sum(x.nbytes for *arrays, _ in first for x in arrays) == 288 * 17 ** 3
-    second = fields.solved_grid(12)
-    assert second is not first and len(second) == 1
-    assert fields.solved_grid(12) is second
 
 
 def test_tmg_action_reports_min_abs_det():
@@ -166,16 +161,22 @@ def test_eval_json_carries_min_abs_det(tmp_path, capsys):
     assert 0.5 < doc["min_abs_det"] < 1.0
 
 
-def test_field_set_streams_grids_over_the_cap(monkeypatch):
-    monkeypatch.setattr(actions, "SOLVED_GRID_BLOCKS", 1)
-    fields = actions.FieldSet(build_algebra("so22"), 1)
-    kept = fields.solved_grid(16)               # 4096 points: one block
-    assert isinstance(kept, list) and fields.solved_grid(16) is kept
-    streamed = fields.solved_grid(17)           # two blocks: over the cap
-    assert not isinstance(streamed, list)
-    assert fields.solved_grid(16) is kept
-    tmg = actions._tmg_means(fields.alg, streamed, 5)[0]
-    assert tmg == actions._tmg_means(fields.alg, fields.solved_grid(17), 5)[0]
+def test_run_scope_keeps_no_solved_grid():
+    # a field set keeps M and min |det e| per grid, not the solved blocks
+    # (288 bytes a point: 9.4 MB at grid 32)
+    alg = build_algebra("so22")
+    for i, cc in _PAIR:                 # the per-algebra tables, built once
+        identity_residual(i, alg, 1, cc, grid=8)
+    tracemalloc.start()
+    try:
+        with actions.run_scope():
+            start = tracemalloc.get_traced_memory()[0]
+            for i, cc in _PAIR:
+                identity_residual(i, alg, 1, cc, grid=32)
+            held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2 ** 20
 
 
 def test_torsion_inverse_once_per_algebra_object(monkeypatch):

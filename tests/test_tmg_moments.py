@@ -11,7 +11,7 @@ package does not cancel against it.
 
 Also here: a field set's moment memo (one pass per grid, shared by
 CS_TMG and TWO_CS_TMG in a run scope), a fault the memo must still
-show, and the block coordinates of `_solved_blocks`, which come from
+show, the solve faults both identities miss, and the block coordinates of `_solved_blocks`, which come from
 flat lattice indices instead of a grid-sized coordinate array.
 """
 
@@ -169,6 +169,47 @@ def test_a_solve_fault_fails_both_identities_through_the_memo(monkeypatch):
     for rep in alone + shared:
         assert not rep.passed
         assert 3e-8 < rep.residual < 4e-8
+
+
+def test_w_errors_the_torsion_pairing_misses_pass_both_identities(monkeypatch):
+    # 1e-6 on one entry w_mu^c at every point.  Both sides of CS_TMG and
+    # TWO_CS_TMG read the same solved w and e, so an error that moves
+    # both sides equally cancels: the sides differ only by the torsion
+    # pairing K(e ^ (de + [w, e])), which sees an error x in w as
+    # K(x ^ [e, e]).  An entry whose grid mean of K(x ^ [e, e]) is zero
+    # passes both identities; on this coframe, 6 of the 9 do.
+    alg = build_algebra("so31")
+    _, _, pph, _ = _float_tables(alg)
+    h = list(alg.h_indices)
+    k_hh = killing_form(alg).gram_float[np.ix_(h, h)]
+    lc = levi_civita_connection(analytic_coframe(alg, seed=3))
+    (_, e, _, _, _), = _solved_blocks(lc, 12)
+    ee = _bracket(pph, e, e)[_TOP_PAIR] * _TOP_SIGN
+    paired = np.einsum("cd,mdn->mcn", k_hh, ee).mean(axis=-1)
+    entries = [(mu, c) for mu in range(3) for c in range(3)]
+    unseen = {x for x in entries if abs(paired[x]) < 1e-12}
+    assert unseen == {(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)}
+
+    real = actions.LeviCivitaConnection.solve
+
+    def residuals(entry):
+        def faulty(self, axes):
+            sol = real(self, axes)
+            sol["w"] = sol["w"].copy()
+            sol["w"][entry] += 1e-6
+            return sol
+
+        monkeypatch.setattr(actions.LeviCivitaConnection, "solve", faulty)
+        with actions.run_scope():
+            return [identity_residual(i, alg, 3, cc, grid=12).residual
+                    for i, cc in _PAIR]
+
+    for entry in entries:
+        found = residuals(entry)
+        if entry in unseen:
+            assert max(found) < 1e-8        # passes in silence
+        else:
+            assert min(found) > 1e-7
 
 
 @pytest.mark.parametrize("grid", [12, 17])
