@@ -16,15 +16,22 @@ def _trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def test_every_private_helper_has_a_caller_in_the_package():
-    trees = _trees()
-    named = set()
+def _read_names(trees):
+    """Every name and attribute the package reads."""
+    read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return read
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    trees = _trees()
+    named = _read_names(trees)
     unused = [f"{module}:{node.name}"
               for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -36,14 +43,7 @@ def test_every_private_helper_has_a_caller_in_the_package():
 def test_every_module_constant_is_read_in_the_package():
     # a tuning constant left behind by a deleted code path fails here
     trees = _trees()
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                read.add(node.attr)
+    read = _read_names(trees)
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -53,10 +53,9 @@ def test_every_module_constant_is_read_in_the_package():
                 targets = [node.target]
             else:
                 continue
-            for target in targets:
-                for name in ast.walk(target):
-                    if (isinstance(name, ast.Name)
-                            and not name.id.startswith("__")
-                            and name.id not in read):
-                        unread.append(f"{module}:{name.id}")
+            unread += [f"{module}:{name.id}"
+                       for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name)
+                       and not name.id.startswith("__")
+                       and name.id not in read]
     assert unread == []
