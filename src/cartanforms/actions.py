@@ -46,7 +46,7 @@ from .calculus import (
     _d_pairing_matrix,
     _det_on_points,
     _eval_on_points,
-    _gram_contract,
+    _gram_sum,
     _lattice,
     _lattice_axis,
     _point_coefficients,
@@ -63,7 +63,6 @@ from .cartan import (
 )
 
 HALF = Fraction(1, 2)
-SIXTH = Fraction(1, 6)
 
 
 class IdentityError(ValueError):
@@ -111,7 +110,8 @@ class CouplingConstants:
     c1: Fraction = Fraction(0)
     mu: Fraction | None = None
     gamma: Fraction | None = None
-    # {id(alg): (alg, form)} of invariant_form; no part of the value
+    # {id(alg): (alg, form, CS_NULL holds, CS_PERP holds)}; no part of the
+    # value
     _forms: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -127,24 +127,46 @@ class CouplingConstants:
             if self.gamma == 0:
                 raise ValueError("Immirzi parameter gamma must be nonzero")
 
-    def invariant_form(self, alg):
-        """The invariant form (c0, c1) of alg, looked up once per algebra
-        object and kept here: a battery shares one couplings object among
-        all seeds of an (identity, algebra, coupling row), and the lookup
-        key of _per_algebra hashes both Fractions on every call."""
+    def resolved(self, alg):
+        """(alg, form, null, perp) for the invariant form (c0, c1) of alg:
+        null and perp say whether the form meets the CS_NULL hypothesis
+        (h-h and p-p blocks zero) and the CS_PERP one (h-p block zero).
+        Resolved once per algebra object and kept here: a battery shares
+        one couplings object among all seeds of an (identity, algebra,
+        coupling row), and the lookup key of _per_algebra hashes both
+        Fractions on every call."""
         hit = self._forms.get(id(alg))
         if hit is None:     # the entry holds alg, so its id stays valid
+            form = _per_algebra(invariant_form, alg, self.c0, self.c1)
+            h, p = alg.h_indices, alg.p_indices
             hit = self._forms[id(alg)] = (
-                alg, _per_algebra(invariant_form, alg, self.c0, self.c1))
-        return hit[1]
+                alg, form,
+                _gram_blocks_zero(form, h, h) and _gram_blocks_zero(form, p, p),
+                _gram_blocks_zero(form, h, p))
+        return hit
 
-    def as_dict(self):
+    def invariant_form(self, alg):
+        """The invariant form (c0, c1) of alg, kept per algebra object."""
+        return self.resolved(alg)[1]
+
+    @cached_property
+    def digest_tail(self):
+        """The couplings part of an identity's inputs digest."""
+        return f"/c0={self.c0}/c1={self.c1}/mu={self.mu}"
+
+    @cached_property
+    def _strings(self):
         return {
             "c0": str(self.c0),
             "c1": str(self.c1),
             "mu": None if self.mu is None else str(self.mu),
             "gamma": None if self.gamma is None else str(self.gamma),
         }
+
+    def as_dict(self):
+        """The couplings as strings (None where unset): a new dict per
+        call, formatted once per couplings object."""
+        return dict(self._strings)
 
 
 def couplings_from_immirzi(gamma):
@@ -206,48 +228,61 @@ class ConnectionForms:
     (e, d_omega e).  A matrix reads a d as a derivative pairing and a
     bracket as a trilinear zero mode, so neither dA, d~A, d omega, de nor
     any bracket is formed.  Each functional value is kept too, once per
-    invariant form: S_CS^beta(A), S_CS^beta(~A), the Palatini value and
-    S_CS^beta(omega) plus the torsion pairing.  A value is keyed by the
-    form object, not by (c0, c1), and its entry holds the form, so the id
-    stays valid.  The A and ~A values pair only A or ~A, the others only e
-    and omega, so the two sides of a split identity share no matrix.
+    invariant form, as a reduced integer pair (numerator, denominator):
+    S_CS^beta(A), S_CS^beta(~A), the Palatini value and S_CS^beta(omega)
+    plus the torsion pairing.  A value is keyed by the form object, not by
+    (c0, c1), and its entry holds the form, so the id stays valid.  The A
+    and ~A values pair only A or ~A, the others only e and omega, so the
+    two sides of a split identity share no matrix.
     """
+
+    # functional -> its terms c Int beta(w ^ m) as (c, matrix of (w, m)),
+    # with c an integer pair
+    FUNCTIONALS = {
+        "cs_a": (((1, 2), "a_da"), ((1, 6), "a_aa")),
+        "cs_a_t": (((1, 2), "a_t_da_t"), ((1, 6), "a_t_aa_t")),
+        "palatini": (((1, 1), "e_r"), ((1, 6), "e_ee")),
+        "cs_omega_torsion": (((1, 2), "omega_dw"), ((1, 6), "omega_ww"),
+                             ((1, 2), "e_dwe")),
+    }
 
     def __init__(self, omega, e):
         self.omega, self.e = omega, e
         self._values = {}
 
-    def _value(self, name, form, compute):
+    def value(self, name, form):
+        """Functional `name` of FUNCTIONALS for the invariant form, as a
+        reduced integer pair (numerator, denominator > 0), kept per form
+        object."""
         key = (name, id(form))
-        if key not in self._values:
-            self._values[key] = (form, compute())
-        return self._values[key][1]
+        hit = self._values.get(key)
+        if hit is None:
+            num, den = _pair_sum([(c, _gram_sum(form, getattr(self, m)))
+                                  for c, m in self.FUNCTIONALS[name]])
+            g = math.gcd(num, den)
+            hit = self._values[key] = (form, (num // g, den // g))
+        return hit[1]
 
     def cs_a(self, form):
         """S_CS^beta(A)."""
-        return self._value("cs_a", form,
-                           lambda: _chern_simons(form, self.a_da, self.a_aa))
+        return Fraction(*self.value("cs_a", form))
 
     def cs_a_t(self, form):
         """S_CS^beta(~A)."""
-        return self._value("cs_a_t", form, lambda: _chern_simons(
-            form, self.a_t_da_t, self.a_t_aa_t))
+        return Fraction(*self.value("cs_a_t", form))
 
     def palatini(self, form):
         """Int beta(e ^ R) + 1/6 Int beta(e ^ [e,e])."""
-        return self._value("palatini", form, lambda: (
-            _gram_contract(form, self.e_r)
-            + SIXTH * _gram_contract(form, self.e_ee)))
+        return Fraction(*self.value("palatini", form))
 
     def torsion(self, form):
         """1/2 Int beta(e ^ d_omega e)."""
-        return HALF * _gram_contract(form, self.e_dwe)
+        n, d = _gram_sum(form, self.e_dwe)
+        return Fraction(n, 2 * d)
 
     def cs_omega_torsion(self, form):
         """S_CS^beta(omega) plus the torsion pairing."""
-        return self._value("cs_omega_torsion", form, lambda: (
-            _chern_simons(form, self.omega_dw, self.omega_ww)
-            + self.torsion(form)))
+        return Fraction(*self.value("cs_omega_torsion", form))
 
     @cached_property
     def a(self):
@@ -382,11 +417,20 @@ def _field_set(alg, seed, cutoff):
 # exact action functionals
 # ---------------------------------------------------------------------------
 
+def _pair_sum(terms):
+    """The sum of c v over (c, v) terms, with c and v integer pairs
+    (numerator, denominator > 0), as an unreduced integer pair."""
+    num, den = 0, 1
+    for (cn, cd), (n, d) in terms:
+        num, den = num * cd * d + cn * n * den, den * cd * d
+    return num, den
+
+
 def _chern_simons(form, a_da, a_aa):
     """1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A]) from the pairing
     matrices of (A, dA) and (A, [A,A])."""
-    return (HALF * _gram_contract(form, a_da)
-            + SIXTH * _gram_contract(form, a_aa))
+    return Fraction(*_pair_sum((((1, 2), _gram_sum(form, a_da)),
+                                ((1, 6), _gram_sum(form, a_aa)))))
 
 
 def cs_action(a, form):
@@ -928,36 +972,42 @@ def _exact_residual(identity_id, fields, couplings):
         e = fields.random_form(1, "p", 0.5, dim=4)
         ee = lie_bracket_forms(e, e)
         return pair_integral(_per_algebra(killing_form, alg), ee, ee)
-    form = couplings.invariant_form(alg)
+    _, form, null, perp = couplings.resolved(alg)
     if identity_id == "MM_EXPANSION":
         conn = CartanConnection(fields.random_form(1, "h", 0.35, dim=4),
                                 fields.random_form(1, "p", 0.5, dim=4))
         top, expansion = _mm_pieces(conn, couplings)
         return mm_action(conn, form).exact - top - expansion
     # the 3d Chern-Simons splittings
-    h, p = alg.h_indices, alg.p_indices
+    if identity_id == "CS_NULL" and not null:
+        raise IdentityError(
+            f"CS_NULL needs a form with h-h and p-p blocks zero; "
+            f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
+    if identity_id == "CS_PERP" and not perp:
+        raise IdentityError(
+            f"CS_PERP needs a form with the h-p block zero; "
+            f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
+    # lhs - rhs as (coefficient, functional value) integer pairs
+    value = fields.connection.value
+    cs_a = value("cs_a", form)
     if identity_id == "CS_NULL":
-        _require(_gram_blocks_zero(form, h, h) and _gram_blocks_zero(form, p, p),
-                 f"CS_NULL needs a form with h-h and p-p blocks zero; "
-                 f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
+        terms = (((1, 1), cs_a), ((-1, 1), value("palatini", form)))
     elif identity_id == "CS_PERP":
-        _require(_gram_blocks_zero(form, h, p),
-                 f"CS_PERP needs a form with the h-p block zero; "
-                 f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
-    f = fields.connection
-    cs_a = f.cs_a(form)
-    if identity_id == "CS_NULL":
-        return cs_a - f.palatini(form)
-    if identity_id == "CS_PERP":
-        return cs_a - f.cs_omega_torsion(form)
-    k = _per_algebra(killing_form, alg)
-    s = _per_algebra(star_form, alg)
-    if identity_id == "EINSTEIN_CS":
-        return cs_a - (c1 * f.palatini(s) + c0 * f.cs_omega_torsion(k))
-    cs_at = f.cs_a_t(form)
-    if identity_id == "TWO_CS_SUM":
-        return HALF * (cs_a + cs_at) - c0 * f.cs_omega_torsion(k)
-    return HALF * (cs_a - cs_at) - c1 * f.palatini(s)   # TWO_CS_DIFF
+        terms = (((1, 1), cs_a), ((-1, 1), value("cs_omega_torsion", form)))
+    else:
+        minus_c0 = (-c0.numerator, c0.denominator)
+        minus_c1 = (-c1.numerator, c1.denominator)
+        k, s = _per_algebra(killing_form, alg), _per_algebra(star_form, alg)
+        if identity_id == "EINSTEIN_CS":
+            terms = (((1, 1), cs_a), (minus_c1, value("palatini", s)),
+                     (minus_c0, value("cs_omega_torsion", k)))
+        elif identity_id == "TWO_CS_SUM":
+            terms = (((1, 2), cs_a), ((1, 2), value("cs_a_t", form)),
+                     (minus_c0, value("cs_omega_torsion", k)))
+        else:   # TWO_CS_DIFF
+            terms = (((1, 2), cs_a), ((-1, 2), value("cs_a_t", form)),
+                     (minus_c1, value("palatini", s)))
+    return Fraction(*_pair_sum(terms))
 
 
 def _tmg_residual(identity_id, fields, couplings, grid):
@@ -994,10 +1044,10 @@ def identity_residual(identity_id, alg, seed, couplings=None, cutoff=1,
     if identity_id not in IDENTITY_ALGEBRAS:
         raise IdentityError(f"unknown identity {identity_id!r}")
     covered = IDENTITY_ALGEBRAS[identity_id]
-    _require(alg.name in covered,
-             f"{identity_id} needs {_needs(covered)}, got {alg.name}")
-    digest = (f"{identity_id}/{alg.name}/seed={seed}"
-              f"/c0={couplings.c0}/c1={couplings.c1}/mu={couplings.mu}"
+    if alg.name not in covered:
+        raise IdentityError(
+            f"{identity_id} needs {_needs(covered)}, got {alg.name}")
+    digest = (f"{identity_id}/{alg.name}/seed={seed}{couplings.digest_tail}"
               f"/K={cutoff}")
     fields = _field_set(alg, seed, cutoff)
     if identity_id in NUMERIC_IDENTITIES:

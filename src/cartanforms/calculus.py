@@ -938,9 +938,10 @@ def _bracket_pairing_matrix(w, u, v):
     return _PairingMatrix(alg, sums)
 
 
-def _gram_contract(form, matrix):
+def _gram_sum(form, matrix):
     """Int beta(w ^ m) from the _PairingMatrix of w and m: the sum of
-    gram[alpha][beta] matrix[alpha][beta], a Fraction."""
+    gram[alpha][beta] matrix[alpha][beta] as an unreduced pair of ints
+    (numerator, denominator > 0)."""
     if form.algebra is not matrix.algebra:
         raise AlgebraError("bilinear form belongs to a different algebra")
     rows = form.gram_ratios
@@ -951,7 +952,12 @@ def _gram_contract(form, matrix):
             sums[ratio[1]] = sums.get(ratio[1], 0) + ratio[0] * n
     lcm = math.lcm(*sums)
     num = sum(n * (lcm // den) for den, n in sums.items())
-    return Fraction(num, lcm * matrix.den)
+    return num, lcm * matrix.den
+
+
+def _gram_contract(form, matrix):
+    """Int beta(w ^ m) from the _PairingMatrix of w and m, a Fraction."""
+    return Fraction(*_gram_sum(form, matrix))
 
 
 def pair_integral(form, w, m):

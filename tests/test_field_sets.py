@@ -250,6 +250,26 @@ def test_couplings_keep_their_invariant_form_per_algebra_object():
     assert cc.invariant_form(bad).algebra is bad
 
 
+def test_couplings_format_their_strings_once_and_copy_them_per_call(
+        monkeypatch):
+    cc = CouplingConstants("1/3", -2, 5)
+    first = cc.as_dict()
+    formatted = []
+    fraction_str = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__",
+                        lambda x: formatted.append(x) or fraction_str(x))
+    first["c0"] = "changed"
+    again = cc.as_dict()
+    assert again == {"c0": "1/3", "c1": "-2", "mu": "5", "gamma": None}
+    assert again is not cc.as_dict()
+    assert formatted == []
+    # the rows of one couplings object get a dict each
+    cfg = suites.SuiteConfig(algebras=["so22"], seed_start=0, seed_end=1)
+    rows = suites._run_planned(suites._plan_identity_battery("CS_PERP", cfg))
+    assert rows[0].couplings == rows[1].couplings
+    assert rows[0].couplings is not rows[1].couplings
+
+
 def test_battery_looks_up_each_invariant_form_once_per_couplings(
         monkeypatch):
     """The planner shares one couplings object among the seeds of an
