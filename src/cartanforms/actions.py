@@ -57,9 +57,9 @@ from .calculus import (
 from .cartan import (
     CartanConnection,
     CartanError,
-    coframe_check,
     curvature,
     _field_strength,
+    _min_abs_det,
 )
 
 HALF = Fraction(1, 2)
@@ -426,21 +426,13 @@ def _pair_sum(terms):
     return num, den
 
 
-def _chern_simons(form, a_da, a_aa):
-    """1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A]) from the pairing
-    matrices of (A, dA) and (A, [A,A])."""
-    return Fraction(*_pair_sum((((1, 2), _gram_sum(form, a_da)),
-                                ((1, 6), _gram_sum(form, a_aa)))))
-
-
 def cs_action(a, form):
     """S_CS^beta(A) = 1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A])."""
     if a.degree != 1:
         raise CartanError("Chern-Simons argument must be a 1-form")
     if a.dim != 3:
         raise CartanError("Chern-Simons action lives on a 3-torus")
-    return _exact_value(3, _chern_simons(
-        form, _d_pairing_matrix(a, a), _bracket_pairing_matrix(a, a, a)))
+    return _exact_value(3, ConnectionForms(a.h_part(), a.p_part()).cs_a(form))
 
 
 def _connection_3d(omega, e):
@@ -664,15 +656,6 @@ def _torsion_tables(alg):
     return k0_inv
 
 
-def _check_solvable(e):
-    """Refuse a coframe the torsion-free solve does not take: one off T^3
-    or with stabilizer values."""
-    if e.algebra.spacetime_dim != 3 or e.dim != 3:
-        raise CartanError("torsion-free solve implemented on T^3")
-    if any(k[0] not in set(e.algebra.p_indices) for k in e.comps):
-        raise CartanError("coframe must be translation-valued")
-
-
 class LeviCivitaConnection:
     """Pointwise torsion-free stabilizer connection determined by a coframe.
 
@@ -693,16 +676,28 @@ class LeviCivitaConnection:
     minors).  The p rows of e, de and their d/dx_sigma are one coefficient
     table over e's cos/sin modes, built once: d/dx_sigma maps the weights
     (A, B) at k to (k_sigma B, -k_sigma A).
+
+    The constructor refuses a coframe off T^3, one with stabilizer values,
+    then one with |det e| <= _DET_TOL on the 16^3 lattice, read from e's
+    rows of the table before K0 or any derivative is built.
     """
 
     def __init__(self, e):
-        _check_solvable(e)
         alg = e.algebra
+        if alg.spacetime_dim != 3 or e.dim != 3:
+            raise CartanError("torsion-free solve implemented on T^3")
+        if any(k[0] not in set(alg.p_indices) for k in e.comps):
+            raise CartanError("coframe must be translation-valued")
+        self._freqs, coefs = _point_coefficients([e], list(alg.p_indices))
+        min_det = _min_abs_det(self._freqs, coefs, 16)
+        if min_det <= _DET_TOL:
+            raise CartanError(
+                f"degenerate coframe: min |det e| = {min_det:.3e}")
         self.e = e
         self.alg = alg
         self._k0_inv = _per_algebra(_torsion_tables, alg)
         self._c_hpp = _per_algebra(_float_tables, alg)[3]
-        self._freqs, (e_c,) = _point_coefficients([e], list(alg.p_indices))
+        (e_c,) = coefs
         nf = len(self._freqs)
         k = self._freqs.T.reshape(3, 1, 1, nf)
 
@@ -764,15 +759,8 @@ class LeviCivitaConnection:
         return float(np.abs(torsion).max())
 
 
-def levi_civita_connection(e):
-    """Torsion-free stabilizer connection for a coframe nondegenerate on the
-    16^3 lattice; the torus and the values are checked before the scan."""
-    _check_solvable(e)
-    check = coframe_check(e, grid_size=16, tol=_DET_TOL)
-    if not check["nondegenerate"]:
-        raise CartanError(
-            f"degenerate coframe: min |det e| = {check['min_abs_det']:.3e}")
-    return LeviCivitaConnection(e)
+# the exported name of the constructor
+levi_civita_connection = LeviCivitaConnection
 
 
 # ---------------------------------------------------------------------------

@@ -1067,8 +1067,10 @@ def _eval_on_points(forms, axes, rows=None):
     return [c @ table for c in coefs]
 
 
-def _eval_on_lattice(forms, n, rows=None):
-    """_eval_on_points on the n^dim lattice, without its full table.
+def _eval_on_lattice(freqs, coefs, n):
+    """Values on the n^dim lattice of the coefficient arrays `coefs` over
+    `freqs` (see _point_coefficients), one (..., n^dim) array per array,
+    without the full table.
 
     The first axis folds into the weights: the value at x is
     Re sum_k (A - iB) exp(i k_1 x_1) exp(i k'.x') over the other axes x',
@@ -1076,7 +1078,6 @@ def _eval_on_lattice(forms, n, rows=None):
     g = (A - iB) exp(i k_1 x_1), and one matmul with the _lattice_table of
     the other axes gives the values.
     """
-    freqs, coefs = _point_coefficients(forms, rows)
     nf = len(freqs)
     factors = _lattice_factors(freqs, n)
     rest = _lattice_table(factors[1:])                     # (2 nf, n^(dim-1))

@@ -25,6 +25,7 @@ from .calculus import (
     lie_bracket_forms,
     _det_on_points,
     _eval_on_lattice,
+    _point_coefficients,
 )
 
 HALF = Fraction(1, 2)
@@ -111,6 +112,15 @@ def bianchi_residuals(conn):
 # coframe nondegeneracy
 # ---------------------------------------------------------------------------
 
+def _min_abs_det(freqs, coefs, grid_size):
+    """Least |det e| on the grid_size^dim lattice, for e given by the
+    coefficients of its p rows, (freqs, [coefficients]) as
+    calculus._point_coefficients returns them."""
+    (vals,) = _eval_on_lattice(freqs, coefs, grid_size)
+    dets = np.abs(_det_on_points(vals))
+    return float(dets.min()) if dets.size else 0.0
+
+
 def coframe_check(e, grid_size=16, tol=1e-8):
     """Scan |det e(x)| over a uniform grid.
 
@@ -121,9 +131,8 @@ def coframe_check(e, grid_size=16, tol=1e-8):
         e = e.coframe
     if e.dim != e.algebra.spacetime_dim:
         raise CartanError("torus dimension must equal the translation dimension")
-    (vals,) = _eval_on_lattice([e], grid_size, rows=list(e.algebra.p_indices))
-    dets = np.abs(_det_on_points(vals))
-    min_det = float(dets.min()) if dets.size else 0.0
+    min_det = _min_abs_det(
+        *_point_coefficients([e], list(e.algebra.p_indices)), grid_size)
     return {"nondegenerate": bool(min_det > tol), "min_abs_det": min_det}
 
 

@@ -12,10 +12,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def zeros(nrows, ncols):
     return [[ZERO] * ncols for _ in range(nrows)]
 
@@ -128,58 +124,9 @@ def inverse(m):
     return [row[n:] for row in red[:n]]
 
 
-def solve(a, b):
-    """Solve a x = b for a single exact solution; raises if singular."""
-    n = len(a)
-    aug = [row[:] + [bb] for row, bb in zip(a, b)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)) or n in pivots:
-        raise ZeroDivisionError("system is singular or inconsistent")
-    return [row[n] for row in red[:n]]
-
-
 def in_span(vectors, v):
     """Exact membership of v in span(vectors)."""
     if not vectors:
         return all(x == 0 for x in v)
     base = [list(w) for w in vectors]
     return rank(base) == rank(base + [list(v)])
-
-
-def inertia(m):
-    """Signature (n_pos, n_neg, n_zero) of an exact symmetric matrix.
-
-    Congruence reduction; zero diagonals with a nonzero off-diagonal entry
-    are handled by the usual hyperbolic-pair row/column addition.
-    """
-    a = [row[:] for row in m]
-    pos = neg = zero = 0
-    while a:
-        n = len(a)
-        d = next((i for i in range(n) if a[i][i] != 0), None)
-        if d is None:
-            found = None
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                zero += n
-                return pos, neg, zero
-            i, j = found
-            for k in range(n):
-                a[i][k] = a[i][k] + a[j][k]
-            for k in range(n):
-                a[k][i] = a[k][i] + a[k][j]
-            continue
-        piv = a[d][d]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        rest = [i for i in range(n) if i != d]
-        a = [[a[i][j] - a[i][d] * a[d][j] / piv for j in rest] for i in rest]
-    return pos, neg, zero

@@ -157,31 +157,35 @@ def test_one_field_set_alive_and_none_after_run(monkeypatch):
 
 
 def test_tmg_pair_shares_one_connection(monkeypatch):
-    checks = []
-    real = actions.coframe_check
-    monkeypatch.setattr(actions, "coframe_check",
-                        lambda *a, **k: checks.append(1) or real(*a, **k))
+    builds = []
+    real = actions.LeviCivitaConnection.__init__
+
+    def counting(self, e):
+        builds.append(1)
+        real(self, e)
+
+    monkeypatch.setattr(actions.LeviCivitaConnection, "__init__", counting)
     alg = build_algebra("so31")
     cc = suites._identity_couplings("CS_TMG", CouplingConstants(c0=2, c1=3))
     ids = suites.NUMERIC_IDENTITIES
     for seed in (0, 1):
         unshared = [identity_residual(i, alg, seed, cc, grid=10).residual
                     for i in ids]
-        checks.clear()
+        builds.clear()
         with actions.run_scope():
             shared = [identity_residual(i, alg, seed, cc, grid=10).residual
                       for i in ids]
-        assert len(checks) == 1
+        assert len(builds) == 1
         for a, b in zip(shared, unshared):
             assert abs(a - b) <= 1e-15
 
     cfg = suites.SuiteConfig(suites=list(ids), algebras=["so31", "so22"],
                              grid=10)
     cfg.seed_start, cfg.seed_end = 0, 1
-    checks.clear()
+    builds.clear()
     results, ok = suites.run_suite(cfg)
     assert ok and len(results) == 8
-    assert len(checks) == 4     # one per (algebra, seed), not per check
+    assert len(builds) == 4     # one per (algebra, seed), not per check
     assert [row_key(r) for r in results] == \
         [row_key(r) for r in isolated_rows(cfg)]
 

@@ -29,6 +29,7 @@ from cartanforms.calculus import (
     _lattice,
     _lattice_factors,
     _lattice_table,
+    _point_coefficients,
     _rng_for,
     _trig_table,
 )
@@ -79,7 +80,7 @@ def test_lattice_values_match_point_path(n):
                  for seed, degree, cutoff in ((0, 1, 1), (1, 2, 2), (2, 1, 2))
                  if degree <= dim]
         for rows in (None, list(alg.p_indices)):
-            got = _eval_on_lattice(forms, n, rows)
+            got = _eval_on_lattice(*_point_coefficients(forms, rows), n)
             ref = _eval_on_points(forms, _lattice(n, dim), rows)
             for a, b in zip(got, ref, strict=True):
                 assert a.shape == b.shape

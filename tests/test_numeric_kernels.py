@@ -249,17 +249,42 @@ def test_tmg_action_matches_lu_values(seed):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def test_singular_torsion_map_is_refused():
-    # keep only the first rotation's action on the translations: K0 loses
-    # rank and no coframe determines a unique torsion-free connection
+def _one_rotation_so31():
+    """so31 keeping only the first rotation's action on the translations:
+    K0 loses rank and no coframe determines a unique torsion-free
+    connection."""
     real = build_algebra("so31")
     structure = [[list(row) for row in plane] for plane in real.structure]
     for hi in real.h_indices[1:]:
         for pb in real.p_indices:
             structure[hi][pb] = [0] * real.dim
             structure[pb][hi] = [0] * real.dim
-    broken = dataclasses.replace(
+    return dataclasses.replace(
         real, name="so31_one_rotation",
         structure=tuple(tuple(tuple(r) for r in p) for p in structure))
+
+
+def test_singular_torsion_map_is_refused():
+    broken = _one_rotation_so31()
     with pytest.raises(CartanError, match="so31_one_rotation: the torsion map K0"):
         actions.LeviCivitaConnection(analytic_coframe(broken, seed=0))
+
+
+def test_constructor_refuses_coframe_degenerate_on_the_scan_lattice():
+    alg = build_algebra("so31")
+    # det e = cos(x_3) vanishes at x_3 = pi/2, a point of the 16^3 lattice
+    comps = {(alg.p_indices[a], (a,)): TrigPoly.constant(3, 1)
+             for a in range(2)}
+    comps[(alg.p_indices[2], (2,))] = TrigPoly.cosine(3, (0, 0, 1), 1)
+    for e in (LieForm.zero(alg, 3, 1), LieForm(alg, 3, 1, comps)):
+        min_det = coframe_check(e, grid_size=16)["min_abs_det"]
+        assert min_det <= 1e-8
+        message = f"degenerate coframe: min |det e| = {min_det:.3e}"
+        with pytest.raises(CartanError) as refused:
+            actions.LeviCivitaConnection(e)
+        assert str(refused.value) == message
+    # the scan runs before K0 is built, so it wins over a singular K0
+    broken = _one_rotation_so31()
+    with pytest.raises(CartanError) as refused:
+        actions.LeviCivitaConnection(LieForm.zero(broken, 3, 1))
+    assert str(refused.value) == "degenerate coframe: min |det e| = 0.000e+00"

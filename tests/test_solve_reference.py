@@ -104,10 +104,10 @@ def test_coefficient_table_built_once_per_connection(monkeypatch):
         monkeypatch.setattr(module, "_point_coefficients", build)
     monkeypatch.setattr(LeviCivitaConnection, "solve", solve)
     value = tmg_action(e, 5, grid=40).numeric
-    # 40^3 points are 16 blocks: one table for the coframe scan, one for
-    # the connection, none per block
+    # 40^3 points are 16 blocks: one table for the connection, which its
+    # coframe scan reads too, none per block
     assert len(solves) == 16
-    assert len(built) == 2
+    assert len(built) == 1
 
     def refuse(*args, **kwargs):
         raise AssertionError("the solve evaluated forms")
@@ -115,6 +115,6 @@ def test_coefficient_table_built_once_per_connection(monkeypatch):
     for module in (calculus, actions):
         monkeypatch.setattr(module, "_eval_on_points", refuse)
     lc = LeviCivitaConnection(e)
-    assert len(built) == 3
+    assert len(built) == 2
     assert tmg_action(e, 5, grid=40, lc=lc).numeric == value
-    assert len(built) == 3
+    assert len(built) == 2
