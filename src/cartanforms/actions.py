@@ -49,6 +49,7 @@ from .calculus import (
     _gram_sum,
     _lattice,
     _lattice_axis,
+    _pairing_sum,
     _point_coefficients,
     _rng_for,
     _trig_table,
@@ -221,19 +222,23 @@ class ConnectionForms:
     functionals.
 
     Each functional contracts the grams of its invariant form with
-    beta-independent pairing matrices (calculus._PairingMatrix), each
-    built on first use and kept: (A, dA), (A, [A,A]), (~A, d~A),
-    (~A, [~A,~A]) for A = omega + e and ~A = omega - e, then (omega,
-    d omega), (omega, [omega, omega]), (e, R), (e, [e,e]) and
-    (e, d_omega e).  A matrix reads a d as a derivative pairing and a
-    bracket as a trilinear zero mode, so neither dA, d~A, d omega, de nor
-    any bracket is formed.  Each functional value is kept too, once per
-    invariant form, as a reduced integer pair (numerator, denominator):
-    S_CS^beta(A), S_CS^beta(~A), the Palatini value and S_CS^beta(omega)
-    plus the torsion pairing.  A value is keyed by the form object, not by
-    (c0, c1), and its entry holds the form, so the id stays valid.  The A
-    and ~A values pair only A or ~A, the others only e and omega, so the
-    two sides of a split identity share no matrix.
+    beta-independent pairing matrices (calculus._PairingMatrix): (A, dA),
+    (A, [A,A]), (~A, d~A), (~A, [~A,~A]) for A = omega + e and
+    ~A = omega - e, then (omega, d omega), (omega, [omega, omega]),
+    (e, R), (e, [e,e]) and (e, d_omega e).  All nine come from five
+    walks, each made on first use and kept: the derivative pairing
+    (A, dA) and the bracket pairings (A; u, v) of [u, v] for u, v in
+    {omega, e}.  omega takes values in h and e in p (CartanConnection
+    enforces it), so the h | p row and column blocks of a walk are the
+    pairings of omega or e and of d omega or de, and each matrix is an
+    integer signed sum of blocks; ~A itself is never formed.  A matrix
+    reads a d as a derivative pairing and a bracket as a trilinear zero
+    mode, so neither dA, d omega, de nor any bracket is formed.  Each
+    functional value is kept too, once per invariant form, as a reduced
+    integer pair (numerator, denominator): S_CS^beta(A), S_CS^beta(~A),
+    the Palatini value and S_CS^beta(omega) plus the torsion pairing.  A
+    value is keyed by the form object, not by (c0, c1), and its entry
+    holds the form, so the id stays valid.
     """
 
     # functional -> its terms c Int beta(w ^ m) as (c, matrix of (w, m)),
@@ -248,6 +253,7 @@ class ConnectionForms:
 
     def __init__(self, omega, e):
         self.omega, self.e = omega, e
+        self.h, self.p = omega.algebra.h_indices, omega.algebra.p_indices
         self._values = {}
 
     def value(self, name, form):
@@ -288,51 +294,83 @@ class ConnectionForms:
     def a(self):
         return self.omega + self.e
 
-    @cached_property
-    def a_t(self):
-        return self.omega - self.e
-
-    # -- pairing matrices ---------------------------------------------------
+    # -- the five walks -----------------------------------------------------
 
     @cached_property
     def a_da(self):
+        """(A, dA); its hh, hp, ph and pp blocks are (omega, d omega),
+        (omega, de), (e, d omega) and (e, de)."""
         return _d_pairing_matrix(self.a, self.a)
 
     @cached_property
+    def a_ww(self):
+        """(A; omega, omega): the pairing of A with [omega, omega]."""
+        return _bracket_pairing_matrix(self.a, self.omega, self.omega)
+
+    @cached_property
+    def a_we(self):
+        return _bracket_pairing_matrix(self.a, self.omega, self.e)
+
+    @cached_property
+    def a_ew(self):
+        # of 1-forms [e, omega] = [omega, e] only on an antisymmetric
+        # table, so it is walked, not derived from a_we
+        return _bracket_pairing_matrix(self.a, self.e, self.omega)
+
+    @cached_property
+    def a_ee(self):
+        return _bracket_pairing_matrix(self.a, self.e, self.e)
+
+    # -- the nine pairing matrices, as signed sums of their blocks ----------
+
+    @cached_property
     def a_aa(self):
-        return _bracket_pairing_matrix(self.a, self.a, self.a)
+        return _pairing_sum([(1, self.a_ww), (1, self.a_we), (1, self.a_ew),
+                             (1, self.a_ee)])
 
     @cached_property
     def a_t_da_t(self):
-        return _d_pairing_matrix(self.a_t, self.a_t)
+        """(~A, d~A): (A, dA) with its hp and ph blocks negated."""
+        h, p = self.h, self.p
+        return _pairing_sum([(1, self.a_da), (-2, self.a_da.block(h, p)),
+                             (-2, self.a_da.block(p, h))])
 
     @cached_property
     def a_t_aa_t(self):
-        return _bracket_pairing_matrix(self.a_t, self.a_t, self.a_t)
+        """(~A, [~A,~A]): each row block of (A; u, v) signed by (-1) to the
+        number of e among the row's operand, u and v."""
+        h, p = self.h, self.p
+        return _pairing_sum([
+            (1, self.a_ww.block(h)), (-1, self.a_ww.block(p)),
+            (-1, self.a_we.block(h)), (1, self.a_we.block(p)),
+            (-1, self.a_ew.block(h)), (1, self.a_ew.block(p)),
+            (1, self.a_ee.block(h)), (-1, self.a_ee.block(p))])
 
     @cached_property
     def omega_dw(self):
-        return _d_pairing_matrix(self.omega, self.omega)
+        return self.a_da.block(self.h, self.h)
 
     @cached_property
     def omega_ww(self):
-        return _bracket_pairing_matrix(self.omega, self.omega, self.omega)
+        return self.a_ww.block(self.h)
 
     @cached_property
     def e_r(self):
         """(e, R) with R = d omega + 1/2 [omega, omega]."""
-        return _d_pairing_matrix(self.e, self.omega).add(
-            _bracket_pairing_matrix(self.e, self.omega, self.omega), HALF)
+        p = self.p
+        return _pairing_sum([(2, self.a_da.block(p, self.h)),
+                             (1, self.a_ww.block(p))], den=2)
 
     @cached_property
     def e_ee(self):
-        return _bracket_pairing_matrix(self.e, self.e, self.e)
+        return self.a_ee.block(self.p)
 
     @cached_property
     def e_dwe(self):
         """(e, d_omega e) with d_omega e = de + [omega, e]."""
-        return _d_pairing_matrix(self.e, self.e).add(
-            _bracket_pairing_matrix(self.e, self.omega, self.e))
+        p = self.p
+        return _pairing_sum([(1, self.a_da.block(p, p)),
+                             (1, self.a_we.block(p))])
 
 
 # field density of the random connection behind the 3d CS identities

@@ -781,16 +781,26 @@ class _PairingMatrix:
         self.algebra, self.den = algebra, lcm
         self.nums = {key: n for key, n in nums.items() if n}
 
-    def add(self, other, coeff=ONE):
-        """This matrix plus coeff times other."""
-        if other.algebra is not self.algebra:
+    def block(self, rows, cols=None):
+        """The entries in the rows alpha and, unless cols is None, in the
+        columns beta: the pairing of those value indices alone."""
+        return _PairingMatrix(self.algebra, {self.den: {
+            key: n for key, n in self.nums.items()
+            if key[0] in rows and (cols is None or key[1] in cols)}})
+
+
+def _pairing_sum(terms, den=1):
+    """The _PairingMatrix of sum c m / den over the (c, m) terms, with c an
+    integer and m pairing matrices of one algebra."""
+    algebra = terms[0][1].algebra
+    sums = {}
+    for c, m in terms:
+        if m.algebra is not algebra:
             raise AlgebraError("pairing matrices of different algebras")
-        coeff = Fraction(coeff)
-        sums = {self.den: dict(self.nums)}
-        for key, n in other.nums.items():
-            _add_to(sums, other.den * coeff.denominator, key,
-                    n * coeff.numerator)
-        return _PairingMatrix(self.algebra, sums)
+        part = sums.setdefault(m.den * den, {})
+        for key, n in m.nums.items():
+            part[key] = part.get(key, 0) + c * n
+    return _PairingMatrix(algebra, sums)
 
 
 def _add_to(sums, den, key, n):

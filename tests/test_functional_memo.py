@@ -35,6 +35,7 @@ from cartanforms.calculus import (
     _complement,
     _gram_sum,
     _merge_indices,
+    _PairingMatrix,
 )
 
 from connection_operands import ConnectionOperands
@@ -202,6 +203,90 @@ def test_damaged_battery_matches_per_check_reference(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
+# a kernel fault in one block of one walk
+# ---------------------------------------------------------------------------
+
+# The 12 blocks of the five walks of a connection: (walk, rows, cols), with
+# walk "d" for (A, dA) or (u, v) for (A; u, v), "w" standing for omega;
+# a block of a bracket walk is a row class over every column.
+BLOCKS = ([("d", rows, cols) for rows in "hp" for cols in "hp"]
+          + [((u, v), rows, None) for u in "we" for v in "we"
+             for rows in "hp"])
+E_DE, W_DW, E_EE = ("d", "p", "p"), ("d", "h", "h"), (("e", "e"), "p", None)
+# algebra -> the blocks that no check of the battery reads
+BLIND = {"so31": {W_DW, E_DE}, "so22": {W_DW, E_DE},
+         "iso21": {W_DW, E_DE, E_EE}}
+
+
+def _fault_in(monkeypatch, alg, block):
+    """Patch the two kernels of ConnectionForms so that each entry of the
+    block is off by its own power of 7 over the matrix's denominator."""
+    walk, rows, cols = block
+    classes = {"h": set(alg.h_indices), "p": set(alg.p_indices)}
+
+    def kind(form):
+        values = {alpha for alpha, _ in form.comps}
+        assert values and (values <= classes["h"] or values <= classes["p"])
+        return "w" if values <= classes["h"] else "e"
+
+    def faulty(matrix, hit):
+        if not hit:
+            return matrix
+        nums = dict(matrix.nums)
+        for alpha in classes[rows]:
+            for beta in classes[cols] if cols else range(alg.dim):
+                key = (alpha, beta)
+                nums[key] = nums.get(key, 0) + 7 ** (alpha * alg.dim + beta)
+        return _PairingMatrix(alg, {matrix.den: nums})
+
+    d, bracket = actions._d_pairing_matrix, actions._bracket_pairing_matrix
+    monkeypatch.setattr(actions, "_d_pairing_matrix", lambda w, m: faulty(
+        d(w, m), walk == "d"))
+    monkeypatch.setattr(actions, "_bracket_pairing_matrix",
+                        lambda w, u, v: faulty(bracket(w, u, v),
+                                               walk == (kind(u), kind(v))))
+
+
+@pytest.mark.parametrize("name", list(BLIND))
+def test_a_fault_in_one_block_shows_unless_both_sides_read_it_alike(
+        monkeypatch, name):
+    """The two sides of a check read blocks of the same five walks, so a
+    fault in a block shows only where the sides read that block with
+    different coefficients.  Each of the 12 blocks (4 of (A, dA), 2 row
+    classes of each of the 4 bracket walks) is faulted in turn under
+    the 5 identities x 3 default couplings on seeds 0..2 at cutoff 1.
+
+    Blind on every algebra: omega ^ d omega and e ^ de, the hh and pp
+    blocks of (A, dA).  They enter both sides of every identity with the
+    same coefficient: ~A keeps their sign, and as the star form S has no
+    hh or pp block, beta = c0 K + c1 S reads them only through c0 K, the
+    form the right sides pair them with (c0 times S_CS^K(omega) plus the
+    torsion pairing, or nothing where c0 = 0).  Blind on
+    iso21 alone: e ^ [e,e], the p rows of (A; e, e), because iso21's
+    Killing form vanishes on p, so every side reads those rows only
+    through c1 S, and with the same coefficient."""
+    alg = build_algebra(name)
+    h, p = alg.h_indices, alg.p_indices
+    assert all(alg.star_gram[i][j] == 0 for rows in (h, p)
+               for i in rows for j in rows)
+    assert all(alg.killing[i][j] == 0 for i in h for j in p)
+    assert all(alg.killing[i][j] == 0 for i in p for j in p) == (
+        E_EE in BLIND[name])
+    cfg = _config([name], 1, seeds=(0, 2), custom=False)
+    plan = [check for identity_id in suites.EXACT_3D_IDENTITIES
+            for check in suites._plan_identity_battery(identity_id, cfg)]
+    assert len(plan) == 5 * 3 * 3
+    assert all(row.passed for row in suites._run_planned(plan))
+    blind = set()
+    for block in BLOCKS:
+        with monkeypatch.context() as m:
+            _fault_in(m, alg, block)
+            if all(row.passed for row in suites._run_planned(plan)):
+                blind.add(block)
+    assert len(BLOCKS) == 12 and blind == BLIND[name]
+
+
+# ---------------------------------------------------------------------------
 # one value per functional and form object
 # ---------------------------------------------------------------------------
 
@@ -231,10 +316,11 @@ def test_cs_battery_shaped_run_pairs_each_value_once(monkeypatch):
 
 
 def _count_kernels(monkeypatch):
-    """Count the pairing-matrix builds: 5 derivative pairing and 6 bracket
-    kernel calls make the 9 matrices of one connection.  A plain pairing
-    matrix (pair_integral's kernel) is counted too; the 3d functionals
-    build none."""
+    """Count the pairing-matrix builds: 1 derivative pairing and 4 bracket
+    kernel calls, the walks (A, dA) and (A; u, v) for u, v in {omega, e},
+    make the 9 matrices of one connection.  A plain pairing matrix
+    (pair_integral's kernel) is counted too; the 3d functionals build
+    none."""
     calls = {}
     for module, name in ((calculus, "_pairing_matrix"),
                          (actions, "_d_pairing_matrix"),
@@ -262,13 +348,14 @@ def _count_differentials(monkeypatch):
 
 def test_cs_battery_shaped_run_builds_each_matrix_once(monkeypatch):
     """The 1800 checks on {so31, iso21, so22} x 40 seeds use 120 field sets;
-    each builds its 9 matrices once, whatever the number of forms."""
+    each walks its 5 kernels once for its 9 matrices, whatever the number
+    of forms."""
     calls = _count_kernels(monkeypatch)
     results, passed = suites.run_suite(
         suites.SuiteConfig(seed_start=0, seed_end=39))
     assert passed and len(results) == 1800
-    assert calls == {"_d_pairing_matrix": 5 * 120,
-                     "_bracket_pairing_matrix": 6 * 120}
+    assert calls == {"_d_pairing_matrix": 1 * 120,
+                     "_bracket_pairing_matrix": 4 * 120}
 
 
 def test_cs_battery_shaped_run_forms_no_differential(monkeypatch):
@@ -284,6 +371,8 @@ def test_cs_battery_shaped_run_forms_no_differential(monkeypatch):
 
 
 def test_matrices_are_kept_per_connection(monkeypatch):
+    """Four forms, each read by the four functionals: the connection still
+    walks (A, dA) once and each (A; u, v) once."""
     alg = build_algebra("so22")
     f = FieldSet(alg, 2).connection
     calls = _count_kernels(monkeypatch)
@@ -292,7 +381,24 @@ def test_matrices_are_kept_per_connection(monkeypatch):
     for form in forms:
         for functional in (f.cs_a, f.cs_a_t, f.palatini, f.cs_omega_torsion):
             functional(form)
-    assert calls == {"_d_pairing_matrix": 5, "_bracket_pairing_matrix": 6}
+    assert calls == {"_d_pairing_matrix": 1, "_bracket_pairing_matrix": 4}
+
+
+@pytest.mark.parametrize("functional, walks", [
+    ("cs_a", (1, 4)), ("cs_a_t", (1, 4)), ("palatini", (1, 2)),
+    ("torsion", (1, 1)), ("cs_omega_torsion", (1, 2))])
+def test_a_functional_walks_only_what_it_reads(monkeypatch, functional,
+                                               walks):
+    """Each walk is made on first use: the Palatini value reads (A, dA),
+    (A; omega, omega) and (A; e, e), the torsion pairing (A, dA) and
+    (A; omega, e), S_CS^beta(omega) plus torsion both of these and
+    (A; omega, omega)."""
+    alg = build_algebra("so31")
+    f = FieldSet(alg, 1).connection
+    calls = _count_kernels(monkeypatch)
+    getattr(f, functional)(killing_form(alg))
+    assert calls == {"_d_pairing_matrix": walks[0],
+                     "_bracket_pairing_matrix": walks[1]}
 
 
 def test_values_are_keyed_by_the_form_object(monkeypatch):
