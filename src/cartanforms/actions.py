@@ -46,10 +46,9 @@ from .calculus import (
     _d_pairing_matrix,
     _det_on_points,
     _eval_on_points,
-    _gram_sum,
+    _gram_blocks,
     _lattice,
     _lattice_axis,
-    _pairing_sum,
     _point_coefficients,
     _rng_for,
     _trig_table,
@@ -218,42 +217,61 @@ IDENTITY_IDS = tuple(IDENTITY_ALGEBRAS)
 # ---------------------------------------------------------------------------
 
 class ConnectionForms:
-    """One Cartan connection omega + e: its pairing matrices and its exact
+    """One Cartan connection omega + e: its pairing walks and its exact
     functionals.
 
-    Each functional contracts the grams of its invariant form with
-    beta-independent pairing matrices (calculus._PairingMatrix): (A, dA),
-    (A, [A,A]), (~A, d~A), (~A, [~A,~A]) for A = omega + e and
-    ~A = omega - e, then (omega, d omega), (omega, [omega, omega]),
-    (e, R), (e, [e,e]) and (e, d_omega e).  All nine come from five
-    walks, each made on first use and kept: the derivative pairing
-    (A, dA) and the bracket pairings (A; u, v) of [u, v] for u, v in
-    {omega, e}.  omega takes values in h and e in p (CartanConnection
-    enforces it), so the h | p row and column blocks of a walk are the
-    pairings of omega or e and of d omega or de, and each matrix is an
-    integer signed sum of blocks; ~A itself is never formed.  A matrix
-    reads a d as a derivative pairing and a bracket as a trilinear zero
-    mode, so neither dA, d omega, de nor any bracket is formed.  Each
-    functional value is kept too, once per invariant form, as a reduced
-    integer pair (numerator, denominator): S_CS^beta(A), S_CS^beta(~A),
-    the Palatini value and S_CS^beta(omega) plus the torsion pairing.  A
-    value is keyed by the form object, not by (c0, c1), and its entry
-    holds the form, so the id stays valid.
+    Each functional reads five beta-independent pairing matrices
+    (calculus._PairingMatrix) of A = omega + e, each walked on first use
+    and kept: the derivative pairing (A, dA) and the bracket pairings
+    (A; u, v) of [u, v] for u, v in {omega, e}.  omega takes values in h
+    and e in p (CartanConnection enforces it), and h_indices come first,
+    so the h | p row and column blocks of a walk are the pairings of omega
+    or e, and of d omega or de.  The first time a functional reads a walk
+    with an invariant form, the walk is contracted with the form's gram
+    into its four block sums (hh, hp, ph, pp) over one denominator, and
+    those are kept; each functional is then a short table of (coefficient,
+    walk, block signs), ~A = omega - e included, so neither ~A, dA,
+    d omega, de nor any bracket is formed.  Each functional value is
+    kept too, once per invariant form, as a reduced integer pair
+    (numerator, denominator).  Sums and values are keyed by the form
+    object, not by (c0, c1), and each entry holds the form, so the id
+    stays valid.
     """
 
-    # functional -> its terms c Int beta(w ^ m) as (c, matrix of (w, m)),
-    # with c an integer pair
+    # functional -> its terms c Int beta(w ^ m) as (c as an integer pair,
+    # walk, signs of its hh, hp, ph and pp blocks).  A bracket walk is read
+    # by row blocks: its columns are the value indices of [u, v].  The
+    # signs of cs_a_t are (-1) to the number of e among the row's operand,
+    # and the column's for (A, dA) or u and v for (A; u, v); on a graded
+    # table this is the involution, cs_a with the hp and ph blocks negated.
     FUNCTIONALS = {
-        "cs_a": (((1, 2), "a_da"), ((1, 6), "a_aa")),
-        "cs_a_t": (((1, 2), "a_t_da_t"), ((1, 6), "a_t_aa_t")),
-        "palatini": (((1, 1), "e_r"), ((1, 6), "e_ee")),
-        "cs_omega_torsion": (((1, 2), "omega_dw"), ((1, 6), "omega_ww"),
-                             ((1, 2), "e_dwe")),
+        "cs_a": (((1, 2), "a_da", (1, 1, 1, 1)),
+                 ((1, 6), "a_ww", (1, 1, 1, 1)),
+                 ((1, 6), "a_we", (1, 1, 1, 1)),
+                 ((1, 6), "a_ew", (1, 1, 1, 1)),
+                 ((1, 6), "a_ee", (1, 1, 1, 1))),
+        "cs_a_t": (((1, 2), "a_da", (1, -1, -1, 1)),
+                   ((1, 6), "a_ww", (1, 1, -1, -1)),
+                   ((1, 6), "a_we", (-1, -1, 1, 1)),
+                   ((1, 6), "a_ew", (-1, -1, 1, 1)),
+                   ((1, 6), "a_ee", (1, 1, -1, -1))),
+        # (e, R) + 1/6 (e, [e,e]) with R = d omega + 1/2 [omega, omega]
+        "palatini": (((1, 1), "a_da", (0, 0, 1, 0)),
+                     ((1, 2), "a_ww", (0, 0, 1, 1)),
+                     ((1, 6), "a_ee", (0, 0, 1, 1))),
+        # 1/2 (e, d_omega e) with d_omega e = de + [omega, e]
+        "torsion": (((1, 2), "a_da", (0, 0, 0, 1)),
+                    ((1, 2), "a_we", (0, 0, 1, 1))),
+        # S_CS^beta(omega) plus the torsion pairing
+        "cs_omega_torsion": (((1, 2), "a_da", (1, 0, 0, 1)),
+                             ((1, 6), "a_ww", (1, 1, 0, 0)),
+                             ((1, 2), "a_we", (0, 0, 1, 1))),
     }
 
     def __init__(self, omega, e):
         self.omega, self.e = omega, e
-        self.h, self.p = omega.algebra.h_indices, omega.algebra.p_indices
+        self._split = len(omega.algebra.h_indices)
+        self._sums = {}
         self._values = {}
 
     def value(self, name, form):
@@ -263,10 +281,24 @@ class ConnectionForms:
         key = (name, id(form))
         hit = self._values.get(key)
         if hit is None:
-            num, den = _pair_sum([(c, _gram_sum(form, getattr(self, m)))
-                                  for c, m in self.FUNCTIONALS[name]])
+            num, den = 0, 1
+            for (cn, cd), walk, (s0, s1, s2, s3) in self.FUNCTIONALS[name]:
+                d, hh, hp, ph, pp = self._block_sums(walk, form)
+                d *= cd
+                num = num * d + cn * (s0 * hh + s1 * hp + s2 * ph
+                                      + s3 * pp) * den
+                den *= d
             g = math.gcd(num, den)
             hit = self._values[key] = (form, (num // g, den // g))
+        return hit[1]
+
+    def _block_sums(self, walk, form):
+        """_gram_blocks of the walk and the form, kept per form object."""
+        key = (walk, id(form))
+        hit = self._sums.get(key)
+        if hit is None:
+            hit = self._sums[key] = (form, _gram_blocks(
+                form, getattr(self, walk), self._split))
         return hit[1]
 
     def cs_a(self, form):
@@ -283,8 +315,7 @@ class ConnectionForms:
 
     def torsion(self, form):
         """1/2 Int beta(e ^ d_omega e)."""
-        n, d = _gram_sum(form, self.e_dwe)
-        return Fraction(n, 2 * d)
+        return Fraction(*self.value("torsion", form))
 
     def cs_omega_torsion(self, form):
         """S_CS^beta(omega) plus the torsion pairing."""
@@ -320,57 +351,6 @@ class ConnectionForms:
     @cached_property
     def a_ee(self):
         return _bracket_pairing_matrix(self.a, self.e, self.e)
-
-    # -- the nine pairing matrices, as signed sums of their blocks ----------
-
-    @cached_property
-    def a_aa(self):
-        return _pairing_sum([(1, self.a_ww), (1, self.a_we), (1, self.a_ew),
-                             (1, self.a_ee)])
-
-    @cached_property
-    def a_t_da_t(self):
-        """(~A, d~A): (A, dA) with its hp and ph blocks negated."""
-        h, p = self.h, self.p
-        return _pairing_sum([(1, self.a_da), (-2, self.a_da.block(h, p)),
-                             (-2, self.a_da.block(p, h))])
-
-    @cached_property
-    def a_t_aa_t(self):
-        """(~A, [~A,~A]): each row block of (A; u, v) signed by (-1) to the
-        number of e among the row's operand, u and v."""
-        h, p = self.h, self.p
-        return _pairing_sum([
-            (1, self.a_ww.block(h)), (-1, self.a_ww.block(p)),
-            (-1, self.a_we.block(h)), (1, self.a_we.block(p)),
-            (-1, self.a_ew.block(h)), (1, self.a_ew.block(p)),
-            (1, self.a_ee.block(h)), (-1, self.a_ee.block(p))])
-
-    @cached_property
-    def omega_dw(self):
-        return self.a_da.block(self.h, self.h)
-
-    @cached_property
-    def omega_ww(self):
-        return self.a_ww.block(self.h)
-
-    @cached_property
-    def e_r(self):
-        """(e, R) with R = d omega + 1/2 [omega, omega]."""
-        p = self.p
-        return _pairing_sum([(2, self.a_da.block(p, self.h)),
-                             (1, self.a_ww.block(p))], den=2)
-
-    @cached_property
-    def e_ee(self):
-        return self.a_ee.block(self.p)
-
-    @cached_property
-    def e_dwe(self):
-        """(e, d_omega e) with d_omega e = de + [omega, e]."""
-        p = self.p
-        return _pairing_sum([(1, self.a_da.block(p, p)),
-                             (1, self.a_we.block(p))])
 
 
 # field density of the random connection behind the 3d CS identities
@@ -987,8 +967,8 @@ def _needs(covered, noun="algebra"):
 
 
 def _gram_blocks_zero(form, rows, cols):
-    ratios = form.gram_ratios      # the nonzero entries of each row
-    return not any(j in ratios[i] for i in rows for j in cols)
+    nonzero = form.gram_ints[1]    # the nonzero entries of each row
+    return not any(j in nonzero[i] for i in rows for j in cols)
 
 
 def _exact_residual(identity_id, fields, couplings):

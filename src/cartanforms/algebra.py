@@ -19,6 +19,7 @@ Frozen conventions (see CONVENTIONS.md):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -516,11 +517,13 @@ class BilinearForm:
     support: str  # "full" | "h_block"
 
     @cached_property
-    def gram_ratios(self):
-        """Per row a, the nonzero entries as {b: (numerator, denominator)}."""
-        return tuple({b: (c.numerator, c.denominator)
-                      for b, c in enumerate(row) if c != 0}
-                     for row in self.gram)
+    def gram_ints(self):
+        """(den, rows): the gram over one denominator den > 0, the lcm of
+        its entries' denominators, with per row a the nonzero numerators
+        as {b: int}."""
+        den = math.lcm(*(c.denominator for row in self.gram for c in row))
+        return den, tuple({b: int(c * den) for b, c in enumerate(row)
+                           if c != 0} for row in self.gram)
 
     @cached_property
     def gram_float(self):

@@ -733,19 +733,20 @@ def _check_top(w, *mates, derivatives=0):
 
 
 def _freq_index(form):
-    """{multi-index: {k: [(alpha, re, im, den)]}}: the modes of the form by
-    block and frequency, the numerators re + i im over the component's
-    denominator.  Built on first use and kept on the form, whose
-    components never change."""
+    """(den, {multi-index: {k: [(alpha, re, im)]}}): the modes of the form
+    by block and frequency, the numerators re + i im over den, the lcm of
+    the component denominators.  Built on first use and kept on the form,
+    whose components never change."""
     index = form._index
     if index is None:
-        index = {}
+        den = math.lcm(*(poly.den for poly in form.comps.values()))
+        blocks = {}
         for (alpha, idx), poly in form.comps.items():
-            block = index.setdefault(idx, {})
-            den = poly.den
+            block = blocks.setdefault(idx, {})
+            scale = den // poly.den
             for k, (a, b) in poly.nums.items():
-                block.setdefault(k, []).append((alpha, a, b, den))
-        form._index = index
+                block.setdefault(k, []).append((alpha, a * scale, b * scale))
+        index = form._index = (den, blocks)
     return index
 
 
@@ -756,56 +757,26 @@ def _freq_index(form):
 # Each matrix is a join of the frequency indices of its operands.  Every
 # TrigPoly stores the Hermitian partner of each mode, so the zero mode of a
 # product f g is sum_k Re(f_k conj(g_k)) over the frequencies f and g
-# share, and the mode of f at -k is the conjugate of its mode at k.
+# share, and the mode of f at -k is the conjugate of its mode at k.  Each
+# operand brings one denominator, so a matrix adds integer numerators over
+# the product of its operands' denominators.
 
 class _PairingMatrix:
     """Int w^alpha ^ m^beta over T^n for every pair of value indices of two
     Lie-valued forms w and m of top total degree, as rational multiples of
-    (2 pi)^n: integer numerators nums[(alpha, beta)] over one denominator.
+    (2 pi)^n: integer numerators nums[(alpha, beta)], zeros dropped, over
+    one denominator den.
 
     Int beta(w ^ m) is the contraction of the matrix with the gram of the
-    invariant form beta (_gram_contract), so operands paired with several
-    forms are walked once.  Built from `sums`, {denominator: {(alpha,
-    beta): numerator}}, whose parts are added.
+    invariant form beta (_gram_sum), so operands paired with several forms
+    are walked once.
     """
 
     __slots__ = ("algebra", "den", "nums")
 
-    def __init__(self, algebra, sums):
-        lcm = math.lcm(*sums)
-        nums = {}
-        for den, part in sums.items():
-            scale = lcm // den
-            for key, n in part.items():
-                nums[key] = nums.get(key, 0) + n * scale
-        self.algebra, self.den = algebra, lcm
+    def __init__(self, algebra, den, nums):
+        self.algebra, self.den = algebra, den
         self.nums = {key: n for key, n in nums.items() if n}
-
-    def block(self, rows, cols=None):
-        """The entries in the rows alpha and, unless cols is None, in the
-        columns beta: the pairing of those value indices alone."""
-        return _PairingMatrix(self.algebra, {self.den: {
-            key: n for key, n in self.nums.items()
-            if key[0] in rows and (cols is None or key[1] in cols)}})
-
-
-def _pairing_sum(terms, den=1):
-    """The _PairingMatrix of sum c m / den over the (c, m) terms, with c an
-    integer and m pairing matrices of one algebra."""
-    algebra = terms[0][1].algebra
-    sums = {}
-    for c, m in terms:
-        if m.algebra is not algebra:
-            raise AlgebraError("pairing matrices of different algebras")
-        part = sums.setdefault(m.den * den, {})
-        for key, n in m.nums.items():
-            part[key] = part.get(key, 0) + c * n
-    return _PairingMatrix(algebra, sums)
-
-
-def _add_to(sums, den, key, n):
-    part = sums.setdefault(den, {})
-    part[key] = part.get(key, 0) + n
 
 
 def _pairing_matrix(w, m):
@@ -816,9 +787,10 @@ def _pairing_matrix(w, m):
     the modes a + i b of w and c + i d of m.
     """
     _check_top(w, m)
-    mates = _freq_index(m)
-    sums = {}
-    for i_idx, fblock in _freq_index(w).items():
+    wden, blocks = _freq_index(w)
+    mden, mates = _freq_index(m)
+    nums = {}
+    for i_idx, fblock in blocks.items():
         j_idx = _complement(w.dim, i_idx)
         gblock = mates.get(j_idx)
         if gblock is None:
@@ -828,12 +800,13 @@ def _pairing_matrix(w, m):
             gs = gblock.get(k)
             if gs is None:
                 continue
-            for alpha, a, b, fden in fs:
-                for beta, c, d, gden in gs:
+            for alpha, a, b in fs:
+                for beta, c, d in gs:
                     s = a * c + b * d
                     if s:
-                        _add_to(sums, fden * gden, (alpha, beta), sign * s)
-    return _PairingMatrix(w.algebra, sums)
+                        key = (alpha, beta)
+                        nums[key] = nums.get(key, 0) + sign * s
+    return _PairingMatrix(w.algebra, wden * mden, nums)
 
 
 @functools.cache
@@ -858,9 +831,11 @@ def _d_pairing_matrix(w, m):
     what _pairing_matrix(w, exterior_d(m)) refuses.
     """
     _check_top(w, m, derivatives=1)
-    dim, mates = w.dim, _freq_index(m)
-    sums = {}
-    for i_idx, fblock in _freq_index(w).items():
+    dim = w.dim
+    wden, blocks = _freq_index(w)
+    mden, mates = _freq_index(m)
+    nums = {}
+    for i_idx, fblock in blocks.items():
         for j_idx, gblock in mates.items():
             hit = _d_pairing_sign(dim, i_idx, j_idx)
             if hit is None:
@@ -871,12 +846,28 @@ def _d_pairing_matrix(w, m):
                 if gs is None or not k[l]:
                     continue
                 kl = sign * k[l]
-                for alpha, a, b, fden in fs:
-                    for beta, c, d, gden in gs:
+                for alpha, a, b in fs:
+                    for beta, c, d in gs:
                         s = b * c - a * d
                         if s:
-                            _add_to(sums, fden * gden, (alpha, beta), kl * s)
-    return _PairingMatrix(w.algebra, sums)
+                            key = (alpha, beta)
+                            nums[key] = nums.get(key, 0) + kl * s
+    return _PairingMatrix(w.algebra, wden * mden, nums)
+
+
+def _integer_table(alg, parity):
+    """The bracket table of alg (parity None) or its _self_bracket_table of
+    that parity, with int coefficients, for the bracket pairing kernel.
+    Refuses a table with an entry that is not an integer: build_algebra
+    makes none, and a matrix keeps one denominator per operand."""
+    table = (alg.bracket_table if parity is None
+             else _per_algebra(_self_bracket_table, alg, parity))
+    ints = tuple(tuple(tuple((gamma, int(x)) for gamma, x in entry)
+                       for entry in row) for row in table)
+    if ints != table:       # int() truncated an entry
+        raise AlgebraError(f"{alg.name}: the bracket pairing needs integer "
+                           "structure constants")
+    return ints
 
 
 def _bracket_pairing_matrix(w, u, v):
@@ -893,18 +884,18 @@ def _bracket_pairing_matrix(w, u, v):
     A self-bracket of degree >= 1 visits each unordered block pair once,
     I1 < I2, with the table D of _self_bracket_table, which folds both
     orders of a pair into one (see there); a pair within one block repeats
-    an index.
+    an index.  The table must have integer entries (_integer_table).
     """
     _check_top(w, u, v)
     alg, dim = w.algebra, w.dim
     unordered = v is u and u.degree >= 1
-    if unordered:
-        table = _per_algebra(_self_bracket_table, alg, u.degree % 2)
-    else:
-        table = alg.bracket_table
-    windex, vindex = _freq_index(w), _freq_index(v)
-    sums = {}
-    for i1, gblock in _freq_index(u).items():
+    table = _per_algebra(_integer_table, alg,
+                         u.degree % 2 if unordered else None)
+    wden, windex = _freq_index(w)
+    uden, uindex = _freq_index(u)
+    vden, vindex = _freq_index(v)
+    nums = {}
+    for i1, gblock in uindex.items():
         for i2, hblock in vindex.items():
             if unordered and i2 <= i1:
                 continue
@@ -927,47 +918,46 @@ def _bracket_pairing_matrix(w, u, v):
                     fs = fblock.get(k)
                     if fs is None:
                         continue
-                    for beta, a1, b1, _ in gs:
+                    for beta, a1, b1 in gs:
                         row = table[beta]
-                        for delta, a2, b2, _ in hs:
+                        for delta, a2, b2 in hs:
                             if not row[delta]:
                                 continue
                             re = a1 * a2 - b1 * b2
                             im = a1 * b2 + b1 * a2
-                            for alpha, a3, b3, _ in fs:
+                            for alpha, a3, b3 in fs:
                                 key = (alpha, beta, delta)
                                 part[key] = part.get(key, 0) + re * a3 + im * b3
             for (alpha, beta, delta), s in part.items():
                 if not s:
                     continue
-                den = (w.comps[(alpha, i_idx)].den * u.comps[(beta, i1)].den
-                       * v.comps[(delta, i2)].den)
                 for gamma, coeff in table[beta][delta]:
-                    _add_to(sums, den * coeff.denominator, (alpha, gamma),
-                            sign * coeff.numerator * s)
-    return _PairingMatrix(alg, sums)
+                    key = (alpha, gamma)
+                    nums[key] = nums.get(key, 0) + sign * coeff * s
+    return _PairingMatrix(alg, wden * uden * vden, nums)
+
+
+def _gram_blocks(form, matrix, split):
+    """Int beta(w ^ m) from the _PairingMatrix of w and m, split by the
+    h | p blocks with the value indices below split in h: the sums of
+    gram[alpha][beta] matrix[alpha][beta] over the hh, hp, ph and pp
+    blocks, as (denominator > 0, hh, hp, ph, pp), unreduced ints."""
+    if form.algebra is not matrix.algebra:
+        raise AlgebraError("bilinear form belongs to a different algebra")
+    den, rows = form.gram_ints
+    sums = [0, 0, 0, 0]
+    for (alpha, beta), n in matrix.nums.items():
+        g = rows[alpha].get(beta)
+        if g is not None:
+            sums[2 * (alpha >= split) + (beta >= split)] += g * n
+    return (den * matrix.den, *sums)
 
 
 def _gram_sum(form, matrix):
-    """Int beta(w ^ m) from the _PairingMatrix of w and m: the sum of
-    gram[alpha][beta] matrix[alpha][beta] as an unreduced pair of ints
-    (numerator, denominator > 0)."""
-    if form.algebra is not matrix.algebra:
-        raise AlgebraError("bilinear form belongs to a different algebra")
-    rows = form.gram_ratios
-    sums = {}
-    for (alpha, beta), n in matrix.nums.items():
-        ratio = rows[alpha].get(beta)
-        if ratio is not None:
-            sums[ratio[1]] = sums.get(ratio[1], 0) + ratio[0] * n
-    lcm = math.lcm(*sums)
-    num = sum(n * (lcm // den) for den, n in sums.items())
-    return num, lcm * matrix.den
-
-
-def _gram_contract(form, matrix):
-    """Int beta(w ^ m) from the _PairingMatrix of w and m, a Fraction."""
-    return Fraction(*_gram_sum(form, matrix))
+    """Int beta(w ^ m) from the _PairingMatrix of w and m as an unreduced
+    pair of ints (numerator, denominator > 0)."""
+    den, *sums = _gram_blocks(form, matrix, 0)     # split 0: all in pp
+    return sums[3], den
 
 
 def pair_integral(form, w, m):
@@ -978,7 +968,7 @@ def pair_integral(form, w, m):
     contraction of the _PairingMatrix of w and m.  For many forms on the
     same operands, build the matrix once and contract it with each gram.
     """
-    return _gram_contract(form, _pairing_matrix(w, m))
+    return Fraction(*_gram_sum(form, _pairing_matrix(w, m)))
 
 
 def integrate(w):

@@ -165,7 +165,7 @@ def validate_config(cfg):
     if cfg.out is not None and not (isinstance(cfg.out, str) and cfg.out):
         raise SuiteConfigError(
             f"out must be a non-empty path string, got {cfg.out!r}")
-    if not isinstance(cfg.couplings or {}, dict):
+    if cfg.couplings is not None and not isinstance(cfg.couplings, dict):
         raise SuiteConfigError(
             f"couplings must map algebra names to rows, got {cfg.couplings!r}")
     for name, rows in (cfg.couplings or {}).items():

@@ -72,6 +72,8 @@ def test_empty_coupling_rows_are_usage_errors(tmp_path, capsys, rows):
     ("cutoff", 1.7), ("cutoff", True), ("grid", True), ("grid", 12.0),
     ("seeds", [0, 1.9]), ("seeds", [False, 2]), ("seeds", ["0", 2]),
     ("seeds", 3), ("out", 5), ("out", ["r.json"]), ("out", ""),
+    ("couplings", []), ("couplings", ""), ("couplings", 0),
+    ("couplings", False),
 ])
 def test_config_scalars_are_not_coerced(tmp_path, capsys, key, value):
     rc = _verify(tmp_path, {"suites": ["CS_NULL"], "algebras": ["so31"],

@@ -8,7 +8,8 @@ mates of m by multi-index on every call, on the operand forms (dA, [A,A], R,
 d_omega e, ...) that `connection_operands` builds from (omega, e).  The battery under
 test shares one field set per (algebra, seed, cutoff) and reads each
 S_CS^beta(A), S_CS^beta(~A), Palatini and S_CS^beta(omega) + torsion value
-from the ConnectionForms memo, as gram contractions of its pairing matrices.
+from the ConnectionForms memo, as signed block sums of the gram contractions
+of its five pairing walks.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from cartanforms.calculus import (
     pair_integral,
     random_form,
     _complement,
-    _gram_sum,
+    _gram_blocks,
     _merge_indices,
     _PairingMatrix,
 )
@@ -50,7 +51,7 @@ CUSTOM_ROWS = [("-1/2", "5/3"), (3, "-2/7")]
 
 def ref_pair_integral(form, w, m):
     """Int beta(w ^ m): the mates of m grouped by multi-index on each call."""
-    rows = form.gram_ratios
+    gram = form.gram
     mates = {}
     for (beta, j_idx), g in m.comps.items():
         mates.setdefault(j_idx, []).append((beta, g))
@@ -62,14 +63,14 @@ def ref_pair_integral(form, w, m):
             continue
         sign = _merge_indices(i_idx, j_idx)[0]
         for beta, g in group:
-            coeff = rows[alpha].get(beta)
-            if coeff is None:
+            coeff = gram[alpha][beta]
+            if coeff == 0:
                 continue
             s = sum(a * g.nums[k][0] + b * g.nums[k][1]
                     for k, (a, b) in f.nums.items() if k in g.nums)
             if s:
-                den = coeff[1] * f.den * g.den
-                sums[den] = sums.get(den, 0) + sign * coeff[0] * s
+                den = coeff.denominator * f.den * g.den
+                sums[den] = sums.get(den, 0) + sign * coeff.numerator * s
     lcm = 1
     for den in sums:
         lcm = lcm // gcd(lcm, den) * den
@@ -237,7 +238,7 @@ def _fault_in(monkeypatch, alg, block):
             for beta in classes[cols] if cols else range(alg.dim):
                 key = (alpha, beta)
                 nums[key] = nums.get(key, 0) + 7 ** (alpha * alg.dim + beta)
-        return _PairingMatrix(alg, {matrix.den: nums})
+        return _PairingMatrix(alg, matrix.den, nums)
 
     d, bracket = actions._d_pairing_matrix, actions._bracket_pairing_matrix
     monkeypatch.setattr(actions, "_d_pairing_matrix", lambda w, m: faulty(
@@ -291,26 +292,27 @@ def test_a_fault_in_one_block_shows_unless_both_sides_read_it_alike(
 # ---------------------------------------------------------------------------
 
 def _count_pairings(monkeypatch):
-    """Count the gram contractions of pairing matrices, one per pairing:
-    the integer kernel the functionals call."""
+    """Count the gram contractions of walks, one per (walk, form object)
+    read: the integer kernel the functionals call."""
     calls = [0]
 
     def counting(*args):
         calls[0] += 1
-        return _gram_sum(*args)
+        return _gram_blocks(*args)
 
-    monkeypatch.setattr(actions, "_gram_sum", counting)
+    monkeypatch.setattr(actions, "_gram_blocks", counting)
     return calls
 
 
 def test_cs_battery_shaped_run_pairs_each_value_once(monkeypatch):
-    """5 identities x {so31, iso21, so22} x 3 couplings on 40 seeds: 4120
-    distinct pairings, where doing each check's own took 10440."""
+    """5 identities x {so31, iso21, so22} x 3 couplings on 40 seeds: 4520
+    contractions, one per (walk, form object) that the checks read, where
+    each check pairing its own operands took 10440 pairings."""
     calls = _count_pairings(monkeypatch)
     cfg = suites.SuiteConfig(seed_start=0, seed_end=39)
     results, passed = suites.run_suite(cfg)
     assert passed and len(results) == 1800
-    assert calls[0] == 4120
+    assert calls[0] == 4520
     report = suites.emit_report(results, cfg).encode()
     assert hashlib.sha256(report).hexdigest().startswith("90bf5367")
 
@@ -318,7 +320,7 @@ def test_cs_battery_shaped_run_pairs_each_value_once(monkeypatch):
 def _count_kernels(monkeypatch):
     """Count the pairing-matrix builds: 1 derivative pairing and 4 bracket
     kernel calls, the walks (A, dA) and (A; u, v) for u, v in {omega, e},
-    make the 9 matrices of one connection.  A plain pairing matrix
+    serve every functional of one connection.  A plain pairing matrix
     (pair_integral's kernel) is counted too; the 3d functionals build
     none."""
     calls = {}
@@ -348,8 +350,7 @@ def _count_differentials(monkeypatch):
 
 def test_cs_battery_shaped_run_builds_each_matrix_once(monkeypatch):
     """The 1800 checks on {so31, iso21, so22} x 40 seeds use 120 field sets;
-    each walks its 5 kernels once for its 9 matrices, whatever the number
-    of forms."""
+    each walks its 5 kernels once, whatever the number of forms."""
     calls = _count_kernels(monkeypatch)
     results, passed = suites.run_suite(
         suites.SuiteConfig(seed_start=0, seed_end=39))
@@ -414,8 +415,8 @@ def test_values_are_keyed_by_the_form_object(monkeypatch):
             assert f.cs_a_t(form) == ref_cs(form, o.a_t, o.da_t, o.aa_t)
             assert f.palatini(form) == ref_palatini(form, o)
             assert f.cs_omega_torsion(form) == ref_cs_omega_torsion(form, o)
-    # 2 + 2 + 2 + 3 pairings per form object, whatever its (c0, c1)
-    assert calls[0] == 9 * len(forms)
+    # the 5 walks contracted once per form object, whatever its (c0, c1)
+    assert calls[0] == 5 * len(forms)
 
 
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
@@ -492,7 +493,7 @@ def test_pair_integral_with_empty_gram_rows(name):
     alg = build_algebra(name)
     form = invariant_form(alg, 1, Fraction(1, 3))
     assert form.support == "h_block"
-    empty = [a for a, row in enumerate(form.gram_ratios) if not row]
+    empty = [a for a, row in enumerate(form.gram) if not any(row)]
     assert empty == list(alg.p_indices)
     nonzero = 0
     for seed in range(3):

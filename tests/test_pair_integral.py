@@ -8,6 +8,7 @@ battery's own operands, and on the identity battery's residuals.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -56,12 +57,11 @@ def reference_matrix(w, m):
     """The pairing matrix of w and m entry by entry: entry (alpha, beta) is
     the full pairing with the unit form at (alpha, beta)."""
     units = _per_algebra(_unit_forms, w.algebra)
-    sums = {}
-    for key in {(alpha, beta) for alpha, _ in w.comps for beta, _ in m.comps}:
-        value = reference(units[key], w, m)
-        if value:
-            sums.setdefault(value.denominator, {})[key] = value.numerator
-    return _PairingMatrix(w.algebra, sums)
+    values = {key: reference(units[key], w, m) for key in {
+        (alpha, beta) for alpha, _ in w.comps for beta, _ in m.comps}}
+    den = math.lcm(*(value.denominator for value in values.values()))
+    return _PairingMatrix(w.algebra, den, {
+        key: int(value * den) for key, value in values.items()})
 
 
 def reference_bracket_matrix(w, u, v):

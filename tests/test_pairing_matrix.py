@@ -3,8 +3,8 @@
 `_pairing_matrix(w, m)` holds Int w^alpha ^ m^beta for every pair of value
 indices, `_d_pairing_matrix(w, m)` holds Int w^alpha ^ (dm)^beta without
 forming dm, and `_bracket_pairing_matrix(w, u, v)` holds
-Int w^alpha ^ [u, v]^gamma without forming [u, v]; `_gram_contract` pairs
-any of them with an invariant form.  Entry by entry each must equal the
+Int w^alpha ^ [u, v]^gamma without forming [u, v]; `_gram_sum` pairs any
+of them with an invariant form.  Entry by entry each must equal the
 reference matrix of the full pairing (integrate(beta_pair(...)) with unit
 grams, on the dm built by exterior_d and the bracket built by
 lie_bracket_forms), and contracted with every form of the family,
@@ -30,9 +30,8 @@ from cartanforms.calculus import (
     random_form,
     _bracket_pairing_matrix,
     _d_pairing_matrix,
-    _gram_contract,
+    _gram_sum,
     _pairing_matrix,
-    _pairing_sum,
 )
 
 from connection_operands import ConnectionOperands
@@ -40,6 +39,7 @@ from test_pair_integral import (
     forms_of,
     reference,
     reference_matrix,
+    _unit_forms,
     _use_reference_matrices,
 )
 
@@ -55,7 +55,7 @@ def check_matrix(got, w, m, forms):
     assert entries(got) == entries(reference_matrix(w, m))
     nonzero = 0
     for form in forms:
-        value = _gram_contract(form, got)
+        value = Fraction(*_gram_sum(form, got))
         assert isinstance(value, Fraction)
         assert value == pair_integral(form, w, m) == reference(form, w, m)
         nonzero += value != 0
@@ -128,25 +128,41 @@ def test_degree_2_self_bracket_on_t4():
 @pytest.mark.parametrize("cutoff", [1, 2])
 @pytest.mark.parametrize("name", ALGEBRAS_3D + ["damaged_so31"])
 def test_connection_matrices_match_their_operand_forms(name, cutoff):
-    """Each pairing matrix of the battery, a signed sum of blocks of five
-    walks over A, against the full pairing of the operand forms it stands
-    for.  On the damaged table [e, omega] is not [omega, e], so the walks
-    of (A; e, omega) and (A; omega, e) differ (at cutoff 1 on seed 0; at
+    """The five walks over A entry by entry against the full pairing of the
+    operand forms they stand for, and each functional, a signed sum of
+    their blocks, against the full pairings of its operand forms, for the
+    family's forms and for every unit form (one gram entry 1).  On the
+    damaged table [e, omega] is not [omega, e], so the walks of
+    (A; e, omega) and (A; omega, e) differ (at cutoff 1 on seed 0; at
     cutoff 2 seeds 0..2 reach no damaged zero mode), which they never do
     on a real table."""
     alg = _damaged_so31() if name == "damaged_so31" else build_algebra(name)
-    forms = forms_of(alg)
+    forms = forms_of(alg) + list(_unit_forms(alg).values())
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
     differ = 0
     for seed in range(3):
         f = FieldSet(alg, seed, cutoff).connection
         o = ConnectionOperands(f)
-        for got, w, m in ((f.a_da, o.a, o.da), (f.a_aa, o.a, o.aa),
-                          (f.a_t_da_t, o.a_t, o.da_t),
-                          (f.a_t_aa_t, o.a_t, o.aa_t),
-                          (f.omega_dw, o.omega, o.dw),
-                          (f.omega_ww, o.omega, o.ww), (f.e_r, o.e, o.r),
-                          (f.e_ee, o.e, o.ee), (f.e_dwe, o.e, o.dwe)):
-            check_matrix(got, w, m, forms)
+        assert entries(f.a_da) == entries(reference_matrix(o.a, o.da))
+        for got, u, v in ((f.a_ww, o.omega, o.omega), (f.a_we, o.omega, o.e),
+                          (f.a_ew, o.e, o.omega), (f.a_ee, o.e, o.e)):
+            assert entries(got) == entries(
+                reference_matrix(o.a, lie_bracket_forms(u, v)))
+        # functional -> its terms (c, matrix of the full pairing of (w, m))
+        terms = {
+            "cs_a": ((half, o.a, o.da), (sixth, o.a, o.aa)),
+            "cs_a_t": ((half, o.a_t, o.da_t), (sixth, o.a_t, o.aa_t)),
+            "palatini": ((1, o.e, o.r), (sixth, o.e, o.ee)),
+            "torsion": ((half, o.e, o.dwe),),
+            "cs_omega_torsion": ((half, o.omega, o.dw),
+                                 (sixth, o.omega, o.ww), (half, o.e, o.dwe)),
+        }
+        terms = {functional: [(c, _pairing_matrix(w, m)) for c, w, m in ts]
+                 for functional, ts in terms.items()}
+        for form in forms:
+            for functional, ts in terms.items():
+                assert getattr(f, functional)(form) == sum(
+                    c * Fraction(*_gram_sum(form, m)) for c, m in ts)
         differ += entries(f.a_ew) != entries(f.a_we)
     assert bool(differ) == (name == "damaged_so31" and cutoff == 1)
 
@@ -186,34 +202,6 @@ def test_damaged_table_matches_full_pairing(monkeypatch):
     assert residuals() == got
 
 
-def test_pairing_sum_matches_entrywise_sum():
-    """Blocks keep their entries, and _pairing_sum adds matrices of
-    different denominators entry by entry, dropping what cancels."""
-    alg = build_algebra("so22")
-    h, p_idx = alg.h_indices, alg.p_indices
-    f = random_forms(alg, 2, 1)
-    p, t = _pairing_matrix(f["1"], f["2"]), _bracket_pairing_matrix(
-        f["1"], f["1b"], f["1c"])
-    assert p.den != t.den
-    for m in (p, t):
-        for rows, cols in ((h, None), (p_idx, None), (h, p_idx), (p_idx, h)):
-            assert entries(m.block(rows, cols)) == {
-                (i, j): v for (i, j), v in entries(m).items()
-                if i in rows and (cols is None or j in cols)}
-    tp = t.block(p_idx)
-    assert entries(tp) and entries(tp) != entries(t)
-    for x, y, c, den in ((p, t, 1, 2), (p, t, 1, 1), (t, p, -3, 1),
-                         (p, p, 1, 1), (p, tp, -1, 3), (t, t, 1, 3)):
-        want = {}
-        for cx, m in ((den, x), (c, y)):
-            for key, value in entries(m).items():
-                want[key] = want.get(key, 0) + Fraction(cx, den) * value
-        got = _pairing_sum([(den, x), (c, y)], den=den)
-        assert entries(got) == {k: v for k, v in want.items() if v}
-    assert not _pairing_sum([(1, p), (-1, p)]).nums
-    assert not _pairing_sum([(1, t), (-1, tp), (-1, t.block(h))]).nums
-
-
 def test_kernels_refuse_what_pair_integral_refuses():
     so31, so22 = build_algebra("so31"), build_algebra("so22")
     zero, one, two = (random_form(0, d, so31) for d in (0, 1, 2))
@@ -238,10 +226,25 @@ def test_kernels_refuse_what_pair_integral_refuses():
             _bracket_pairing_matrix(w, u, v)
     matrix = _pairing_matrix(one, two)
     with pytest.raises(AlgebraError):
-        _gram_contract(killing_form(so22), matrix)
-    with pytest.raises(AlgebraError):
-        _pairing_sum([(1, matrix),
-                      (1, _pairing_matrix(other, random_form(1, 2, so22)))])
+        _gram_sum(killing_form(so22), matrix)
+
+
+def test_bracket_pairing_refuses_a_table_entry_that_is_not_an_integer():
+    """A matrix keeps one denominator per operand, so the kernel refuses a
+    bracket table with a fractional constant, in the ordered walk and in
+    the self-bracket, rather than truncate it."""
+    real = build_algebra("so31")
+    table = [list(row) for row in real.bracket_table]
+    (gamma, x), *rest = table[0][3]       # [M01, P0]
+    assert x == 1 or x == -1
+    table[0][3] = ((gamma, Fraction(1, 2)), *rest)
+    bad = dataclasses.replace(
+        real, bracket_table=tuple(tuple(row) for row in table))
+    f = random_forms(bad, 0, 1)
+    for w, u, v in ((f["1"], f["1b"], f["1c"]), (f["1"], f["1b"], f["1b"]),
+                    (f["3"], f["0"], f["0"])):
+        with pytest.raises(AlgebraError, match="integer"):
+            _bracket_pairing_matrix(w, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +270,25 @@ def test_d_matrix_matches_full_pairing_on_battery_operands(name, cutoff):
             check_d(w, m, forms)
             filled += bool(_d_pairing_matrix(w, m).nums)
     assert filled > 0 or cutoff == 2
+
+
+def test_derivative_walk_of_a_connection_is_symmetric():
+    """Int w ^ dm = Int dw ^ m for 1-forms on T^3 (integration by parts),
+    so the walk (A, dA) of every connection is a symmetric matrix.  This
+    covers its hh and pp blocks (omega ^ d omega, e ^ de), which no check
+    of the battery can see (test_functional_memo's block-fault test)."""
+    filled = {}
+    for name in ALGEBRAS_3D:
+        alg = build_algebra(name)
+        filled[name] = 0
+        for cutoff in (1, 2):
+            for seed in range(40):
+                nums = FieldSet(alg, seed, cutoff).connection.a_da.nums
+                assert all(nums.get((beta, alpha)) == n
+                           for (alpha, beta), n in nums.items())
+                filled[name] += bool(nums)
+    assert filled["so31"] + filled["iso21"] + filled["so22"] == 128
+    assert sum(filled.values()) == 221
 
 
 @pytest.mark.parametrize("cutoff", [1, 2])
