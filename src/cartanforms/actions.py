@@ -35,7 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exactla
-from .algebra import _per_algebra, invariant_form, killing_form, star_form
+from .algebra import (AlgebraError, _per_algebra, invariant_form,
+                      killing_form, star_form)
 from .calculus import (
     LieForm,
     exterior_d,
@@ -45,9 +46,8 @@ from .calculus import (
     _bracket_pairing_matrix,
     _d_pairing_matrix,
     _det_on_points,
-    _eval_on_points,
+    _eval_on_lattice,
     _gram_blocks,
-    _lattice,
     _lattice_axis,
     _point_coefficients,
     _rng_for,
@@ -235,7 +235,8 @@ class ConnectionForms:
     kept too, once per invariant form, as a reduced integer pair
     (numerator, denominator).  Sums and values are keyed by the form
     object, not by (c0, c1), and each entry holds the form, so the id
-    stays valid.
+    stays valid.  The quadrature reads the same table in floats
+    (float_value).
     """
 
     # functional -> its terms c Int beta(w ^ m) as (c as an integer pair,
@@ -266,6 +267,9 @@ class ConnectionForms:
         "cs_omega_torsion": (((1, 2), "a_da", (1, 0, 0, 1)),
                              ((1, 6), "a_ww", (1, 1, 0, 0)),
                              ((1, 2), "a_we", (0, 0, 1, 1))),
+        # S_CS^beta(omega) = 1/2 (omega, d omega) + 1/6 (omega, [omega, omega])
+        "cs_omega": (((1, 2), "a_da", (1, 0, 0, 0)),
+                     ((1, 6), "a_ww", (1, 0, 0, 0))),
     }
 
     def __init__(self, omega, e):
@@ -291,6 +295,16 @@ class ConnectionForms:
             g = math.gcd(num, den)
             hit = self._values[key] = (form, (num // g, den // g))
         return hit[1]
+
+    @classmethod
+    def float_value(cls, name, sums):
+        """Functional `name` of FUNCTIONALS as a float, from the walks'
+        float block sums (see _walk_sums), in the order of value."""
+        total = 0.0
+        for (cn, cd), walk, (s0, s1, s2, s3) in cls.FUNCTIONALS[name]:
+            hh, hp, ph, pp = sums[walk]
+            total += cn * (s0 * hh + s1 * hp + s2 * ph + s3 * pp) / cd
+        return total
 
     def _block_sums(self, walk, form):
         """_gram_blocks of the walk and the form, kept per form object."""
@@ -566,10 +580,10 @@ def _mm_pieces(conn, couplings):
 # pointwise grid machinery (numeric pipeline)
 # ---------------------------------------------------------------------------
 #
-# Pointwise arrays are points-last (see calculus._eval_on_points): a 1-form
-# is (3 mu, rows, npts), a 2-form (3 pairs, rows, npts), a density (npts,).
-# The rows are the Lie coefficients; the TMG path carries the h and p
-# coefficients of its fields as separate blocks of 3 rows.
+# Pointwise arrays are points-last (see calculus._eval_on_lattice): a 1-form
+# is (3 mu, rows, npts), a 2-form (3 pairs, rows, npts).  The rows are the
+# Lie coefficients; the quadrature carries the h and p coefficients of its
+# fields as separate blocks of rows.
 
 _PAIRS3 = ((0, 1), (0, 2), (1, 2))
 _PAIR_MU, _PAIR_NU = [0, 0, 1], [1, 2, 2]
@@ -589,17 +603,16 @@ _DET_TOL = 1e-8
 
 
 def _float_tables(alg):
-    """The structure table and its C_hhh, C_pph and C_hpp blocks, as floats.
+    """The C_hhh, C_pph and C_hpp blocks of the structure table, as floats.
 
-    Each is laid out as t[c, b, a] = C_ab^c, so t @ u_a is ad(u)[c, b]: the
-    full table, then [h,h] -> h, [p,p] -> h and [h,p] -> p, the only
-    nonzero brackets of a symmetric pair.
+    Each is laid out as t[c, b, a] = C_ab^c, so t @ u_a is ad(u)[c, b]:
+    [h,h] -> h, [p,p] -> h and [h,p] -> p, the only nonzero brackets of a
+    symmetric pair.
     """
     s = np.array(alg.structure, dtype=float)
-    every, h, p = range(alg.dim), alg.h_indices, alg.p_indices
+    h, p = alg.h_indices, alg.p_indices
     tables = tuple(np.ascontiguousarray(s[np.ix_(x, y, z)].transpose(2, 1, 0))
-                   for x, y, z in ((every, every, every), (h, h, h),
-                                   (p, p, h), (h, p, p)))
+                   for x, y, z in ((h, h, h), (p, p, h), (h, p, p)))
     for t in tables:
         t.flags.writeable = False       # shared by every caller
     return tables
@@ -613,8 +626,8 @@ def _bracket(table, u, v, out=None):
     table is (r, k, m) with table[c, b, a] = C_ab^c.  One matmul gives
     ad(u_mu)[c, b] = C_ab^c u_mu^a for all three mu; each pair is then a
     contraction over b at every point.  When v is u the table must be
-    antisymmetric in (a, b), as the full table and the [h,h] and [p,p]
-    blocks are, and a pair is one contraction.
+    antisymmetric in (a, b), as the [h,h] and [p,p] blocks are, and a pair
+    is one contraction.
     """
     r, k, m = table.shape
     ad = (table.reshape(r * k, m) @ u).reshape(3, r, k, -1)
@@ -630,20 +643,6 @@ def _bracket(table, u, v, out=None):
     if twice:
         out *= 2.0
     return out
-
-
-def _pair_top(one, two, gram):
-    """beta(1-form ^ 2-form) top component, shape (npts,).
-
-    gram rows index the Lie rows of `one`, its columns those of `two`.
-    """
-    signed = two[_TOP_PAIR] * _TOP_SIGN
-    return ((gram.T @ one) * signed).sum(axis=(0, 1))
-
-
-def _cs_density(a, da, aa, gram):
-    """1/2 beta(A ^ dA) + 1/6 beta(A ^ [A,A]), top component per point."""
-    return 0.5 * _pair_top(a, da, gram) + _pair_top(a, aa, gram) / 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +713,7 @@ class LeviCivitaConnection:
         self.e = e
         self.alg = alg
         self._k0_inv = _per_algebra(_torsion_tables, alg)
-        self._c_hpp = _per_algebra(_float_tables, alg)[3]
+        self._c_hpp = _per_algebra(_float_tables, alg)[2]
         (e_c,) = coefs
         nf = len(self._freqs)
         k = self._freqs.T.reshape(3, 1, 1, nf)
@@ -785,12 +784,19 @@ levi_civita_connection = LeviCivitaConnection
 # TMG and the numeric Chern-Simons pipeline
 # ---------------------------------------------------------------------------
 
+def _require_grid(grid):
+    """Refuse a quadrature grid size that is not a positive int."""
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) \
+            or grid < 1:
+        raise ValueError(f"grid must be a positive int, got {grid!r}")
+
+
 def _solved_blocks(lc, grid):
     """Solve lc on the grid^3 lattice, QUADRATURE_BLOCK points at a time.
 
     Yields (w, e, dw, de, min |det e|) per block: the h blocks w, dw and
     the p blocks e, de, each (3, 3, npts).  A block's coordinates come
-    from its flat lattice indices, in _lattice order and with its values,
+    from its flat lattice indices, first axis slowest, with its values,
     so nothing grid-sized is built and nothing is kept between blocks.
     """
     ax = _lattice_axis(grid)
@@ -814,10 +820,10 @@ def _tmg_moments(alg, blocks, cs=False):
     columns two = (dw | [w,w] | [e,e]), then (de | [w,e]) when cs is set.
     Each block's brackets are written into one (3 pairs, columns, npts)
     array and each direction mu is one matmul, so beta(one ^ two) for any
-    gram g over these rows and columns is the contraction of g with a
-    3x3 block of M.
+    gram over these rows and columns is the gram's contraction with a
+    3x3 block of M (see _walk_sums).
     """
-    _, hhh, pph, hpp = _per_algebra(_float_tables, alg)
+    hhh, pph, hpp = _per_algebra(_float_tables, alg)
     moments = np.zeros((6, 15 if cs else 9))
     npts, min_det = 0, math.inf
     for w, e, dw, de, block_det in blocks:
@@ -836,72 +842,69 @@ def _tmg_moments(alg, blocks, cs=False):
     return moments / npts, min_det
 
 
-def _tmg_values(alg, moments, mu, cs_terms=()):
-    """(S_TMG, [S_CS per term]) from the moment matrix of _tmg_moments.
-
-    Each gram g over (h | p) is tiled to the rows and columns of M, and
-    B[i, j] = g_{ij} . M_{ij} is the contraction of each 3x3 block: i over
-    (w, e), j over the columns.  cs_terms lists (s, form) pairs: s = +1
-    for A(e) = w + e, s = -1 for ~A(e) = w - e.  The grading [h,h] +
-    [p,p] ⊂ h, [h,p] ⊂ p gives [A,A] = ([w,w] + s^2 [e,e], 2s [w,e]) in
-    (h, p) blocks, so each CS term is its own form's B expanded in s.
-    The values are multiples of (2 pi)^3.
-    """
+def _walk_sums(alg, moments, gram):
+    """The float (hh, hp, ph, pp) sums of ConnectionForms' walks off M:
+    the gram contracted with M's 3x3 blocks pairs w | e with dw, [w,w],
+    [e,e] (h-valued), de and [w,e] (p-valued; [e, w] = [w, e] for
+    1-forms, so (A; w, e) and (A; e, w) both read it).  Blocks the grading
+    leaves empty are 0.0; without the Chern-Simons columns, None."""
     h, p = list(alg.h_indices), list(alg.p_indices)
-    cols = [h, h, h, p, p][:moments.shape[1] // 3]
-
-    def contracted(gram):
-        tiled = gram[np.ix_(h + p, sum(cols, []))]
-        return (tiled * moments).reshape(2, 3, -1, 3).sum(axis=(1, 3)).tolist()
-
-    w_dw, w_ww = contracted(_per_algebra(killing_form, alg).gram_float)[0][:2]
-    e_dw, e_ww, e_ee = contracted(_per_algebra(star_form, alg).gram_float)[1][:3]
-    tmg = (float(1 / Fraction(mu)) * (0.5 * w_dw + w_ww / 6.0)
-           - (e_dw + 0.5 * e_ww + e_ee / 6.0))
-    values = []
-    for s, form in cs_terms:
-        s = float(s)
-        (w_dw, w_ww, w_ee, w_de, w_we), (e_dw, e_ww, e_ee, e_de, e_we) = \
-            contracted(form.gram_float)
-        quadratic = w_dw + s * w_de + s * e_dw + s * s * e_de
-        cubic = (w_ww + s * s * w_ee + 2.0 * s * w_we
-                 + s * (e_ww + s * s * e_ee) + 2.0 * s * s * e_we)
-        values.append(0.5 * quadratic + cubic / 6.0)
-    return tmg, values
+    tiled = gram[np.ix_(h + p, (h * 3 + p * 2)[:moments.shape[1]])]
+    (w_dw, w_ww, w_ee, *w_cs), (e_dw, e_ww, e_ee, *e_cs) = \
+        (tiled * moments).reshape(2, 3, -1, 3).sum(axis=(1, 3)).tolist()
+    (w_de, w_we), (e_de, e_we) = w_cs or (0.0, None), e_cs or (0.0, None)
+    we = (0.0, w_we, 0.0, e_we)
+    return {"a_da": (w_dw, w_de, e_dw, e_de), "a_ww": (w_ww, 0.0, e_ww, 0.0),
+            "a_ee": (w_ee, 0.0, e_ee, 0.0), "a_we": we, "a_ew": we}
 
 
-def _tmg_means(alg, blocks, mu, cs_terms=()):
-    """Grid quadrature of S_TMG(e) and of S_CS^beta at A(e) or ~A(e).
-
-    blocks are solved blocks as _solved_blocks yields them, each reduced
-    to moments as it comes; cs_terms as for _tmg_values.  Returns
-    (S_TMG, [S_CS per term], min |det e|), the values multiples of
-    (2 pi)^3.
-    """
-    moments, min_det = _tmg_moments(alg, blocks, cs=bool(cs_terms))
-    tmg, values = _tmg_values(alg, moments, mu, cs_terms)
-    return tmg, values, min_det
+def _tmg_value(alg, moments, mu):
+    """S_TMG(e) = (1/mu) S_CS^K(omega) - S_Pal(omega, e), read off M."""
+    read = ConnectionForms.float_value
+    k = _walk_sums(alg, moments, _per_algebra(killing_form, alg).gram_float)
+    s = _walk_sums(alg, moments, _per_algebra(star_form, alg).gram_float)
+    return float(1 / Fraction(mu)) * read("cs_omega", k) - read("palatini", s)
 
 
-def tmg_action(e, mu, grid=32, lc=None):
+def tmg_action(e, mu, grid=32):
     """S_TMG(e) by spectral-accuracy quadrature on a uniform grid."""
     mu = Fraction(mu)
     if mu == 0:
         raise ValueError("topological mass mu must be nonzero")
-    lc = lc or levi_civita_connection(e)
-    val, _, min_det = _tmg_means(lc.alg, _solved_blocks(lc, grid), mu)
-    return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
+    _require_grid(grid)
+    lc = levi_civita_connection(e)
+    moments, min_det = _tmg_moments(lc.alg, _solved_blocks(lc, grid))
+    return ActionValue(torus_dim=3, mode="numeric", exact=None,
+                       numeric=_tmg_value(lc.alg, moments, mu),
                        quadrature_grid=grid, min_abs_det=min_det)
 
 
+def _lattice_moments(a, grid):
+    """M of a 1-form A = omega + e on the grid^3 lattice, CS columns too;
+    h_indices come first, so A's Lie rows are w | e."""
+    a_vals, da_vals = _eval_on_lattice(
+        *_point_coefficients([a, exterior_d(a)]), grid)
+    block = (a_vals[:, :3], a_vals[:, 3:], da_vals[:, :3], da_vals[:, 3:],
+             math.inf)
+    return _tmg_moments(a.algebra, [block], cs=True)[0]
+
+
 def cs_action_numeric(a, form, grid=32):
-    """Quadrature evaluation of the exact Chern-Simons pipeline."""
+    """S_CS^beta(A) by quadrature, for a 3d algebra: cs_a of
+    ConnectionForms.FUNCTIONALS read off A's moment matrix on the grid^3
+    lattice."""
+    if a.degree != 1:
+        raise CartanError("Chern-Simons argument must be a 1-form")
     if a.dim != 3:
         raise CartanError("numeric CS evaluation lives on T^3")
-    a_arr, da_arr = _eval_on_points([a, exterior_d(a)], _lattice(grid, 3))
-    aa = _bracket(_per_algebra(_float_tables, a.algebra)[0], a_arr, a_arr)
-    val = float(_cs_density(a_arr, da_arr, aa, form.gram_float).mean())
-    return ActionValue(torus_dim=3, mode="numeric", exact=None, numeric=val,
+    if a.algebra.spacetime_dim != 3:
+        raise CartanError("numeric CS evaluation needs a 3d algebra")
+    if form.algebra is not a.algebra:
+        raise AlgebraError("bilinear form belongs to a different algebra")
+    _require_grid(grid)
+    sums = _walk_sums(a.algebra, _lattice_moments(a, grid), form.gram_float)
+    return ActionValue(torus_dim=3, mode="numeric", exact=None,
+                       numeric=ConnectionForms.float_value("cs_a", sums),
                        quadrature_grid=grid)
 
 
@@ -1021,19 +1024,22 @@ def _tmg_residual(identity_id, fields, couplings, grid):
     _require(couplings.mu is not None, f"{identity_id} needs mu")
     _require(identity_id == "CS_TMG" or couplings.c0 != 0,
              "TWO_CS_TMG needs c0 != 0 in the normalized form")
+    _require_grid(grid)
     alg, mu, c0 = fields.alg, couplings.mu, couplings.c0
     # checks on one field set in a run scope share the moment matrix
     moments, _ = fields.tmg_moments(grid)
+    tmg = _tmg_value(alg, moments, mu)
+    read = ConnectionForms.float_value
     if identity_id == "CS_TMG":
         # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S
         form = _per_algebra(invariant_form, alg, 1 / mu, -1)
-        tmg, (rhs,) = _tmg_values(alg, moments, mu, [(1, form)])
+        rhs = read("cs_a", _walk_sums(alg, moments, form.gram_float))
     else:  # TWO_CS_TMG
         form = _per_algebra(invariant_form, alg, c0, 1)
-        tmg, (cs_a, cs_at) = _tmg_values(alg, moments, mu,
-                                         [(1, form), (-1, form)])
+        sums = _walk_sums(alg, moments, form.gram_float)
         coeff = float(1 / (mu * c0))
-        rhs = -0.5 * (1.0 - coeff) * cs_a + 0.5 * (1.0 + coeff) * cs_at
+        rhs = (-0.5 * (1.0 - coeff) * read("cs_a", sums)
+               + 0.5 * (1.0 + coeff) * read("cs_a_t", sums))
     scale = max(abs(tmg), abs(rhs), 1e-12)
     return abs(tmg - rhs) / scale
 

@@ -991,12 +991,6 @@ def _lattice_axis(n):
     return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
 
-def _lattice(n, dim):
-    """The n^dim uniform grid on T^dim as dim flat coordinate arrays."""
-    ax = _lattice_axis(n)
-    return [m.ravel() for m in np.meshgrid(*[ax] * dim, indexing="ij")]
-
-
 def _point_coefficients(forms, rows=None):
     """(freqs, coefs): the (nf, n) union of the forms' frequencies, each
     +-k Hermitian pair once, and per form its (ncomp, dim, 2 nf) cos(k.x)
@@ -1037,19 +1031,19 @@ def _trig_table(freqs, axes):
 
 
 def _lattice_factors(freqs, n):
-    """exp(i k_j x) at the n coordinates x = 2 pi m/n that _lattice gives
-    each axis j: (dim, nf, n) for freqs (nf, dim)."""
+    """exp(i k_j x) at the n coordinates x = 2 pi m/n of each axis j of the
+    uniform lattice: (dim, nf, n) for freqs (nf, dim)."""
     return np.exp(np.multiply.outer(freqs.T, (2j * math.pi / n) * np.arange(n)))
 
 
 def _lattice_table(factors):
-    """_trig_table(freqs, _lattice(n, dim)) by outer products of the
-    _lattice_factors(freqs, n).
+    """_trig_table(freqs, axes) on the n^dim uniform lattice, by outer
+    products of the _lattice_factors(freqs, n).
 
     exp(i k.x) is the product over the axes of exp(i k_j x_j), so each
     frequency needs the n phases of each axis once and every lattice point
-    costs only multiplies.  Points are in _lattice order; no frequencies
-    give a (0, n^dim) table.
+    costs only multiplies.  Points are in lattice order, the first axis
+    slowest; no frequencies give a (0, n^dim) table.
     """
     _, nf, n = factors.shape
     table = np.ones((nf, 1), dtype=complex)
@@ -1057,14 +1051,6 @@ def _lattice_table(factors):
         table = (table[:, :, None] * axis[:, None, :]).reshape(
             nf, table.shape[1] * n)
     return np.concatenate((table.real, table.imag))
-
-
-def _eval_on_points(forms, axes, rows=None):
-    """Values of LieForms at points, one (ncomp, dim, npts) array per form,
-    or (ncomp, len(rows), npts) with `rows` (see _point_coefficients)."""
-    freqs, coefs = _point_coefficients(forms, rows)
-    table = _trig_table(freqs, axes)
-    return [c @ table for c in coefs]
 
 
 def _eval_on_lattice(freqs, coefs, n):

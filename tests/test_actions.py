@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cartanforms.algebra import build_algebra, invariant_form, killing_form, star_form
+from cartanforms.algebra import AlgebraError, build_algebra, invariant_form, \
+    killing_form, star_form
 from cartanforms.calculus import (
     LieForm,
     TrigPoly,
@@ -14,7 +15,6 @@ from cartanforms.calculus import (
     integrate,
     lie_bracket_forms,
     random_form,
-    _lattice,
 )
 from cartanforms.cartan import CartanConnection, CartanError
 from cartanforms.actions import (
@@ -35,11 +35,10 @@ from cartanforms.actions import (
     topological_variation_check,
     torsion_pairing,
     _bracket,
-    _float_tables,
-    _pair_top,
 )
 
-from tmg_refinement import tmg_refinement_report
+from lattice_reference import _lattice
+from tmg_refinement import tmg_refinement_report, tmg_value
 
 HALF = Fraction(1, 2)
 
@@ -104,6 +103,43 @@ def test_cs_numeric_matches_exact_within_1e10():
         num = cs_action_numeric(a, form, grid=8)
         scale = max(1.0, abs(exact.numeric))
         assert abs(num.numeric - exact.numeric) / scale < 1e-10
+
+
+def test_cs_numeric_refuses_a_form_of_another_degree():
+    alg = build_algebra("so31")
+    with pytest.raises(CartanError, match="must be a 1-form"):
+        cs_action_numeric(random_form(0, 2, alg), killing_form(alg), grid=4)
+
+
+def test_cs_numeric_needs_a_3d_algebra():
+    # the moment matrix has 3-wide h | p blocks; the exact action has none
+    alg = build_algebra("so41")
+    a = random_form(0, 1, alg, dim=3)
+    cs_action(a, killing_form(alg))
+    with pytest.raises(CartanError, match="needs a 3d algebra"):
+        cs_action_numeric(a, killing_form(alg), grid=4)
+
+
+def test_cs_numeric_refuses_a_form_of_another_algebra():
+    # an so31 invariant form on an so22 connection, as cs_action refuses it
+    a = random_form(0, 1, build_algebra("so22"))
+    form = invariant_form(build_algebra("so31"), 1, 2)
+    with pytest.raises(AlgebraError, match="different algebra"):
+        cs_action(a, form)
+    with pytest.raises(AlgebraError, match="different algebra"):
+        cs_action_numeric(a, form, grid=4)
+
+
+@pytest.mark.parametrize("grid", [0, -3, 2.5, True])
+def test_quadratures_refuse_a_grid_that_is_not_a_positive_int(grid):
+    alg = build_algebra("so31")
+    refusal = f"grid must be a positive int, got {grid!r}"
+    with pytest.raises(ValueError, match=refusal):
+        tmg_action(analytic_coframe(alg), 5, grid=grid)
+    with pytest.raises(ValueError, match=refusal):
+        cs_action_numeric(random_form(0, 1, alg), killing_form(alg), grid=grid)
+    with pytest.raises(ValueError, match=refusal):
+        identity_residual("CS_TMG", alg, 0, CouplingConstants(mu=5), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +343,28 @@ def tmg_grid_padded(lc, grid):
     return out
 
 
+def _pair_top(one, two, gram):
+    """beta(1-form ^ 2-form) top component per point, gram rows indexing
+    the Lie rows of `one`, its columns those of `two`."""
+    signed = two[[2, 1, 0]] * np.array([1.0, -1.0, 1.0])[:, None, None]
+    return ((gram.T @ one) * signed).sum(axis=(0, 1))
+
+
 def test_tmg_large_mass_limit_approaches_negated_palatini():
     alg = build_algebra("so31")
     e = analytic_coframe(alg, seed=1)
     lc = levi_civita_connection(e)
     w, e_arr, dw, de = tmg_grid_padded(lc, 16)
-    c = _float_tables(alg)[0]
+    # the full structure table, t[c, b, a] = C_ab^c
+    c = np.array(alg.structure, dtype=float).transpose(2, 1, 0).copy()
     s_gram = np.asarray(star_form(alg).gram, dtype=float)
     ww = _bracket(c, w, w)
     r = dw + 0.5 * ww
     ee = _bracket(c, e_arr, e_arr)
     pal = float((_pair_top(e_arr, r, s_gram)
                  + _pair_top(e_arr, ee, s_gram) / 6.0).mean())
-    big = tmg_action(e, Fraction(10 ** 9), grid=16, lc=lc)
-    assert abs(big.numeric - (-pal)) < 1e-8
+    big = tmg_value(lc, Fraction(10 ** 9), 16)
+    assert abs(big - (-pal)) < 1e-8
 
 
 def test_tmg_refinement_errors_at_least_halve():

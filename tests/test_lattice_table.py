@@ -25,8 +25,6 @@ from cartanforms.calculus import (
     random_form,
     _det_on_points,
     _eval_on_lattice,
-    _eval_on_points,
-    _lattice,
     _lattice_factors,
     _lattice_table,
     _point_coefficients,
@@ -34,6 +32,8 @@ from cartanforms.calculus import (
     _trig_table,
 )
 from cartanforms.cartan import coframe_check
+
+from lattice_reference import _eval_on_points, _lattice
 
 THREE_D = ("so31", "iso21", "so22", "so4", "iso3")
 

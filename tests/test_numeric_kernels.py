@@ -20,11 +20,10 @@ from cartanforms.actions import (
     levi_civita_connection,
     tmg_action,
     _solved_blocks,
-    _tmg_means,
 )
 from cartanforms.algebra import build_algebra, invariant_form
 from cartanforms.calculus import LieForm, TrigPoly, exterior_d, multi_indices, \
-    random_form, _eval_on_points
+    random_form
 from cartanforms.cartan import (
     CartanConnection,
     CartanError,
@@ -36,6 +35,9 @@ from cartanforms.cartan import (
     get_model,
     holonomy,
 )
+
+from lattice_reference import _eval_on_points
+from tmg_refinement import tmg_means, tmg_value
 
 
 def reference_holonomy(model, path, steps):
@@ -126,10 +128,10 @@ def test_blocked_tmg_quadrature_equals_single_block(monkeypatch):
     lc = levi_civita_connection(analytic_coframe(alg, seed=2))
     form = invariant_form(alg, 1, 1)
     terms = [(1, form), (-1, form)]
-    blocked_tmg, blocked_cs, _ = _tmg_means(alg, _solved_blocks(lc, 17), 5,
-                                            terms)
+    blocked_tmg, blocked_cs, _ = tmg_means(alg, _solved_blocks(lc, 17), 5,
+                                           terms)
     monkeypatch.setattr(actions, "QUADRATURE_BLOCK", 17 ** 3)
-    whole_tmg, whole_cs, _ = _tmg_means(alg, _solved_blocks(lc, 17), 5, terms)
+    whole_tmg, whole_cs, _ = tmg_means(alg, _solved_blocks(lc, 17), 5, terms)
     for got, want in zip([blocked_tmg] + blocked_cs, [whole_tmg] + whole_cs):
         assert abs(got - want) <= 1e-13 * abs(want)
     monkeypatch.undo()
@@ -244,7 +246,7 @@ def test_tmg_action_matches_lu_values(seed):
     e = analytic_coframe(alg, seed=seed)
     lc = levi_civita_connection(e)
     for grid in (17, 24, 40):
-        got = tmg_action(e, 5, grid=grid, lc=lc).numeric
+        got = tmg_value(lc, 5, grid)
         want = LU_TMG_VALUES[(seed, grid)]
         assert abs(got - want) <= 1e-13 * abs(want)
 

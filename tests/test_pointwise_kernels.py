@@ -40,7 +40,19 @@ def ref_bracket(table, u, v):
     return 2.0 * out if twice else out
 
 
-TABLES = {"full": 0, "hhh": 1, "pph": 2, "hpp": 3}
+TABLES = ("full", "hhh", "pph", "hpp")
+
+
+def float_table(name, which):
+    """The full structure table or one block of _float_tables, laid out as
+    t[c, b, a] = C_ab^c."""
+    alg = build_algebra(name)
+    if which == "full":
+        full = np.array(alg.structure, dtype=float).transpose(2, 1, 0)
+        return np.ascontiguousarray(full)
+    return _float_tables(alg)[TABLES.index(which) - 1]
+
+
 # tables antisymmetric in (a, b), so a self-bracket applies
 SELF_TABLES = ("full", "hhh", "pph")
 CASES = ([(name, t) for name in ("so31", "so22", "so4") for t in TABLES]
@@ -51,7 +63,7 @@ CASES = ([(name, t) for name in ("so31", "so22", "so4") for t in TABLES]
 @pytest.mark.parametrize("name, which", CASES,
                          ids=[f"{n}-{t}" for n, t in CASES])
 def test_bracket_matches_outer_product_reference(name, which, npts):
-    table = _float_tables(build_algebra(name))[TABLES[which]]
+    table = float_table(name, which)
     r, k, m = table.shape
     old_layout = table.transpose(0, 2, 1).reshape(r, m * k)
     rng = np.random.default_rng([ord(c) for c in name + which] + [npts])

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cartanforms import actions, calculus
+from cartanforms import actions, calculus, cartan
 from cartanforms.actions import (
     LeviCivitaConnection,
     analytic_coframe,
@@ -21,8 +21,10 @@ from cartanforms.actions import (
     tmg_action,
 )
 from cartanforms.algebra import build_algebra
-from cartanforms.calculus import LieForm, exterior_d, _det_on_points, \
-    _eval_on_points
+from cartanforms.calculus import LieForm, exterior_d, _det_on_points
+
+from lattice_reference import _eval_on_points
+from tmg_refinement import tmg_value
 
 _MU, _NU = [0, 0, 1], [1, 2, 2]
 _MINOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
@@ -112,9 +114,9 @@ def test_coefficient_table_built_once_per_connection(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the solve evaluated forms")
 
-    for module in (calculus, actions):
-        monkeypatch.setattr(module, "_eval_on_points", refuse)
     lc = LeviCivitaConnection(e)
     assert len(built) == 2
-    assert tmg_action(e, 5, grid=40, lc=lc).numeric == value
+    for module in (calculus, cartan, actions):
+        monkeypatch.setattr(module, "_eval_on_lattice", refuse)
+    assert tmg_value(lc, 5, 40) == value
     assert len(built) == 2

@@ -13,6 +13,8 @@ import pytest
 from cartanforms import actions, cli, suites
 from cartanforms.algebra import build_algebra
 
+from tmg_refinement import tmg_means
+
 
 def run_cli_config(tmp_path, doc):
     cfg_file = tmp_path / "cfg.json"
@@ -113,7 +115,7 @@ def test_tmg_rows_use_the_configured_cutoff(monkeypatch):
     lc = actions.levi_civita_connection(real(alg, seed=0, cutoff=2))
     mu = Fraction(5)
     form = actions.invariant_form(alg, 1 / mu, -1)
-    tmg, (rhs,), _ = actions._tmg_means(alg, actions._solved_blocks(lc, 16),
-                                        mu, [(1, form)])
+    tmg, (rhs,), _ = tmg_means(alg, actions._solved_blocks(lc, 16), mu,
+                               [(1, form)])
     expect = abs(tmg - rhs) / max(abs(tmg), abs(rhs), 1e-12)
     assert results[0].residual == f"{expect:.6e}"

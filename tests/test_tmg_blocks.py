@@ -26,12 +26,13 @@ from cartanforms.actions import (
     levi_civita_connection,
     tmg_action,
     _solved_blocks,
-    _tmg_means,
 )
 from cartanforms.algebra import build_algebra, invariant_form, killing_form, \
     star_form
 from cartanforms.calculus import save_fields
 from cartanforms.cartan import coframe_check
+
+from tmg_refinement import tmg_means
 
 _PAIRS3 = ((0, 1), (0, 2), (1, 2))
 _TOP_PAIR = [2, 1, 0]
@@ -103,8 +104,8 @@ def test_block_quadrature_equals_padded_reference(name):
             lc = levi_civita_connection(
                 analytic_coframe(alg, seed=seed, cutoff=cutoff))
             for grid in (12, 17):
-                tmg, cs, _ = _tmg_means(alg, _solved_blocks(lc, grid), mu,
-                                        terms)
+                tmg, cs, _ = tmg_means(alg, _solved_blocks(lc, grid), mu,
+                                       terms)
                 ref_tmg, ref_cs = reference_quadrature(lc, grid, mu, terms)
                 for got, want in zip([tmg] + cs, [ref_tmg] + ref_cs):
                     assert abs(got - want) <= 1e-14 * abs(want)
@@ -190,7 +191,7 @@ def test_torsion_inverse_once_per_algebra_object(monkeypatch):
     alg = dataclasses.replace(so31)
     for seed in (0, 1):
         lc = levi_civita_connection(analytic_coframe(alg, seed=seed))
-        tmg_action(lc.e, 5, grid=6, lc=lc)
+        tmg_action(lc.e, 5, grid=6)
     assert len(inverted) == 1
     own = alg.derived[actions._torsion_tables]
     assert own is not so31.derived[actions._torsion_tables]

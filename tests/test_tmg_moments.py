@@ -2,8 +2,8 @@
 
 `actions._tmg_moments` reduces each solved block to a moment matrix M
 with rows (w | e) and columns (dw | [w,w] | [e,e] | de | [w,e]), and
-`actions._tmg_values` reads S_TMG and every S_CS^beta(A_s) off it as gram
-contractions expanded in s.  The reference below is the quadrature they
+S_TMG and every S_CS^beta(A_s) are read off it as gram contractions, the
+walks of `ConnectionForms.FUNCTIONALS` (see `tmg_refinement.tmg_means`).  The reference below is the quadrature they
 replaced: per block, the S_TMG density and one Chern-Simons density per
 term, each with A, dA and [A,A] concatenated from the blocks, summed over
 the points.  It keeps its own top-pair signs, so a sign slip in the
@@ -31,11 +31,11 @@ from cartanforms.actions import (
     _bracket,
     _float_tables,
     _solved_blocks,
-    _tmg_means,
 )
 from cartanforms.algebra import build_algebra, invariant_form, killing_form, \
     star_form
-from cartanforms.calculus import _lattice
+from lattice_reference import _lattice
+from tmg_refinement import tmg_means
 
 _TOP_PAIR = [2, 1, 0]
 _TOP_SIGN = np.array([1.0, -1.0, 1.0])[:, None, None]
@@ -51,7 +51,7 @@ def _cs_density(a, da, aa, gram):
 
 def per_term_means(alg, blocks, mu, cs_terms=()):
     """(S_TMG, [S_CS per term], min |det e|): every density per block."""
-    _, hhh, pph, hpp = _float_tables(alg)
+    hhh, pph, hpp = _float_tables(alg)
     h, p = list(alg.h_indices), list(alg.p_indices)
     k_hh = killing_form(alg).gram_float[np.ix_(h, h)]
     s_ph = star_form(alg).gram_float[np.ix_(p, h)]
@@ -94,7 +94,7 @@ def test_moment_quadrature_equals_per_term_reference(name):
             for grid in (12, 17):
                 blocks = list(_solved_blocks(lc, grid))
                 for cs in ([], terms):
-                    tmg, values, min_det = _tmg_means(alg, blocks, mu, cs)
+                    tmg, values, min_det = tmg_means(alg, blocks, mu, cs)
                     ref_tmg, ref_values, ref_det = per_term_means(
                         alg, blocks, mu, cs)
                     assert len(values) == len(cs) and min_det == ref_det
@@ -179,7 +179,7 @@ def test_w_errors_the_torsion_pairing_misses_pass_both_identities(monkeypatch):
     # K(x ^ [e, e]).  An entry whose grid mean of K(x ^ [e, e]) is zero
     # passes both identities; on this coframe, 6 of the 9 do.
     alg = build_algebra("so31")
-    _, _, pph, _ = _float_tables(alg)
+    _, pph, _ = _float_tables(alg)
     h = list(alg.h_indices)
     k_hh = killing_form(alg).gram_float[np.ix_(h, h)]
     lc = levi_civita_connection(analytic_coframe(alg, seed=3))
