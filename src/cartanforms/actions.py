@@ -43,11 +43,8 @@ from .calculus import (
     lie_bracket_forms,
     pair_integral,
     random_form,
-    _bracket_pairing_matrix,
-    _d_pairing_matrix,
     _det_on_points,
     _eval_on_lattice,
-    _gram_blocks,
     _lattice_axis,
     _point_coefficients,
     _rng_for,
@@ -58,8 +55,10 @@ from .cartan import (
     CartanConnection,
     CartanError,
     curvature,
+    _DET_TOL,
     _field_strength,
     _min_abs_det,
+    _pair_sum,
 )
 
 HALF = Fraction(1, 2)
@@ -110,8 +109,7 @@ class CouplingConstants:
     c1: Fraction = Fraction(0)
     mu: Fraction | None = None
     gamma: Fraction | None = None
-    # {id(alg): (alg, form, CS_NULL holds, CS_PERP holds)}; no part of the
-    # value
+    # {id(alg): (alg, form)}; no part of the value
     _forms: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -127,27 +125,16 @@ class CouplingConstants:
             if self.gamma == 0:
                 raise ValueError("Immirzi parameter gamma must be nonzero")
 
-    def resolved(self, alg):
-        """(alg, form, null, perp) for the invariant form (c0, c1) of alg:
-        null and perp say whether the form meets the CS_NULL hypothesis
-        (h-h and p-p blocks zero) and the CS_PERP one (h-p block zero).
-        Resolved once per algebra object and kept here: a battery shares
-        one couplings object among all seeds of an (identity, algebra,
-        coupling row), and the lookup key of _per_algebra hashes both
-        Fractions on every call."""
+    def invariant_form(self, alg):
+        """The invariant form (c0, c1) of alg, kept per algebra object: a
+        battery shares one couplings object among all seeds of an
+        (identity, algebra, coupling row), and the lookup key of
+        _per_algebra hashes both Fractions on every call."""
         hit = self._forms.get(id(alg))
         if hit is None:     # the entry holds alg, so its id stays valid
-            form = _per_algebra(invariant_form, alg, self.c0, self.c1)
-            h, p = alg.h_indices, alg.p_indices
             hit = self._forms[id(alg)] = (
-                alg, form,
-                _gram_blocks_zero(form, h, h) and _gram_blocks_zero(form, p, p),
-                _gram_blocks_zero(form, h, p))
-        return hit
-
-    def invariant_form(self, alg):
-        """The invariant form (c0, c1) of alg, kept per algebra object."""
-        return self.resolved(alg)[1]
+                alg, _per_algebra(invariant_form, alg, self.c0, self.c1))
+        return hit[1]
 
     @cached_property
     def digest_tail(self):
@@ -216,157 +203,6 @@ IDENTITY_IDS = tuple(IDENTITY_ALGEBRAS)
 # shared fields, the run scope and the per-algebra cache
 # ---------------------------------------------------------------------------
 
-class ConnectionForms:
-    """One Cartan connection omega + e: its pairing walks and its exact
-    functionals.
-
-    Each functional reads five beta-independent pairing matrices
-    (calculus._PairingMatrix) of A = omega + e, each walked on first use
-    and kept: the derivative pairing (A, dA) and the bracket pairings
-    (A; u, v) of [u, v] for u, v in {omega, e}.  omega takes values in h
-    and e in p (CartanConnection enforces it), and h_indices come first,
-    so the h | p row and column blocks of a walk are the pairings of omega
-    or e, and of d omega or de.  The first time a functional reads a walk
-    with an invariant form, the walk is contracted with the form's gram
-    into its four block sums (hh, hp, ph, pp) over one denominator, and
-    those are kept; each functional is then a short table of (coefficient,
-    walk, block signs), ~A = omega - e included, so neither ~A, dA,
-    d omega, de nor any bracket is formed.  Each functional value is
-    kept too, once per invariant form, as a reduced integer pair
-    (numerator, denominator).  Sums and values are keyed by the form
-    object, not by (c0, c1), and each entry holds the form, so the id
-    stays valid.  The quadrature reads the same table in floats
-    (float_value).
-    """
-
-    # functional -> its terms c Int beta(w ^ m) as (c as an integer pair,
-    # walk, signs of its hh, hp, ph and pp blocks).  A bracket walk is read
-    # by row blocks: its columns are the value indices of [u, v].  The
-    # signs of cs_a_t are (-1) to the number of e among the row's operand,
-    # and the column's for (A, dA) or u and v for (A; u, v); on a graded
-    # table this is the involution, cs_a with the hp and ph blocks negated.
-    FUNCTIONALS = {
-        "cs_a": (((1, 2), "a_da", (1, 1, 1, 1)),
-                 ((1, 6), "a_ww", (1, 1, 1, 1)),
-                 ((1, 6), "a_we", (1, 1, 1, 1)),
-                 ((1, 6), "a_ew", (1, 1, 1, 1)),
-                 ((1, 6), "a_ee", (1, 1, 1, 1))),
-        "cs_a_t": (((1, 2), "a_da", (1, -1, -1, 1)),
-                   ((1, 6), "a_ww", (1, 1, -1, -1)),
-                   ((1, 6), "a_we", (-1, -1, 1, 1)),
-                   ((1, 6), "a_ew", (-1, -1, 1, 1)),
-                   ((1, 6), "a_ee", (1, 1, -1, -1))),
-        # (e, R) + 1/6 (e, [e,e]) with R = d omega + 1/2 [omega, omega]
-        "palatini": (((1, 1), "a_da", (0, 0, 1, 0)),
-                     ((1, 2), "a_ww", (0, 0, 1, 1)),
-                     ((1, 6), "a_ee", (0, 0, 1, 1))),
-        # 1/2 (e, d_omega e) with d_omega e = de + [omega, e]
-        "torsion": (((1, 2), "a_da", (0, 0, 0, 1)),
-                    ((1, 2), "a_we", (0, 0, 1, 1))),
-        # S_CS^beta(omega) plus the torsion pairing
-        "cs_omega_torsion": (((1, 2), "a_da", (1, 0, 0, 1)),
-                             ((1, 6), "a_ww", (1, 1, 0, 0)),
-                             ((1, 2), "a_we", (0, 0, 1, 1))),
-        # S_CS^beta(omega) = 1/2 (omega, d omega) + 1/6 (omega, [omega, omega])
-        "cs_omega": (((1, 2), "a_da", (1, 0, 0, 0)),
-                     ((1, 6), "a_ww", (1, 0, 0, 0))),
-    }
-
-    def __init__(self, omega, e):
-        self.omega, self.e = omega, e
-        self._split = len(omega.algebra.h_indices)
-        self._sums = {}
-        self._values = {}
-
-    def value(self, name, form):
-        """Functional `name` of FUNCTIONALS for the invariant form, as a
-        reduced integer pair (numerator, denominator > 0), kept per form
-        object."""
-        key = (name, id(form))
-        hit = self._values.get(key)
-        if hit is None:
-            num, den = 0, 1
-            for (cn, cd), walk, (s0, s1, s2, s3) in self.FUNCTIONALS[name]:
-                d, hh, hp, ph, pp = self._block_sums(walk, form)
-                d *= cd
-                num = num * d + cn * (s0 * hh + s1 * hp + s2 * ph
-                                      + s3 * pp) * den
-                den *= d
-            g = math.gcd(num, den)
-            hit = self._values[key] = (form, (num // g, den // g))
-        return hit[1]
-
-    @classmethod
-    def float_value(cls, name, sums):
-        """Functional `name` of FUNCTIONALS as a float, from the walks'
-        float block sums (see _walk_sums), in the order of value."""
-        total = 0.0
-        for (cn, cd), walk, (s0, s1, s2, s3) in cls.FUNCTIONALS[name]:
-            hh, hp, ph, pp = sums[walk]
-            total += cn * (s0 * hh + s1 * hp + s2 * ph + s3 * pp) / cd
-        return total
-
-    def _block_sums(self, walk, form):
-        """_gram_blocks of the walk and the form, kept per form object."""
-        key = (walk, id(form))
-        hit = self._sums.get(key)
-        if hit is None:
-            hit = self._sums[key] = (form, _gram_blocks(
-                form, getattr(self, walk), self._split))
-        return hit[1]
-
-    def cs_a(self, form):
-        """S_CS^beta(A)."""
-        return Fraction(*self.value("cs_a", form))
-
-    def cs_a_t(self, form):
-        """S_CS^beta(~A)."""
-        return Fraction(*self.value("cs_a_t", form))
-
-    def palatini(self, form):
-        """Int beta(e ^ R) + 1/6 Int beta(e ^ [e,e])."""
-        return Fraction(*self.value("palatini", form))
-
-    def torsion(self, form):
-        """1/2 Int beta(e ^ d_omega e)."""
-        return Fraction(*self.value("torsion", form))
-
-    def cs_omega_torsion(self, form):
-        """S_CS^beta(omega) plus the torsion pairing."""
-        return Fraction(*self.value("cs_omega_torsion", form))
-
-    @cached_property
-    def a(self):
-        return self.omega + self.e
-
-    # -- the five walks -----------------------------------------------------
-
-    @cached_property
-    def a_da(self):
-        """(A, dA); its hh, hp, ph and pp blocks are (omega, d omega),
-        (omega, de), (e, d omega) and (e, de)."""
-        return _d_pairing_matrix(self.a, self.a)
-
-    @cached_property
-    def a_ww(self):
-        """(A; omega, omega): the pairing of A with [omega, omega]."""
-        return _bracket_pairing_matrix(self.a, self.omega, self.omega)
-
-    @cached_property
-    def a_we(self):
-        return _bracket_pairing_matrix(self.a, self.omega, self.e)
-
-    @cached_property
-    def a_ew(self):
-        # of 1-forms [e, omega] = [omega, e] only on an antisymmetric
-        # table, so it is walked, not derived from a_we
-        return _bracket_pairing_matrix(self.a, self.e, self.omega)
-
-    @cached_property
-    def a_ee(self):
-        return _bracket_pairing_matrix(self.a, self.e, self.e)
-
-
 # field density of the random connection behind the 3d CS identities
 _CS_DENSITY = 0.6
 
@@ -399,9 +235,9 @@ class FieldSet:
 
     @cached_property
     def connection(self):
-        """ConnectionForms of the random connection omega + e."""
-        return ConnectionForms(self.random_form(1, "h", _CS_DENSITY),
-                               self.random_form(1, "p", _CS_DENSITY))
+        """The random Cartan connection omega + e."""
+        return CartanConnection(self.random_form(1, "h", _CS_DENSITY),
+                                self.random_form(1, "p", _CS_DENSITY))
 
     @cached_property
     def levi_civita(self):
@@ -449,31 +285,22 @@ def _field_set(alg, seed, cutoff):
 # exact action functionals
 # ---------------------------------------------------------------------------
 
-def _pair_sum(terms):
-    """The sum of c v over (c, v) terms, with c and v integer pairs
-    (numerator, denominator > 0), as an unreduced integer pair."""
-    num, den = 0, 1
-    for (cn, cd), (n, d) in terms:
-        num, den = num * cd * d + cn * n * den, den * cd * d
-    return num, den
-
-
 def cs_action(a, form):
     """S_CS^beta(A) = 1/2 Int beta(A ^ dA) + 1/6 Int beta(A ^ [A,A])."""
     if a.degree != 1:
         raise CartanError("Chern-Simons argument must be a 1-form")
     if a.dim != 3:
         raise CartanError("Chern-Simons action lives on a 3-torus")
-    return _exact_value(3, ConnectionForms(a.h_part(), a.p_part()).cs_a(form))
+    conn = CartanConnection(a.h_part(), a.p_part())
+    return _exact_value(3, conn.cs_a(form))
 
 
 def _connection_3d(omega, e):
-    """ConnectionForms of omega + e, refused unless it is a Cartan
-    connection (see CartanConnection) on T^3."""
-    CartanConnection(omega, e)
-    if e.dim != 3:
+    """The CartanConnection omega + e, refused off T^3."""
+    conn = CartanConnection(omega, e)
+    if conn.dim != 3:
         raise CartanError("the 3d Cartan actions live on a 3-torus")
-    return ConnectionForms(omega, e)
+    return conn
 
 
 def palatini_action(omega, e):
@@ -511,15 +338,15 @@ def mm_action(conn, form_h):
     return _exact_value(4, val)
 
 
-def cs_variation(a, da, form, h=Fraction(1, 10000)):
+def cs_variation(a, da, form):
     """Directional derivative of S_CS^beta at A along dA.
 
     Returns (exact value of Int beta(dA ^ F), central difference at the
-    rational step h).  Both are exact rationals; the central difference
-    picks up exactly the h^2 cubic remainder.
+    rational step h = 1/10000).  Both are exact rationals; the central
+    difference picks up exactly the h^2 cubic remainder.
     """
     exact = pair_integral(form, da, _field_strength(a))
-    h = Fraction(h)
+    h = Fraction(1, 10000)
     plus = cs_action(a + da.scale(h), form).exact
     minus = cs_action(a - da.scale(h), form).exact
     fd = (plus - minus) / (2 * h)
@@ -546,9 +373,10 @@ def topological_terms(omega):
     return t1, t2
 
 
-def topological_variation_check(omega, delta, h=Fraction(1, 1000)):
-    """Exact values and central-difference variations of both invariants."""
-    h = Fraction(h)
+def topological_variation_check(omega, delta):
+    """Exact values and central-difference variations of both invariants,
+    at the rational step h = 1/1000."""
+    h = Fraction(1, 1000)
     t1, t2 = topological_terms(omega)
     p1, p2 = topological_terms(omega + delta.scale(h))
     m1, m2 = topological_terms(omega - delta.scale(h))
@@ -598,8 +426,6 @@ _MINOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
 # grid points per block of the TMG solve: bounds the working arrays of one
 # solve (a few MB) whatever the grid size
 QUADRATURE_BLOCK = 4096
-# a torsion-free solve refuses a coframe with |det e| <= _DET_TOL
-_DET_TOL = 1e-8
 
 
 def _float_tables(alg):
@@ -843,7 +669,7 @@ def _tmg_moments(alg, blocks, cs=False):
 
 
 def _walk_sums(alg, moments, gram):
-    """The float (hh, hp, ph, pp) sums of ConnectionForms' walks off M:
+    """The float (hh, hp, ph, pp) sums of CartanConnection's walks off M:
     the gram contracted with M's 3x3 blocks pairs w | e with dw, [w,w],
     [e,e] (h-valued), de and [w,e] (p-valued; [e, w] = [w, e] for
     1-forms, so (A; w, e) and (A; e, w) both read it).  Blocks the grading
@@ -860,7 +686,7 @@ def _walk_sums(alg, moments, gram):
 
 def _tmg_value(alg, moments, mu):
     """S_TMG(e) = (1/mu) S_CS^K(omega) - S_Pal(omega, e), read off M."""
-    read = ConnectionForms.float_value
+    read = CartanConnection.float_value
     k = _walk_sums(alg, moments, _per_algebra(killing_form, alg).gram_float)
     s = _walk_sums(alg, moments, _per_algebra(star_form, alg).gram_float)
     return float(1 / Fraction(mu)) * read("cs_omega", k) - read("palatini", s)
@@ -891,7 +717,7 @@ def _lattice_moments(a, grid):
 
 def cs_action_numeric(a, form, grid=32):
     """S_CS^beta(A) by quadrature, for a 3d algebra: cs_a of
-    ConnectionForms.FUNCTIONALS read off A's moment matrix on the grid^3
+    CartanConnection.FUNCTIONALS read off A's moment matrix on the grid^3
     lattice."""
     if a.degree != 1:
         raise CartanError("Chern-Simons argument must be a 1-form")
@@ -904,7 +730,7 @@ def cs_action_numeric(a, form, grid=32):
     _require_grid(grid)
     sums = _walk_sums(a.algebra, _lattice_moments(a, grid), form.gram_float)
     return ActionValue(torus_dim=3, mode="numeric", exact=None,
-                       numeric=ConnectionForms.float_value("cs_a", sums),
+                       numeric=CartanConnection.float_value("cs_a", sums),
                        quadrature_grid=grid)
 
 
@@ -969,11 +795,6 @@ def _needs(covered, noun="algebra"):
     return ", ".join(covered[:-1]) + " or " + covered[-1]
 
 
-def _gram_blocks_zero(form, rows, cols):
-    nonzero = form.gram_ints[1]    # the nonzero entries of each row
-    return not any(j in nonzero[i] for i in rows for j in cols)
-
-
 def _exact_residual(identity_id, fields, couplings):
     """lhs - rhs of an exact identity on the field set, a Fraction."""
     alg, c0, c1 = fields.alg, couplings.c0, couplings.c1
@@ -981,18 +802,18 @@ def _exact_residual(identity_id, fields, couplings):
         e = fields.random_form(1, "p", 0.5, dim=4)
         ee = lie_bracket_forms(e, e)
         return pair_integral(_per_algebra(killing_form, alg), ee, ee)
-    _, form, null, perp = couplings.resolved(alg)
+    form = couplings.invariant_form(alg)
     if identity_id == "MM_EXPANSION":
         conn = CartanConnection(fields.random_form(1, "h", 0.35, dim=4),
                                 fields.random_form(1, "p", 0.5, dim=4))
         top, expansion = _mm_pieces(conn, couplings)
         return mm_action(conn, form).exact - top - expansion
     # the 3d Chern-Simons splittings
-    if identity_id == "CS_NULL" and not null:
+    if identity_id == "CS_NULL" and not form.cs_null:
         raise IdentityError(
             f"CS_NULL needs a form with h-h and p-p blocks zero; "
             f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
-    if identity_id == "CS_PERP" and not perp:
+    if identity_id == "CS_PERP" and not form.cs_perp:
         raise IdentityError(
             f"CS_PERP needs a form with the h-p block zero; "
             f"(c0, c1) = ({c0}, {c1}) on {alg.name} fails that hypothesis")
@@ -1029,7 +850,7 @@ def _tmg_residual(identity_id, fields, couplings, grid):
     # checks on one field set in a run scope share the moment matrix
     moments, _ = fields.tmg_moments(grid)
     tmg = _tmg_value(alg, moments, mu)
-    read = ConnectionForms.float_value
+    read = CartanConnection.float_value
     if identity_id == "CS_TMG":
         # S_TMG(e) = S_CS^beta(A(e)) for beta = (1/mu) K - S
         form = _per_algebra(invariant_form, alg, 1 / mu, -1)

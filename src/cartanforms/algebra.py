@@ -525,6 +525,22 @@ class BilinearForm:
         return den, tuple({b: int(c * den) for b, c in enumerate(row)
                            if c != 0} for row in self.gram)
 
+    def _block_zero(self, rows, cols):
+        nonzero = self.gram_ints[1]
+        return not any(j in nonzero[i] for i in rows for j in cols)
+
+    @cached_property
+    def cs_null(self):
+        """The CS_NULL hypothesis: the gram's hh and pp blocks are zero."""
+        h, p = self.algebra.h_indices, self.algebra.p_indices
+        return self._block_zero(h, h) and self._block_zero(p, p)
+
+    @cached_property
+    def cs_perp(self):
+        """The CS_PERP hypothesis: the gram's hp block is zero."""
+        h, p = self.algebra.h_indices, self.algebra.p_indices
+        return self._block_zero(h, p)
+
     @cached_property
     def gram_float(self):
         """The gram as a read-only float array, for the quadrature paths."""

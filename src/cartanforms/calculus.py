@@ -1172,7 +1172,7 @@ def _random_comps(rng, keys, dim, cutoff, density, terms):
 # field-configuration files
 # ---------------------------------------------------------------------------
 
-def form_to_dict(name, w, support="full"):
+def form_to_dict(name, w):
     components = []
     for (alpha, idx) in sorted(w.comps):
         poly = w.comps[(alpha, idx)]
@@ -1180,12 +1180,20 @@ def form_to_dict(name, w, support="full"):
                   for k, c in sorted(poly.fraction_coeffs().items())]
         components.append({"lie_index": alpha, "multi_index": list(idx),
                            "coeffs": coeffs})
-    return {"name": name, "degree": w.degree, "support": support,
+    return {"name": name, "degree": w.degree, "support": "full",
             "components": components}
 
 
 def save_fields(path, algebra, forms):
-    """Write named LieForms in the field-configuration JSON format."""
+    """Write named LieForms in the field-configuration JSON format.
+
+    A form valued in another algebra is refused before the file is
+    opened, so nothing is written.
+    """
+    for name, w in forms.items():
+        if w.algebra is not algebra:
+            raise AlgebraError(f"form {name!r} is valued in "
+                               f"{w.algebra.name}, not {algebra.name}")
     dims = {w.dim for w in forms.values()}
     if len(dims) > 1:
         raise CalculusError("all forms in one file must share the torus")
@@ -1230,28 +1238,30 @@ def _json_rational(value, key):
     raise CalculusError(f"{key} must be a finite rational, got {value!r}")
 
 
-def load_fields(path, build=None):
+def load_fields(path):
     """Read a field-configuration file; returns (algebra, {name: LieForm}).
 
     A document of the wrong shape is a CalculusError that names the form,
     the component and the key where it failed: a missing key, a value of
     the wrong JSON type, an integer given as a float or a bool, an `re` or
-    `im` that is not a finite rational, or a key or a coefficient set the
-    form refuses.
+    `im` that is not a finite rational, a key or a coefficient set the
+    form refuses, or a form name, a component key (lie_index,
+    multi_index) or a coefficient mode k that repeats an earlier one.
     """
     from .algebra import build_algebra
-    build = build or build_algebra
     with open(path) as fh:
         doc = json.load(fh)
     where = ""
     try:
-        alg = build(doc["algebra"])
+        alg = build_algebra(doc["algebra"])
         dim = _json_int(doc["torus_dim"], "torus_dim")
         forms = {}
         for n, entry in enumerate(doc["forms"]):
             where = f"form {n}: "
             name = entry["name"]
             where = f"form {name!r}: "
+            if name in forms:
+                raise CalculusError("the name repeats an earlier form")
             degree = _json_int(entry["degree"], "degree")
             comps = {}
             for i, comp in enumerate(entry["components"]):
@@ -1260,10 +1270,15 @@ def load_fields(path, build=None):
                        tuple(_json_int(x, "multi_index")
                              for x in comp["multi_index"]))
                 _check_key(alg.dim, dim, degree, *key)
+                if key in comps:
+                    raise CalculusError("(lie_index, multi_index) repeats an "
+                                        "earlier component")
                 poly_coeffs = {}
                 for j, c in enumerate(comp["coeffs"]):
                     where = f"form {name!r}, component {i}, coeff {j}: "
                     k = tuple(_json_int(x, "k") for x in c["k"])
+                    if k in poly_coeffs:
+                        raise CalculusError("k repeats an earlier coefficient")
                     poly_coeffs[k] = (_json_rational(c["re"], "re"),
                                       _json_rational(c["im"], "im"))
                 where = f"form {name!r}, component {i}: "

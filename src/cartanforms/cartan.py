@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -23,24 +24,99 @@ from .calculus import (
     covariant_d,
     exterior_d,
     lie_bracket_forms,
+    _bracket_pairing_matrix,
+    _d_pairing_matrix,
     _det_on_points,
     _eval_on_lattice,
+    _gram_blocks,
     _point_coefficients,
 )
 
 HALF = Fraction(1, 2)
+# a coframe with |det e| <= _DET_TOL is degenerate: coframe_check reports
+# it and the torsion-free solve refuses it
+_DET_TOL = 1e-8
+# terms of the exponential-derivative series; the factorial tail is far
+# below float precision on desk-scale boxes
+_MC_TERMS = 26
+# step of the finite-difference flatness certificate
+_FD_STEP = 4e-3
 
 
 class CartanError(ValueError):
     pass
 
 
+def _pair_sum(terms):
+    """The sum of c v over (c, v) terms, with c and v integer pairs
+    (numerator, denominator > 0), as an unreduced integer pair."""
+    num, den = 0, 1
+    for (cn, cd), (n, d) in terms:
+        d *= cd
+        num, den = num * d + cn * n * den, den * d
+    return num, den
+
+
 @dataclass(frozen=True)
 class CartanConnection:
-    """A = omega + e with omega stabilizer-valued and e translation-valued."""
+    """A = omega + e with omega stabilizer-valued and e translation-valued,
+    with its exact Chern-Simons functionals.
+
+    Each functional reads five beta-independent pairing matrices
+    (calculus._PairingMatrix) of A, each walked on first use and kept: the
+    derivative pairing (A, dA) and the bracket pairings (A; u, v) of
+    [u, v] for u, v in {omega, e}.  The constructor checks that omega
+    takes values in h and e in p, and h_indices come first, so the h | p
+    row and column blocks of a walk are the pairings of omega or e, and
+    of d omega or de.  The first time a functional reads a walk with an
+    invariant form, the walk is contracted with the form's gram into its
+    four block sums (hh, hp, ph, pp) over one denominator, and those are
+    kept; each functional is then a short table of (coefficient, walk,
+    block signs), ~A = omega - e included, so neither ~A, dA, d omega, de
+    nor any bracket is formed.  Each functional value is kept too, once
+    per invariant form, as a reduced integer pair (numerator,
+    denominator).  Sums and values are keyed by the form object, not by
+    (c0, c1), and each entry holds the form, so the id stays valid.  The
+    quadrature reads the same table in floats (float_value).  The caches
+    are not dataclass fields: equality, hash and repr are those of
+    (omega, coframe).
+    """
 
     omega: LieForm
     coframe: LieForm
+
+    # functional -> its terms c Int beta(w ^ m) as (c as an integer pair,
+    # walk, signs of its hh, hp, ph and pp blocks).  A bracket walk is read
+    # by row blocks: its columns are the value indices of [u, v].  The
+    # signs of cs_a_t are (-1) to the number of e among the row's operand,
+    # and the column's for (A, dA) or u and v for (A; u, v); on a graded
+    # table this is the involution, cs_a with the hp and ph blocks negated.
+    FUNCTIONALS = {
+        "cs_a": (((1, 2), "a_da", (1, 1, 1, 1)),
+                 ((1, 6), "a_ww", (1, 1, 1, 1)),
+                 ((1, 6), "a_we", (1, 1, 1, 1)),
+                 ((1, 6), "a_ew", (1, 1, 1, 1)),
+                 ((1, 6), "a_ee", (1, 1, 1, 1))),
+        "cs_a_t": (((1, 2), "a_da", (1, -1, -1, 1)),
+                   ((1, 6), "a_ww", (1, 1, -1, -1)),
+                   ((1, 6), "a_we", (-1, -1, 1, 1)),
+                   ((1, 6), "a_ew", (-1, -1, 1, 1)),
+                   ((1, 6), "a_ee", (1, 1, -1, -1))),
+        # (e, R) + 1/6 (e, [e,e]) with R = d omega + 1/2 [omega, omega]
+        "palatini": (((1, 1), "a_da", (0, 0, 1, 0)),
+                     ((1, 2), "a_ww", (0, 0, 1, 1)),
+                     ((1, 6), "a_ee", (0, 0, 1, 1))),
+        # 1/2 (e, d_omega e) with d_omega e = de + [omega, e]
+        "torsion": (((1, 2), "a_da", (0, 0, 0, 1)),
+                    ((1, 2), "a_we", (0, 0, 1, 1))),
+        # S_CS^beta(omega) plus the torsion pairing
+        "cs_omega_torsion": (((1, 2), "a_da", (1, 0, 0, 1)),
+                             ((1, 6), "a_ww", (1, 1, 0, 0)),
+                             ((1, 2), "a_we", (0, 0, 1, 1))),
+        # S_CS^beta(omega) = 1/2 (omega, d omega) + 1/6 (omega, [omega, omega])
+        "cs_omega": (((1, 2), "a_da", (1, 0, 0, 0)),
+                     ((1, 6), "a_ww", (1, 0, 0, 0))),
+    }
 
     def __post_init__(self):
         w, e = self.omega, self.coframe
@@ -55,6 +131,8 @@ class CartanConnection:
             raise CartanError("omega must vanish on translation indices")
         if any(key[0] not in pset for key in e.comps):
             raise CartanError("coframe must vanish on stabilizer indices")
+        object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_values", {})
 
     @property
     def algebra(self):
@@ -65,10 +143,99 @@ class CartanConnection:
         return self.omega.dim
 
     def full(self):
+        """A = omega + coframe, formed once."""
+        return self._a
+
+    @cached_property
+    def _a(self):
         return self.omega + self.coframe
 
     def involute(self):
         return CartanConnection(self.omega, -self.coframe)
+
+    # -- the Chern-Simons functionals ---------------------------------------
+
+    def value(self, name, form):
+        """Functional `name` of FUNCTIONALS for the invariant form, as a
+        reduced integer pair (numerator, denominator > 0), kept per form
+        object."""
+        key = (name, id(form))
+        hit = self._values.get(key)
+        if hit is None:
+            terms = []
+            for c, walk, (s0, s1, s2, s3) in self.FUNCTIONALS[name]:
+                d, hh, hp, ph, pp = self._block_sums(walk, form)
+                terms.append((c, (s0 * hh + s1 * hp + s2 * ph + s3 * pp, d)))
+            num, den = _pair_sum(terms)
+            g = math.gcd(num, den)
+            hit = self._values[key] = (form, (num // g, den // g))
+        return hit[1]
+
+    @classmethod
+    def float_value(cls, name, sums):
+        """Functional `name` of FUNCTIONALS as a float, from the walks'
+        float block sums (see actions._walk_sums), in the order of value."""
+        total = 0.0
+        for (cn, cd), walk, (s0, s1, s2, s3) in cls.FUNCTIONALS[name]:
+            hh, hp, ph, pp = sums[walk]
+            total += cn * (s0 * hh + s1 * hp + s2 * ph + s3 * pp) / cd
+        return total
+
+    def _block_sums(self, walk, form):
+        """_gram_blocks of the walk and the form, kept per form object."""
+        key = (walk, id(form))
+        hit = self._sums.get(key)
+        if hit is None:
+            hit = self._sums[key] = (form, _gram_blocks(
+                form, getattr(self, walk), len(form.algebra.h_indices)))
+        return hit[1]
+
+    def cs_a(self, form):
+        """S_CS^beta(A)."""
+        return Fraction(*self.value("cs_a", form))
+
+    def cs_a_t(self, form):
+        """S_CS^beta(~A)."""
+        return Fraction(*self.value("cs_a_t", form))
+
+    def palatini(self, form):
+        """Int beta(e ^ R) + 1/6 Int beta(e ^ [e,e])."""
+        return Fraction(*self.value("palatini", form))
+
+    def torsion(self, form):
+        """1/2 Int beta(e ^ d_omega e)."""
+        return Fraction(*self.value("torsion", form))
+
+    def cs_omega_torsion(self, form):
+        """S_CS^beta(omega) plus the torsion pairing."""
+        return Fraction(*self.value("cs_omega_torsion", form))
+
+    # -- the five walks -----------------------------------------------------
+
+    @cached_property
+    def a_da(self):
+        """(A, dA); its hh, hp, ph and pp blocks are (omega, d omega),
+        (omega, de), (e, d omega) and (e, de)."""
+        return _d_pairing_matrix(self._a, self._a)
+
+    @cached_property
+    def a_ww(self):
+        """(A; omega, omega): the pairing of A with [omega, omega]."""
+        return _bracket_pairing_matrix(self._a, self.omega, self.omega)
+
+    @cached_property
+    def a_we(self):
+        return _bracket_pairing_matrix(self._a, self.omega, self.coframe)
+
+    @cached_property
+    def a_ew(self):
+        # of 1-forms [e, omega] = [omega, e] only on an antisymmetric
+        # table, so it is walked, not derived from a_we
+        return _bracket_pairing_matrix(self._a, self.coframe, self.omega)
+
+    @cached_property
+    def a_ee(self):
+        return _bracket_pairing_matrix(self._a, self.coframe, self.coframe)
 
 
 @dataclass(frozen=True)
@@ -121,7 +288,7 @@ def _min_abs_det(freqs, coefs, grid_size):
     return float(dets.min()) if dets.size else 0.0
 
 
-def coframe_check(e, grid_size=16, tol=1e-8):
+def coframe_check(e, grid_size=16):
     """Scan |det e(x)| over a uniform grid.
 
     Accepts a CartanConnection or a translation-valued 1-form.  Returns
@@ -133,7 +300,8 @@ def coframe_check(e, grid_size=16, tol=1e-8):
         raise CartanError("torus dimension must equal the translation dimension")
     min_det = _min_abs_det(
         *_point_coefficients([e], list(e.algebra.p_indices)), grid_size)
-    return {"nondegenerate": bool(min_det > tol), "min_abs_det": min_det}
+    return {"nondegenerate": bool(min_det > _DET_TOL),
+            "min_abs_det": min_det}
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +382,7 @@ def connection_on_torus(conn):
                            group_defect_for(alg), name=f"torus:{alg.name}")
 
 
-def _mc_series(x_mat, t_mat, terms=26):
+def _mc_series(x_mat, t_mat):
     """g^{-1} dg along direction T for g = exp(X): sum (-ad_X)^m(T)/(m+1)!.
 
     X and T are stacks of matrices (..., d, d) that broadcast together.
@@ -222,24 +390,20 @@ def _mc_series(x_mat, t_mat, terms=26):
     acc = np.zeros(np.broadcast_shapes(x_mat.shape, t_mat.shape))
     cur = t_mat
     factorial = 1.0
-    for m in range(terms):
+    for m in range(_MC_TERMS):
         factorial *= (m + 1)
         acc = acc + cur / factorial
         cur = -(x_mat @ cur - cur @ x_mat)
     return acc
 
 
-def maurer_cartan_connection(alg, generators=None):
-    """Canonical flat chart x -> exp(sum x^i T_i); default T_i = translations.
+def maurer_cartan_connection(alg):
+    """Canonical flat chart x -> exp(sum x^i T_i), T_i the translations.
 
     The connection matrices are evaluated through the exactly-summed
-    exponential-derivative series (factorial tail; truncation is far below
-    float precision on desk-scale boxes).
+    exponential-derivative series (_MC_TERMS terms).
     """
-    basis = _float_basis(alg)
-    if generators is None:
-        generators = list(alg.p_indices)
-    gens = basis[list(generators)]
+    gens = _float_basis(alg)[list(alg.p_indices)]
     chart_dim = len(gens)
 
     def matrices(x):
@@ -251,15 +415,15 @@ def maurer_cartan_connection(alg, generators=None):
                            group_defect_for(alg), name=f"mc:{alg.name}")
 
 
-def maurer_cartan_flatness(alg, generators=None, box=0.15, grid_points=3,
-                           fd_step=4e-3, perturbation=None):
+def maurer_cartan_flatness(alg, box=0.15, grid_points=3, perturbation=None):
     """Max pointwise curvature norm of a model chart, by finite differences.
 
     F_ij = d_i A_j - d_j A_i + [A_i, A_j] is estimated with fourth-order
-    central differences at steps h and h/2 plus one Richardson combination;
-    the commutator term is pointwise-exact.  Returns the report dict.
+    central differences at steps h = _FD_STEP and h/2 plus one Richardson
+    combination; the commutator term is pointwise-exact.  Returns the
+    report dict.
     """
-    conn = maurer_cartan_connection(alg, generators)
+    conn = maurer_cartan_connection(alg)
     n = conn.chart_dim
 
     def a_at(x):
@@ -281,8 +445,8 @@ def maurer_cartan_flatness(alg, generators=None, box=0.15, grid_points=3,
     max_norm = 0.0
     for x in np.array(np.meshgrid(*[pts] * n, indexing="ij")).reshape(n, -1).T:
         a_here = a_at(x)
-        d_h = np.array([d_a(x, i, fd_step) for i in range(n)])
-        d_h2 = np.array([d_a(x, i, fd_step / 2.0) for i in range(n)])
+        d_h = np.array([d_a(x, i, _FD_STEP) for i in range(n)])
+        d_h2 = np.array([d_a(x, i, _FD_STEP / 2.0) for i in range(n)])
         d_rich = (16.0 * d_h2 - d_h) / 15.0
         for i in range(n):
             for j in range(i + 1, n):
@@ -294,7 +458,7 @@ def maurer_cartan_flatness(alg, generators=None, box=0.15, grid_points=3,
         "chart_dim": n,
         "box": box,
         "grid_points": grid_points,
-        "fd_step": fd_step,
+        "fd_step": _FD_STEP,
         "max_curvature_norm": max_norm,
         "flat": bool(max_norm < 1e-9),
     }
@@ -355,14 +519,14 @@ def sphere_rolling_connection():
                            name="sphere_rolling")
 
 
-def zero_connection(chart_dim=3, matrix_dim=4):
-    z = np.zeros((chart_dim, matrix_dim, matrix_dim))
+def zero_connection():
+    """The zero connection on a 3d chart, with 4x4 matrices."""
+    z = np.zeros((3, 4, 4))
 
     def matrices(x):
         return z
 
-    return PointConnection(chart_dim, matrix_dim, matrices,
-                           _orthogonality_defect(np.eye(matrix_dim)),
+    return PointConnection(3, 4, matrices, _orthogonality_defect(np.eye(4)),
                            name="zero")
 
 
@@ -447,12 +611,11 @@ class Path:
         return cls(tuple(segs))
 
     @classmethod
-    def square_loop(cls, side, center=(0.0, 0.0)):
-        cx, cy = center
+    def square_loop(cls, side):
+        """The square of the given side centred on the origin, run
+        counterclockwise from its lower left corner."""
         h = side / 2.0
-        pts = [(cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h),
-               (cx - h, cy + h), (cx - h, cy - h)]
-        return cls.polyline(pts)
+        return cls.polyline([(-h, -h), (h, -h), (h, h), (-h, h), (-h, -h)])
 
 
 def _arc_plane(plane):

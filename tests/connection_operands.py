@@ -1,7 +1,7 @@
 """The operand forms that the pairing matrices of a Cartan connection stand
 for, built from (omega, e) as references for the tests.
 
-`ConnectionForms` reads d as a derivative pairing and each bracket as a
+`CartanConnection` reads d as a derivative pairing and each bracket as a
 trilinear zero mode, so it never builds these forms; the tests pair them
 in full to check its matrices and values.
 """
@@ -18,8 +18,8 @@ class ConnectionOperands:
     1/2 [omega, omega], de, [e,e] and d_omega e, each built on first use."""
 
     def __init__(self, connection):
-        """The operands of connection.omega + connection.e."""
-        self.omega, self.e = connection.omega, connection.e
+        """The operands of connection.omega + connection.coframe."""
+        self.omega, self.e = connection.omega, connection.coframe
 
     @cached_property
     def a(self):

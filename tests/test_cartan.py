@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cartanforms.algebra import build_algebra
+from cartanforms.algebra import build_algebra, killing_form
 from cartanforms.calculus import LieForm, TrigPoly, covariant_d, exterior_d, \
     lie_bracket_forms, random_form
 from cartanforms.cartan import (
@@ -56,6 +56,16 @@ def test_connection_validates_supports():
         CartanConnection(e, e)
     with pytest.raises(CartanError, match="stabilizer"):
         CartanConnection(w, w)
+
+
+def test_kept_walks_and_values_are_not_part_of_the_connection():
+    alg = build_algebra("so31")
+    read, fresh = random_connection(alg, 0), random_connection(alg, 0)
+    read.cs_a(killing_form(alg))
+    assert read.full() is read.full()
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh) == (
+        f"CartanConnection(omega={read.omega!r}, coframe={read.coframe!r})")
 
 
 # ---------------------------------------------------------------------------

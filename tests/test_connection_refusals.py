@@ -100,13 +100,14 @@ def test_actions_refuse_mixed_algebras_and_tori(action):
 def test_zero_forms_stay_valid(tmp_path, capsys):
     alg = build_algebra("so31")
     f = FieldSet(alg, 0).connection
+    e = f.coframe
     zero = LieForm.zero(alg, 3, 1)
     s, k = star_form(alg), killing_form(alg)
     # omega = 0: R = 0 and d_omega e = de
-    assert palatini_action(zero, f.e).exact == Fraction(1, 6) * pair_integral(
-        s, f.e, lie_bracket_forms(f.e, f.e))
-    assert torsion_pairing(zero, f.e).exact == Fraction(1, 2) * pair_integral(
-        k, f.e, f.e.d())
+    assert palatini_action(zero, e).exact == Fraction(1, 6) * pair_integral(
+        s, e, lie_bracket_forms(e, e))
+    assert torsion_pairing(zero, e).exact == Fraction(1, 2) * pair_integral(
+        k, e, e.d())
     # e = 0: only S_CS(omega) is left
     assert cs_omega_torsion_action(f.omega, zero).exact == (
         Fraction(1, 2) * pair_integral(k, f.omega, f.omega.d())
@@ -114,7 +115,7 @@ def test_zero_forms_stay_valid(tmp_path, capsys):
     for action in ACTIONS:
         assert action(zero, zero).exact == 0
     path = tmp_path / "fields.json"
-    save_fields(path, alg, {"omega": zero, "e": f.e})
+    save_fields(path, alg, {"omega": zero, "e": e})
     for name in CLI_ACTIONS:
         assert cli.main(["eval", "--fields", str(path), "--action", name]) == 0
     assert capsys.readouterr().err == ""

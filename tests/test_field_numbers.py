@@ -2,9 +2,10 @@
 
 Integers (`torus_dim`, `degree`, `lie_index`, each entry of `multi_index`
 and `k`) must be JSON ints, not floats or bools; `re` and `im` must be
-finite rationals; a multi-index entry must lie in 0 <= i < torus_dim.  Each
-breach is a CalculusError naming the form, the component and the key, and
-`eval` exits 2 with that one line.
+finite rationals; a multi-index entry must lie in 0 <= i < torus_dim; a
+form name, a component's (lie_index, multi_index) and a coefficient's `k`
+appear once.  Each breach is a CalculusError naming the form, the
+component and the key, and `eval` exits 2 with that one line.
 """
 
 import json
@@ -77,6 +78,16 @@ CASES = [
      "form 'A', component 0, coeff 0: im must be a finite rational, got inf"),
     ("form_not_an_object", lambda d: d["forms"].append(5),
      "form 1: TypeError"),
+    # a repeated key would silently replace the earlier entry
+    ("form_repeated", lambda d: d["forms"].append(
+        {"name": "A", "degree": 1, "components": []}),
+     "form 'A': the name repeats an earlier form"),
+    ("component_repeated", lambda d: d["forms"][0]["components"].insert(
+        1, dict(_comp(d))),
+     "form 'A', component 1: (lie_index, multi_index) repeats an earlier "
+     "component"),
+    ("coeff_repeated", lambda d: _comp(d)["coeffs"].insert(1, dict(_coeff(d))),
+     "form 'A', component 0, coeff 1: k repeats an earlier coefficient"),
 ] + [
     # strings take only the form form_to_dict writes, [-+]?[0-9]+(/[0-9]+)?;
     # an exponent would ask Fraction for a million-digit integer

@@ -1,10 +1,10 @@
 """The quadrature reads the exact pipeline's Chern-Simons table.
 
-`ConnectionForms.FUNCTIONALS` states each functional once, as signed block
+`CartanConnection.FUNCTIONALS` states each functional once, as signed block
 sums of five walks over A = omega + e.  The exact pipeline reads the walks'
-integer block sums (`ConnectionForms.value`); the quadrature reads float
+integer block sums (`CartanConnection.value`); the quadrature reads float
 block sums off the moment matrix M (`actions._walk_sums`) through
-`ConnectionForms.float_value`.  On trig-polynomial fields at grid
+`CartanConnection.float_value`.  On trig-polynomial fields at grid
 4 cutoff + 1 the lattice mean of a cubic is exact, so every entry read off
 M must equal its exact value to rounding.  The premises of the float
 reader are checked on the exact walks: (A; e, omega) equals (A; omega, e)
@@ -19,14 +19,10 @@ from fractions import Fraction
 import pytest
 
 import cartanforms
-from cartanforms.actions import (
-    ConnectionForms,
-    FieldSet,
-    _lattice_moments,
-    _walk_sums,
-)
+from cartanforms.actions import FieldSet, _lattice_moments, _walk_sums
 from cartanforms.algebra import build_algebra, invariant_form, killing_form, \
     star_form
+from cartanforms.cartan import CartanConnection
 
 THREE_D = ("so31", "iso21", "so22", "so4", "iso3")
 SRC = pathlib.Path(cartanforms.__file__).parent
@@ -43,12 +39,12 @@ def test_every_functional_read_off_the_lattice_moments_is_exact(name):
     for seed in range(6):
         for cutoff in (1, 2):
             conn = FieldSet(alg, seed, cutoff).connection
-            moments = _lattice_moments(conn.a, 4 * cutoff + 1)
+            moments = _lattice_moments(conn.full(), 4 * cutoff + 1)
             for label, form in _forms(alg).items():
                 sums = _walk_sums(alg, moments, form.gram_float)
-                for functional in ConnectionForms.FUNCTIONALS:
+                for functional in CartanConnection.FUNCTIONALS:
                     exact = float(Fraction(*conn.value(functional, form)))
-                    got = ConnectionForms.float_value(functional, sums)
+                    got = CartanConnection.float_value(functional, sums)
                     assert abs(got - exact) <= 1e-12 * max(abs(exact), 1.0), \
                         (seed, cutoff, label, functional, got, exact)
 
@@ -79,4 +75,4 @@ def test_every_table_entry_is_read_by_the_package():
             if (isinstance(node, ast.Call) and node.args
                     and isinstance(node.args[0], ast.Constant)):
                 read.add(node.args[0].value)
-    assert sorted(set(ConnectionForms.FUNCTIONALS) - read) == []
+    assert sorted(set(CartanConnection.FUNCTIONALS) - read) == []

@@ -8,7 +8,7 @@ mates of m by multi-index on every call, on the operand forms (dA, [A,A], R,
 d_omega e, ...) that `connection_operands` builds from (omega, e).  The battery under
 test shares one field set per (algebra, seed, cutoff) and reads each
 S_CS^beta(A), S_CS^beta(~A), Palatini and S_CS^beta(omega) + torsion value
-from the ConnectionForms memo, as signed block sums of the gram contractions
+from the CartanConnection memo, as signed block sums of the gram contractions
 of its five pairing walks.
 """
 
@@ -19,7 +19,7 @@ from math import gcd
 
 import pytest
 
-from cartanforms import actions, calculus, suites
+from cartanforms import actions, calculus, cartan, suites
 from cartanforms.actions import FieldSet
 from cartanforms.algebra import (
     build_algebra,
@@ -220,7 +220,7 @@ BLIND = {"so31": {W_DW, E_DE}, "so22": {W_DW, E_DE},
 
 
 def _fault_in(monkeypatch, alg, block):
-    """Patch the two kernels of ConnectionForms so that each entry of the
+    """Patch the two kernels of CartanConnection so that each entry of the
     block is off by its own power of 7 over the matrix's denominator."""
     walk, rows, cols = block
     classes = {"h": set(alg.h_indices), "p": set(alg.p_indices)}
@@ -240,10 +240,10 @@ def _fault_in(monkeypatch, alg, block):
                 nums[key] = nums.get(key, 0) + 7 ** (alpha * alg.dim + beta)
         return _PairingMatrix(alg, matrix.den, nums)
 
-    d, bracket = actions._d_pairing_matrix, actions._bracket_pairing_matrix
-    monkeypatch.setattr(actions, "_d_pairing_matrix", lambda w, m: faulty(
+    d, bracket = cartan._d_pairing_matrix, cartan._bracket_pairing_matrix
+    monkeypatch.setattr(cartan, "_d_pairing_matrix", lambda w, m: faulty(
         d(w, m), walk == "d"))
-    monkeypatch.setattr(actions, "_bracket_pairing_matrix",
+    monkeypatch.setattr(cartan, "_bracket_pairing_matrix",
                         lambda w, u, v: faulty(bracket(w, u, v),
                                                walk == (kind(u), kind(v))))
 
@@ -300,7 +300,7 @@ def _count_pairings(monkeypatch):
         calls[0] += 1
         return _gram_blocks(*args)
 
-    monkeypatch.setattr(actions, "_gram_blocks", counting)
+    monkeypatch.setattr(cartan, "_gram_blocks", counting)
     return calls
 
 
@@ -325,8 +325,8 @@ def _count_kernels(monkeypatch):
     none."""
     calls = {}
     for module, name in ((calculus, "_pairing_matrix"),
-                         (actions, "_d_pairing_matrix"),
-                         (actions, "_bracket_pairing_matrix")):
+                         (cartan, "_d_pairing_matrix"),
+                         (cartan, "_bracket_pairing_matrix")):
         def counting(*args, _name=name, _kernel=getattr(module, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _kernel(*args)
@@ -468,7 +468,7 @@ def test_short_lived_forms_get_their_own_values():
 def test_public_functionals_do_not_share_values():
     alg = build_algebra("so31")
     fields = FieldSet(alg, 0)
-    omega, e = fields.connection.omega, fields.connection.e
+    omega, e = fields.connection.omega, fields.connection.coframe
     k, s = killing_form(alg), star_form(alg)
     f = ConnectionOperands(fields.connection)
     assert actions.palatini_action(omega, e).exact == ref_palatini(s, f)

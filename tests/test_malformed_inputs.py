@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cartanforms import cli
-from cartanforms.algebra import build_algebra
+from cartanforms.algebra import AlgebraError, build_algebra
 from cartanforms.calculus import CalculusError, load_fields, random_form, \
     save_fields
 from cartanforms.cartan import CartanError, load_path
@@ -63,6 +63,15 @@ def test_malformed_field_file(tmp_path, capsys, brk):
         load_fields(f)
     rc = cli.main(["eval", "--fields", str(f), "--action", "cs"])
     _one_line_usage_error(capsys, rc)
+
+
+def test_save_fields_refuses_a_form_of_another_algebra(tmp_path):
+    path = tmp_path / "fields.json"
+    so31, so22 = build_algebra("so31"), build_algebra("so22")
+    with pytest.raises(AlgebraError, match="form 'A' is valued in so22, "
+                                           "not so31"):
+        save_fields(path, so31, {"A": random_form(0, 1, so22)})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("doc", PATH_DOCS, ids=json.dumps)

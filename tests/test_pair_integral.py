@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cartanforms import actions, suites
+from cartanforms import actions, cartan, suites
 from cartanforms.actions import CouplingConstants, FieldSet, identity_residual
 from cartanforms.algebra import (
     ALGEBRA_NAMES,
@@ -74,8 +74,8 @@ def reference_d_matrix(w, m):
 
 def _use_reference_matrices(monkeypatch):
     """Have the battery pair through the full-pairing reference matrices."""
-    monkeypatch.setattr(actions, "_d_pairing_matrix", reference_d_matrix)
-    monkeypatch.setattr(actions, "_bracket_pairing_matrix",
+    monkeypatch.setattr(cartan, "_d_pairing_matrix", reference_d_matrix)
+    monkeypatch.setattr(cartan, "_bracket_pairing_matrix",
                         reference_bracket_matrix)
 
 

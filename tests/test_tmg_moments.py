@@ -3,7 +3,7 @@
 `actions._tmg_moments` reduces each solved block to a moment matrix M
 with rows (w | e) and columns (dw | [w,w] | [e,e] | de | [w,e]), and
 S_TMG and every S_CS^beta(A_s) are read off it as gram contractions, the
-walks of `ConnectionForms.FUNCTIONALS` (see `tmg_refinement.tmg_means`).  The reference below is the quadrature they
+walks of `CartanConnection.FUNCTIONALS` (see `tmg_refinement.tmg_means`).  The reference below is the quadrature they
 replaced: per block, the S_TMG density and one Chern-Simons density per
 term, each with A, dA and [A,A] concatenated from the blocks, summed over
 the points.  It keeps its own top-pair signs, so a sign slip in the

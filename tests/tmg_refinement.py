@@ -3,13 +3,13 @@ torsion-free connection, the TMG and Chern-Simons means of solved blocks,
 and the refinement report that checks spectral decay."""
 
 from cartanforms.actions import (
-    ConnectionForms,
     _solved_blocks,
     _tmg_moments,
     _tmg_value,
     _walk_sums,
     levi_civita_connection,
 )
+from cartanforms.cartan import CartanConnection
 
 
 def tmg_value(lc, mu, grid):
@@ -22,9 +22,9 @@ def tmg_means(alg, blocks, mu, cs_terms=()):
     """(S_TMG, [S_CS per term], min |det e|) over solved blocks; cs_terms
     lists (s, form) pairs, s = +1 for A(e) = w + e, s = -1 for ~A(e)."""
     moments, min_det = _tmg_moments(alg, blocks, cs=bool(cs_terms))
-    values = [ConnectionForms.float_value("cs_a" if s == 1 else "cs_a_t",
-                                          _walk_sums(alg, moments,
-                                                     form.gram_float))
+    values = [CartanConnection.float_value("cs_a" if s == 1 else "cs_a_t",
+                                           _walk_sums(alg, moments,
+                                                      form.gram_float))
               for s, form in cs_terms]
     return _tmg_value(alg, moments, mu), values, min_det
 
