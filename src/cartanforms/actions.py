@@ -184,7 +184,6 @@ class IdentityReport:
 
 _3D_ALGEBRAS = ("so31", "iso21", "so22", "so4", "iso3")
 _4D_ALGEBRAS = ("so41", "so32")
-_TMG_ALGEBRAS = ("so31", "so22", "so4")     # 3d with a semisimple star
 
 EXACT_3D_IDENTITIES = ("CS_NULL", "CS_PERP", "EINSTEIN_CS", "TWO_CS_SUM",
                        "TWO_CS_DIFF")
@@ -194,7 +193,8 @@ IDENTITY_ALGEBRAS = {
     **dict.fromkeys(EXACT_3D_IDENTITIES, _3D_ALGEBRAS),
     "QUARTIC_ZERO": _4D_ALGEBRAS,
     "MM_EXPANSION": _4D_ALGEBRAS,
-    **dict.fromkeys(NUMERIC_IDENTITIES, _TMG_ALGEBRAS),
+    # TMG at every sign of Lambda: iso21 and iso3 are its Lambda = 0 cases
+    **dict.fromkeys(NUMERIC_IDENTITIES, _3D_ALGEBRAS),
 }
 IDENTITY_IDS = tuple(IDENTITY_ALGEBRAS)
 

@@ -19,6 +19,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -1208,10 +1209,32 @@ def save_fields(path, algebra, forms):
         fh.write("\n")
 
 
-def _json_int(value, key):
-    """A JSON int, not a bool or a float; else a CalculusError naming key."""
-    if type(value) is not int:
-        raise CalculusError(f"{key} must be an integer, got {value!r}")
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key that repeats in it."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} repeats in one JSON object")
+        doc[key] = value
+    return doc
+
+
+def _load_json(path):
+    """The JSON document in the file at `path`, as every input file is
+    read: a repeated key or nesting too deep to parse is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("the JSON nests too deeply") from None
+
+
+def _json_int(value, key, least=None):
+    """A JSON int, not a bool or a float, and at least `least` when given;
+    else a CalculusError naming key."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise CalculusError(f"{key} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -1219,23 +1242,27 @@ _RATIONAL_STRING = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 def _json_rational(value, key):
-    """A JSON number (not a bool) or a "p" / "p/q" integer string, as a
-    finite Fraction; else a CalculusError naming key.
-
-    Strings take only the form form_to_dict writes: a decimal point or an
+    """A JSON int, a finite JSON float (through its shortest repr, so 0.1
+    is 1/10) or a "p" / "p/q" integer string as a Fraction; else a
+    CalculusError naming key.  A string with a decimal point or an
     exponent ("1e1000000") is refused, so a few characters cannot ask for
-    an arbitrarily large integer.
-    """
-    if isinstance(value, str):
-        ok = _RATIONAL_STRING.fullmatch(value) is not None
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok:
+    an arbitrarily large integer."""
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return Fraction(repr(value))
+    if isinstance(value, str) and _RATIONAL_STRING.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except (ValueError, ZeroDivisionError):
             pass
     raise CalculusError(f"{key} must be a finite rational, got {value!r}")
+
+
+def _json_number(value, key):
+    """A finite JSON number (not a bool) as a float; else a CalculusError
+    naming key."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise CalculusError(f"{key} must be a finite number, got {value!r}")
 
 
 def load_fields(path):
@@ -1249,8 +1276,7 @@ def load_fields(path):
     multi_index) or a coefficient mode k that repeats an earlier one.
     """
     from .algebra import build_algebra
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     where = ""
     try:
         alg = build_algebra(doc["algebra"])

@@ -8,7 +8,6 @@ finite-difference flatness certificate, and path holonomy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,9 @@ from .calculus import (
     _det_on_points,
     _eval_on_lattice,
     _gram_blocks,
+    _json_int,
+    _json_number,
+    _load_json,
     _point_coefficients,
 )
 
@@ -620,51 +622,36 @@ class Path:
 
 def _arc_plane(plane):
     """An arc's (i, j) chart axes: two distinct non-negative integers."""
-    if (not isinstance(plane, (list, tuple)) or len(plane) != 2
-            or not all(isinstance(i, int) and not isinstance(i, bool)
-                       and i >= 0 for i in plane)
-            or plane[0] == plane[1]):
-        raise CartanError(f"arc plane must be two distinct non-negative "
-                          f"integers, got {plane!r}")
-    return tuple(plane)
+    try:
+        if isinstance(plane, list) and len(plane) == 2 and plane[0] != plane[1]:
+            return tuple(_json_int(i, "plane", 0) for i in plane)
+    except CalculusError:
+        pass
+    raise CartanError(f"arc plane must be two distinct non-negative "
+                      f"integers, got {plane!r}")
 
 
-def _number(value, where):
-    """A finite JSON number (not a bool) as a float; else a CartanError
-    naming `where`."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:
-            pass
-    raise CartanError(f"malformed path file ({where} must be a finite "
-                      f"number, got {value!r})")
-
-
-def _point(entry, i, key):
-    """Segment i's coordinate list `key`, each entry a finite number."""
+def _point(entry, key):
+    """A segment's coordinate list `key`, each entry a finite number."""
     value = entry[key]
     if not isinstance(value, list):
-        raise CartanError(f"malformed path file (segment {i}: {key} must be "
-                          f"a list of numbers, got {value!r})")
-    return [_number(x, f"segment {i}: {key}[{j}]") for j, x in enumerate(value)]
+        raise CartanError(f"{key} must be a list of numbers, got {value!r}")
+    return [_json_number(x, f"{key}[{j}]") for j, x in enumerate(value)]
 
 
 def load_path(path_file):
-    """Read a path file; a document of the wrong shape is a CartanError.
-
-    Coordinates, radii and angles must be finite JSON numbers: a bool, a
-    string, NaN or Infinity is refused, naming the segment and the key.
-    """
-    with open(path_file) as fh:
-        doc = json.load(fh)
+    """Read a path file; a document of the wrong shape, or a coordinate,
+    radius or angle that is not a finite JSON number, is a CartanError
+    naming the segment and the key."""
+    doc = _load_json(path_file)
     segs = []
+    where = ""
     try:
         for i, entry in enumerate(doc["segments"]):
+            where = f"segment {i}: "
             kind = entry.get("type", "line")
             if kind == "line":
-                start, end = _point(entry, i, "from"), _point(entry, i, "to")
+                start, end = _point(entry, "from"), _point(entry, "to")
                 if len(start) != len(end):
                     raise CartanError(
                         f"line from {entry['from']!r} to {entry['to']!r}: "
@@ -672,18 +659,20 @@ def load_path(path_file):
                 segs.append(Segment("line", {"start": start, "end": end}))
             elif kind == "arc":
                 segs.append(Segment("arc", {
-                    "center": _point(entry, i, "center"),
-                    "radius": _number(entry["radius"], f"segment {i}: radius"),
-                    "plane": _arc_plane(entry.get("plane", (0, 1))),
-                    "start_angle": _number(entry["start_angle"],
-                                           f"segment {i}: start_angle"),
-                    "end_angle": _number(entry["end_angle"],
-                                         f"segment {i}: end_angle")}))
+                    "center": _point(entry, "center"),
+                    "radius": _json_number(entry["radius"], "radius"),
+                    "plane": _arc_plane(entry.get("plane", [0, 1])),
+                    "start_angle": _json_number(entry["start_angle"],
+                                                "start_angle"),
+                    "end_angle": _json_number(entry["end_angle"],
+                                              "end_angle")}))
             else:
                 raise CartanError(f"unknown segment type {kind!r}")
+    except (CalculusError, CartanError) as exc:
+        raise CartanError(f"malformed path file ({where}{exc})") from None
     except (TypeError, AttributeError, KeyError) as exc:
-        raise CartanError(
-            f"malformed path file ({type(exc).__name__}: {exc})") from None
+        raise CartanError(f"malformed path file ({where}"
+                          f"{type(exc).__name__}: {exc})") from None
     return Path(tuple(segs))
 
 

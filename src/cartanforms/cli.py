@@ -17,19 +17,18 @@ import numpy as np
 
 from . import actions, cartan, suites
 from .algebra import invariant_form
-from .calculus import load_fields, _RATIONAL_STRING
+from .calculus import CalculusError, load_fields, _json_rational
 from .cartan import CartanConnection
 
 
 def _frac(text):
-    """A "p/q" rational with an optional sign; decimals and exponents are
-    refused."""
+    """A "p/q" rational with an optional sign, read as a field file reads
+    one; decimals and exponents are refused."""
     try:
-        if _RATIONAL_STRING.fullmatch(text):
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}")
+        return _json_rational(text, "")
+    except CalculusError:
+        raise argparse.ArgumentTypeError(
+            f"not a rational p/q: {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,13 +149,13 @@ def _eval_action(args, alg, forms):
     name = args.action
     if name == "cs":
         if "A" not in forms:
-            raise KeyError("action cs needs a form named 'A'")
+            raise ValueError("action cs needs a form named 'A'")
         form = invariant_form(alg, args.c0, args.c1)
         return actions.cs_action(forms["A"], form)
     if name in ("palatini", "cs_omega_torsion", "mm"):
         missing = [k for k in ("omega", "e") if k not in forms]
         if missing:
-            raise KeyError(f"action {name} needs forms named 'omega' and 'e'")
+            raise ValueError(f"action {name} needs forms named 'omega' and 'e'")
         omega, e = forms["omega"], forms["e"]
         if name == "palatini":
             return actions.palatini_action(omega, e)
@@ -169,9 +168,9 @@ def _eval_action(args, alg, forms):
         return actions.mm_action(CartanConnection(omega, e), form_h)
     # tmg
     if "e" not in forms:
-        raise KeyError("action tmg needs a form named 'e'")
+        raise ValueError("action tmg needs a form named 'e'")
     if args.mu is None:
-        raise KeyError("action tmg needs --mu")
+        raise ValueError("action tmg needs --mu")
     return actions.tmg_action(forms["e"], args.mu, grid=args.grid)
 
 

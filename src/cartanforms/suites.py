@@ -40,6 +40,7 @@ from .actions import (
     _4D_ALGEBRAS as _4D,
 )
 from .calculus import (
+    CalculusError,
     beta_pair,
     covariant_d,
     exterior_d,
@@ -47,7 +48,9 @@ from .calculus import (
     lie_bracket_forms,
     random_form,
     random_scalar_form,
-    _RATIONAL_STRING,
+    _json_int,
+    _json_rational,
+    _load_json,
     _rng_for,
 )
 from . import exactla
@@ -101,8 +104,8 @@ DEFAULT_COUPLINGS = {
     "so22": [(2, 3), (1, 1), (1, 0)],
     "so4": [(2, 3), (1, 1), (1, 0)],
     "iso3": [(2, 3), (1, 0), (0, 1)],
-    "so41": [(1, 1), (1, Fraction(1, 3)), (2, 0)],
-    "so32": [(1, 1), (1, Fraction(1, 3)), (2, 0)],
+    "so41": [(1, 1), (1, "1/3"), (2, 0)],
+    "so32": [(1, 1), (1, "1/3"), (2, 0)],
 }
 
 
@@ -116,52 +119,37 @@ CONFIG_KEYS = ("suites", "algebras", "seeds", "couplings", "cutoff", "grid",
 
 def load_config(path):
     try:
-        return _read_config(path)
-    except SuiteConfigError:
-        raise
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+        doc = _load_json(path)
+    except (OSError, ValueError) as exc:
         raise SuiteConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _read_config(path):
-    with open(path) as fh:
-        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise SuiteConfigError(f"config {path} is not a JSON object")
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
     if unknown:
         raise SuiteConfigError(f"unknown config key(s) {unknown} in {path}; "
                                f"known: {list(CONFIG_KEYS)}")
-    cfg = SuiteConfig()
+    # the values are kept as read; validate_config checks them
+    cfg = SuiteConfig(**{k: v for k, v in doc.items() if k != "seeds"})
     if "seeds" in doc:
         seeds = doc["seeds"]
         if not isinstance(seeds, list) or len(seeds) != 2:
             raise SuiteConfigError(f"seeds must be [first, last], got "
                                    f"{seeds!r}")
         cfg.seed_start, cfg.seed_end = seeds
-    # the remaining values are kept as read; validate_config checks them
-    cfg.suites = doc.get("suites", cfg.suites)
-    cfg.algebras = doc.get("algebras", cfg.algebras)
-    cfg.couplings = doc.get("couplings", cfg.couplings)
-    cfg.cutoff = doc.get("cutoff", cfg.cutoff)
-    cfg.grid = doc.get("grid", cfg.grid)
-    cfg.out = doc.get("out", cfg.out)
     return cfg
 
 
 def validate_config(cfg):
-    # type(x) is int: a bool or a float is not a size or a seed
-    if type(cfg.seed_start) is not int or type(cfg.seed_end) is not int:
-        raise SuiteConfigError(f"seeds must be integers, got "
-                               f"[{cfg.seed_start!r}, {cfg.seed_end!r}]")
+    try:
+        for j, seed in enumerate((cfg.seed_start, cfg.seed_end)):
+            _json_int(seed, f"seeds[{j}]")
+        for key in ("cutoff", "grid"):
+            _json_int(getattr(cfg, key), key, 1)
+    except CalculusError as exc:
+        raise SuiteConfigError(str(exc)) from None
     if cfg.seed_end < cfg.seed_start:
         raise SuiteConfigError(
             f"empty seed range {cfg.seed_start}..{cfg.seed_end}")
-    for key in ("cutoff", "grid"):
-        value = getattr(cfg, key)
-        if type(value) is not int or value < 1:
-            raise SuiteConfigError(
-                f"{key} must be a positive integer, got {value!r}")
     if cfg.out is not None and not (isinstance(cfg.out, str) and cfg.out):
         raise SuiteConfigError(
             f"out must be a non-empty path string, got {cfg.out!r}")
@@ -169,16 +157,18 @@ def validate_config(cfg):
         raise SuiteConfigError(
             f"couplings must map algebra names to rows, got {cfg.couplings!r}")
     for name, rows in (cfg.couplings or {}).items():
+        where = f"couplings for {name!r}"
         try:
             if name not in _alg_mod.ALGEBRA_NAMES:
                 raise ValueError("not an algebra")
             if not isinstance(rows, (list, tuple)) or not rows:
                 # an empty table would drop the algebra from every battery
                 raise ValueError(f"rows must be a non-empty list, got {rows!r}")
-            for row in rows:
+            for i, row in enumerate(rows):
+                where = f"couplings for {name!r}, row {i}"
                 _coupling(row)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SuiteConfigError(f"couplings for {name!r}: {exc}") from None
+        except ValueError as exc:
+            raise SuiteConfigError(f"{where}: {exc}") from None
     for key in ("suites", "algebras"):
         value = getattr(cfg, key)
         if not (isinstance(value, list)
@@ -200,20 +190,14 @@ def validate_config(cfg):
                 f"it needs {_needs(covered, 'gravity algebra')}")
 
 
-def _coupling_value(x):
-    """A JSON number, read through its decimal string so that 0.1 is 1/10,
-    or a "p/q" string."""
-    if isinstance(x, str) and _RATIONAL_STRING.fullmatch(x) is None:
-        raise ValueError(f"{x!r} is not a rational p/q")
-    return Fraction(str(x))
-
-
 def _coupling(row):
-    """CouplingConstants of a row [c0, c1[, mu[, gamma]]]."""
+    """CouplingConstants of a row [c0, c1[, mu[, gamma]]] of rationals, as
+    _json_rational reads them; mu and gamma may be null."""
     if not isinstance(row, (list, tuple)) or not 2 <= len(row) <= 4:
-        raise ValueError(f"row {row!r} is not [c0, c1[, mu[, gamma]]]")
-    return CouplingConstants(*(None if x is None else _coupling_value(x)
-                               for x in tuple(row) + (None,) * (4 - len(row))))
+        raise ValueError(f"{row!r} is not [c0, c1[, mu[, gamma]]]")
+    return CouplingConstants(*(
+        None if x is None and key in ("mu", "gamma") else _json_rational(x, key)
+        for x, key in zip(row, ("c0", "c1", "mu", "gamma"))))
 
 
 def _couplings_for(cfg, name):
