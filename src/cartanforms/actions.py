@@ -44,7 +44,6 @@ from .calculus import (
     pair_integral,
     random_form,
     _det_on_points,
-    _eval_on_lattice,
     _lattice_axis,
     _point_coefficients,
     _rng_for,
@@ -54,11 +53,11 @@ from .calculus import (
 from .cartan import (
     CartanConnection,
     CartanError,
-    curvature,
     _DET_TOL,
     _field_strength,
     _min_abs_det,
     _pair_sum,
+    _require_coframe,
 )
 
 HALF = Fraction(1, 2)
@@ -245,12 +244,12 @@ class FieldSet:
             analytic_coframe(self.alg, seed=self.seed, cutoff=self.cutoff))
 
     def tmg_moments(self, grid):
-        """_tmg_moments of levi_civita solved on the grid, with the
-        Chern-Simons columns: (M, min |det e|), kept per grid, so the TMG
-        checks of one grid solve it once and then only contract M."""
+        """_tmg_moments of levi_civita solved on the grid: (M, min |det e|),
+        kept per grid, so the TMG checks of one grid solve it once and
+        then only contract M."""
         if grid not in self._moments:
             self._moments[grid] = _tmg_moments(
-                self.alg, _solved_blocks(self.levi_civita, grid), cs=True)
+                self.alg, _solved_blocks(self.levi_civita, grid))
         return self._moments[grid]
 
 
@@ -333,7 +332,7 @@ def mm_action(conn, form_h):
         raise CartanError("the 4d action lives on a 4-torus")
     if form_h.support != "h_block":
         raise IdentityError("the 4d action takes a stabilizer-block form")
-    f_h = curvature(conn).F_h
+    f_h = _field_strength(conn.full()).h_part()
     val = -HALF * pair_integral(form_h, f_h, f_h)
     return _exact_value(4, val)
 
@@ -363,14 +362,15 @@ def topological_terms(omega):
     Both are transgressions of exact forms on the torus, so both rationals
     are zero for every omega; they are computed, not assumed.
     """
-    alg = omega.algebra
-    if alg.name not in _4D_ALGEBRAS:
+    if omega.algebra.name not in _4D_ALGEBRAS:
         raise IdentityError("topological terms are checked on so41/so32")
-    k = _per_algebra(killing_form, alg)
-    r = _field_strength(omega)
-    t1 = pair_integral(k, r, r)
-    t2 = pair_integral(k, r, r.h_block_star())
-    return t1, t2
+    return _topological_pairings(_field_strength(omega))
+
+
+def _topological_pairings(r):
+    """(Int K(R ^ R), Int K(R ^ star R)) of a curvature R."""
+    k = _per_algebra(killing_form, r.algebra)
+    return pair_integral(k, r, r), pair_integral(k, r, r.h_block_star())
 
 
 def topological_variation_check(omega, delta):
@@ -390,13 +390,12 @@ def topological_variation_check(omega, delta):
 
 def _mm_pieces(conn, couplings):
     """Exact ingredients of the expansion of the generalized 4d action."""
-    alg = conn.algebra
-    k = _per_algebra(killing_form, alg)
+    k = _per_algebra(killing_form, conn.algebra)
     omega, e = conn.omega, conn.coframe
     r = _field_strength(omega)
     ee = lie_bracket_forms(e, e)
     c0, c1 = couplings.c0, couplings.c1
-    t_rr, t_rsr = topological_terms(omega)
+    t_rr, t_rsr = _topological_pairings(r)
     top = -HALF * (c0 * t_rr + c1 * t_rsr)
     expansion = -(c1 * HALF * pair_integral(k, ee, r.h_block_star())
                   + c1 * Fraction(1, 8) * pair_integral(k, ee, ee.h_block_star())
@@ -408,7 +407,7 @@ def _mm_pieces(conn, couplings):
 # pointwise grid machinery (numeric pipeline)
 # ---------------------------------------------------------------------------
 #
-# Pointwise arrays are points-last (see calculus._eval_on_lattice): a 1-form
+# Pointwise arrays are points-last (see calculus._trig_table): a 1-form
 # is (3 mu, rows, npts), a 2-form (3 pairs, rows, npts).  The rows are the
 # Lie coefficients; the quadrature carries the h and p coefficients of its
 # fields as separate blocks of rows.
@@ -423,8 +422,8 @@ _TOP_SIGN = np.array([1.0, -1.0, 1.0])[:, None, None]
 _MINOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
                         [1.0, -1.0, 1.0]])[:, :, None]
 
-# grid points per block of the TMG solve: bounds the working arrays of one
-# solve (a few MB) whatever the grid size
+# grid points per block of the lattice quadrature: bounds the working arrays
+# of one block (a few MB) whatever the grid size
 QUADRATURE_BLOCK = 4096
 
 
@@ -520,17 +519,17 @@ class LeviCivitaConnection:
     table over e's cos/sin modes, built once: d/dx_sigma maps the weights
     (A, B) at k to (k_sigma B, -k_sigma A).
 
-    The constructor refuses a coframe off T^3, one with stabilizer values,
-    then one with |det e| <= _DET_TOL on the 16^3 lattice, read from e's
-    rows of the table before K0 or any derivative is built.
+    The constructor refuses a coframe off T^3, one that is not a
+    translation-valued 1-form, then one with |det e| <= _DET_TOL on the
+    16^3 lattice, read from e's rows of the table before K0 or any
+    derivative is built.
     """
 
     def __init__(self, e):
         alg = e.algebra
         if alg.spacetime_dim != 3 or e.dim != 3:
             raise CartanError("torsion-free solve implemented on T^3")
-        if any(k[0] not in set(alg.p_indices) for k in e.comps):
-            raise CartanError("coframe must be translation-valued")
+        _require_coframe(e)
         self._freqs, coefs = _point_coefficients([e], list(alg.p_indices))
         min_det = _min_abs_det(self._freqs, coefs, 16)
         if min_det <= _DET_TOL:
@@ -610,57 +609,56 @@ levi_civita_connection = LeviCivitaConnection
 # TMG and the numeric Chern-Simons pipeline
 # ---------------------------------------------------------------------------
 
-def _require_grid(grid):
-    """Refuse a quadrature grid size that is not a positive int."""
+def _lattice_blocks(grid):
+    """The grid^3 lattice, QUADRATURE_BLOCK points at a time: per block,
+    one coordinate array per axis, from its flat lattice indices, first
+    axis slowest, so nothing grid-sized is built.  Every quadrature walks
+    these blocks, so a grid that is not a positive int is refused here."""
     if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) \
             or grid < 1:
         raise ValueError(f"grid must be a positive int, got {grid!r}")
-
-
-def _solved_blocks(lc, grid):
-    """Solve lc on the grid^3 lattice, QUADRATURE_BLOCK points at a time.
-
-    Yields (w, e, dw, de, min |det e|) per block: the h blocks w, dw and
-    the p blocks e, de, each (3, 3, npts).  A block's coordinates come
-    from its flat lattice indices, first axis slowest, with its values,
-    so nothing grid-sized is built and nothing is kept between blocks.
-    """
     ax = _lattice_axis(grid)
     shape = (grid,) * 3
     for start in range(0, grid ** 3, QUADRATURE_BLOCK):
         flat = np.arange(start, min(start + QUADRATURE_BLOCK, grid ** 3))
-        sol = lc.solve([ax[i] for i in np.unravel_index(flat, shape)])
+        yield [ax[i] for i in np.unravel_index(flat, shape)]
+
+
+def _solved_blocks(lc, grid):
+    """Solve lc on the _lattice_blocks of the grid: (w, e, dw, de,
+    min |det e|) per block, the h blocks w, dw and the p blocks e, de each
+    (3, 3, npts); nothing is kept between blocks."""
+    for axes in _lattice_blocks(grid):
+        sol = lc.solve(axes)
         yield sol["w"], sol["E"], sol["dw"], sol["dE"], sol["min_abs_det"]
 
 
-# column blocks of the TMG moment matrix: dw, [w,w], [e,e], then de and
-# [w,e], which only the Chern-Simons terms read
+# column blocks of the TMG moment matrix
 _DW, _WW, _EE, _DE, _WE = (slice(3 * i, 3 * i + 3) for i in range(5))
 
 
-def _tmg_moments(alg, blocks, cs=False):
+def _tmg_moments(alg, blocks):
     """(M, min |det e|) over solved blocks, as _solved_blocks yields them.
 
     M[a, b] is the grid mean of sum_mu sign_mu one_mu^a two_top(mu)^b (the
     top component of one ^ two) for the rows one = (w | e) and the
-    columns two = (dw | [w,w] | [e,e]), then (de | [w,e]) when cs is set.
-    Each block's brackets are written into one (3 pairs, columns, npts)
-    array and each direction mu is one matmul, so beta(one ^ two) for any
-    gram over these rows and columns is the gram's contraction with a
-    3x3 block of M (see _walk_sums).
+    columns two = (dw | [w,w] | [e,e] | de | [w,e]).  Each block's
+    brackets are written into one (3 pairs, 15, npts) array and each
+    direction mu is one matmul, so beta(one ^ two) for any gram over
+    these rows and columns is the gram's contraction with a 3x3 block of
+    M (see _walk_sums).
     """
     hhh, pph, hpp = _per_algebra(_float_tables, alg)
-    moments = np.zeros((6, 15 if cs else 9))
+    moments = np.zeros((6, 15))
     npts, min_det = 0, math.inf
     for w, e, dw, de, block_det in blocks:
         one = np.concatenate((w, e), axis=1)
-        two = np.empty((3, moments.shape[1], w.shape[-1]))
+        two = np.empty((3, 15, w.shape[-1]))
         two[:, _DW] = dw
         _bracket(hhh, w, w, out=two[:, _WW])
         _bracket(pph, e, e, out=two[:, _EE])
-        if cs:
-            two[:, _DE] = de
-            _bracket(hpp, w, e, out=two[:, _WE])
+        two[:, _DE] = de
+        _bracket(hpp, w, e, out=two[:, _WE])
         for mu, top in enumerate(_TOP_PAIR):
             moments += _TOP_SIGN[mu] * (one[mu] @ two[top].T)
         npts += w.shape[-1]
@@ -673,12 +671,11 @@ def _walk_sums(alg, moments, gram):
     the gram contracted with M's 3x3 blocks pairs w | e with dw, [w,w],
     [e,e] (h-valued), de and [w,e] (p-valued; [e, w] = [w, e] for
     1-forms, so (A; w, e) and (A; e, w) both read it).  Blocks the grading
-    leaves empty are 0.0; without the Chern-Simons columns, None."""
+    leaves empty are 0.0."""
     h, p = list(alg.h_indices), list(alg.p_indices)
-    tiled = gram[np.ix_(h + p, (h * 3 + p * 2)[:moments.shape[1]])]
-    (w_dw, w_ww, w_ee, *w_cs), (e_dw, e_ww, e_ee, *e_cs) = \
-        (tiled * moments).reshape(2, 3, -1, 3).sum(axis=(1, 3)).tolist()
-    (w_de, w_we), (e_de, e_we) = w_cs or (0.0, None), e_cs or (0.0, None)
+    tiled = gram[np.ix_(h + p, h * 3 + p * 2)]
+    (w_dw, w_ww, w_ee, w_de, w_we), (e_dw, e_ww, e_ee, e_de, e_we) = \
+        (tiled * moments).reshape(2, 3, 5, 3).sum(axis=(1, 3)).tolist()
     we = (0.0, w_we, 0.0, e_we)
     return {"a_da": (w_dw, w_de, e_dw, e_de), "a_ww": (w_ww, 0.0, e_ww, 0.0),
             "a_ee": (w_ee, 0.0, e_ee, 0.0), "a_we": we, "a_ew": we}
@@ -694,10 +691,7 @@ def _tmg_value(alg, moments, mu):
 
 def tmg_action(e, mu, grid=32):
     """S_TMG(e) by spectral-accuracy quadrature on a uniform grid."""
-    mu = Fraction(mu)
-    if mu == 0:
-        raise ValueError("topological mass mu must be nonzero")
-    _require_grid(grid)
+    mu = CouplingConstants(mu=mu).mu       # refuses mu = 0
     lc = levi_civita_connection(e)
     moments, min_det = _tmg_moments(lc.alg, _solved_blocks(lc, grid))
     return ActionValue(torus_dim=3, mode="numeric", exact=None,
@@ -706,19 +700,22 @@ def tmg_action(e, mu, grid=32):
 
 
 def _lattice_moments(a, grid):
-    """M of a 1-form A = omega + e on the grid^3 lattice, CS columns too;
-    h_indices come first, so A's Lie rows are w | e."""
-    a_vals, da_vals = _eval_on_lattice(
-        *_point_coefficients([a, exterior_d(a)]), grid)
-    block = (a_vals[:, :3], a_vals[:, 3:], da_vals[:, :3], da_vals[:, 3:],
-             math.inf)
-    return _tmg_moments(a.algebra, [block], cs=True)[0]
+    """M of a 1-form A = omega + e over the _lattice_blocks of the grid;
+    h_indices come first, so A's Lie rows are w | e.  A and dA are one
+    coefficient table, evaluated block by block through _trig_table."""
+    freqs, coefs = _point_coefficients([a, exterior_d(a)])
+    table = np.concatenate([c.reshape(-1, 2 * len(freqs)) for c in coefs])
+    vals = ((table @ _trig_table(freqs, axes)).reshape(2, 3, a.algebra.dim, -1)
+            for axes in _lattice_blocks(grid))
+    blocks = ((v[:, :3], v[:, 3:], dv[:, :3], dv[:, 3:], math.inf)
+              for v, dv in vals)
+    return _tmg_moments(a.algebra, blocks)[0]
 
 
 def cs_action_numeric(a, form, grid=32):
     """S_CS^beta(A) by quadrature, for a 3d algebra: cs_a of
     CartanConnection.FUNCTIONALS read off A's moment matrix on the grid^3
-    lattice."""
+    lattice, summed QUADRATURE_BLOCK points at a time."""
     if a.degree != 1:
         raise CartanError("Chern-Simons argument must be a 1-form")
     if a.dim != 3:
@@ -727,7 +724,6 @@ def cs_action_numeric(a, form, grid=32):
         raise CartanError("numeric CS evaluation needs a 3d algebra")
     if form.algebra is not a.algebra:
         raise AlgebraError("bilinear form belongs to a different algebra")
-    _require_grid(grid)
     sums = _walk_sums(a.algebra, _lattice_moments(a, grid), form.gram_float)
     return ActionValue(torus_dim=3, mode="numeric", exact=None,
                        numeric=CartanConnection.float_value("cs_a", sums),
@@ -845,7 +841,6 @@ def _tmg_residual(identity_id, fields, couplings, grid):
     _require(couplings.mu is not None, f"{identity_id} needs mu")
     _require(identity_id == "CS_TMG" or couplings.c0 != 0,
              "TWO_CS_TMG needs c0 != 0 in the normalized form")
-    _require_grid(grid)
     alg, mu, c0 = fields.alg, couplings.mu, couplings.c0
     # checks on one field set in a run scope share the moment matrix
     moments, _ = fields.tmg_moments(grid)

@@ -290,6 +290,17 @@ def _min_abs_det(freqs, coefs, grid_size):
     return float(dets.min()) if dets.size else 0.0
 
 
+def _require_coframe(e):
+    """Refuse e unless it is a translation-valued 1-form on the torus of
+    its algebra's spacetime dimension."""
+    if e.dim != e.algebra.spacetime_dim:
+        raise CartanError("torus dimension must equal the translation dimension")
+    if e.degree != 1:
+        raise CartanError(f"a coframe is a 1-form, got a {e.degree}-form")
+    if not {k[0] for k in e.comps} <= set(e.algebra.p_indices):
+        raise CartanError("coframe must be translation-valued")
+
+
 def coframe_check(e, grid_size=16):
     """Scan |det e(x)| over a uniform grid.
 
@@ -298,8 +309,7 @@ def coframe_check(e, grid_size=16):
     """
     if isinstance(e, CartanConnection):
         e = e.coframe
-    if e.dim != e.algebra.spacetime_dim:
-        raise CartanError("torus dimension must equal the translation dimension")
+    _require_coframe(e)
     min_det = _min_abs_det(
         *_point_coefficients([e], list(e.algebra.p_indices)), grid_size)
     return {"nondegenerate": bool(min_det > _DET_TOL),

@@ -1,8 +1,10 @@
 """CLI inputs: the reason a TMG coframe is refused, negative p/q flag
 values, and unreadable path files.
 
-- A coframe with stabilizer values, or one on T^4, is refused for what it
-  is, before the 16^3 nondegeneracy scan can call it degenerate.
+- A coframe with stabilizer values, one on T^4, or a translation-valued
+  form of degree 0 or 2 is refused for what it is, before the 16^3
+  nondegeneracy scan can call it degenerate; `coframe_check` refuses the
+  same forms on T^3.
 - `--c0`, `--c1`, `--mu` and `--gamma` take `-p/q` as a separate word, as
   they take `-1` and `--mu=-1/2`.
 - A path file that cannot be read or parsed is named as the path file.
@@ -22,14 +24,21 @@ from cartanforms.actions import analytic_coframe, levi_civita_connection, \
     tmg_action
 from cartanforms.algebra import build_algebra
 from cartanforms.calculus import random_form, save_fields
-from cartanforms.cartan import CartanError
+from cartanforms.cartan import CartanError, coframe_check
 
-# (algebra, support of a random 1-form, the refusal)
+# (algebra, support and degree of a random form, the refusal)
 BAD_COFRAMES = [
-    ("so31", "h", "coframe must be translation-valued"),
-    ("so31", "full", "coframe must be translation-valued"),
-    ("so41", "p", r"torsion-free solve implemented on T\^3"),
+    ("so31", "h", 1, "coframe must be translation-valued"),
+    ("so31", "full", 1, "coframe must be translation-valued"),
+    ("so41", "p", 1, r"torsion-free solve implemented on T\^3"),
+    ("so31", "p", 0, "a coframe is a 1-form, got a 0-form"),
+    ("so31", "p", 2, "a coframe is a 1-form, got a 2-form"),
 ]
+
+
+def _ids(cases):
+    return [f"{n}-{s}" + ("" if d == 1 else f"-degree{d}")
+            for n, s, d, _ in cases]
 
 
 def _one_line(capsys):
@@ -38,12 +47,12 @@ def _one_line(capsys):
     return err
 
 
-@pytest.mark.parametrize("name,support,reason", BAD_COFRAMES,
-                         ids=[f"{n}-{s}" for n, s, _ in BAD_COFRAMES])
+@pytest.mark.parametrize("name,support,degree,reason", BAD_COFRAMES,
+                         ids=_ids(BAD_COFRAMES))
 def test_tmg_refuses_coframe_for_its_values_or_torus(tmp_path, capsys, name,
-                                                     support, reason):
+                                                     support, degree, reason):
     alg = build_algebra(name)
-    e = random_form(1, 1, alg, support=support)
+    e = random_form(1, degree, alg, support=support)
     with pytest.raises(CartanError, match=reason):
         levi_civita_connection(e)
     with pytest.raises(CartanError, match=reason):
@@ -55,6 +64,18 @@ def test_tmg_refuses_coframe_for_its_values_or_torus(tmp_path, capsys, name,
     err = _one_line(capsys)
     assert rc == 2
     assert reason.replace("\\", "") in err and "degenerate" not in err
+
+
+# so41's coframes live on T^4, which coframe_check scans
+ON_T3 = [case for case in BAD_COFRAMES if case[0] == "so31"]
+
+
+@pytest.mark.parametrize("name,support,degree,reason", ON_T3, ids=_ids(ON_T3))
+def test_coframe_check_refuses_what_the_solve_refuses(name, support, degree,
+                                                      reason):
+    e = random_form(1, degree, build_algebra(name), support=support)
+    with pytest.raises(CartanError, match=reason):
+        coframe_check(e)
 
 
 FLAGS = ["--c0", "--c1", "--mu", "--gamma"]

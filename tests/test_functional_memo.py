@@ -203,6 +203,31 @@ def test_damaged_battery_matches_per_check_reference(monkeypatch, name):
                    for i in p for j in p)
 
 
+# algebra -> the seeds of 0..39 on which the default battery (default
+# couplings) fails with the DAMAGES constant, at cutoff 1 and at cutoff 2.
+# Every other seed passes the damaged algebra in silence: these are the
+# vacuous passes that ROADMAP item 1's opt-in triad fields must close.  The
+# default fields keep these pins.
+CAUGHT_ON_SEEDS = {
+    "so31": ({4, 11, 16, 18, 26, 37}, {23, 28}),
+    "so22": ({2, 5, 17, 19, 30, 37}, set()),
+    "iso21": ({1, 19, 28}, set()),
+}
+
+
+@pytest.mark.parametrize("name", list(DAMAGES))
+def test_default_battery_catches_a_damage_on_few_seeds(monkeypatch, name):
+    bad = _damaged(name, DAMAGES[name][0])
+    monkeypatch.setattr(suites, "algebra_factory", lambda _: bad)
+    for cutoff, caught in zip((1, 2), CAUGHT_ON_SEEDS[name]):
+        cfg = _config([name], cutoff, seeds=(0, 39), custom=False)
+        plan = [check for identity_id in suites.EXACT_3D_IDENTITIES
+                for check in suites._plan_identity_battery(identity_id, cfg)]
+        rows = suites._run_planned(plan)
+        assert len(rows) == 5 * 3 * 40     # identities x couplings x seeds
+        assert {row.seed for row in rows if not row.passed} == caught
+
+
 # ---------------------------------------------------------------------------
 # a kernel fault in one block of one walk
 # ---------------------------------------------------------------------------

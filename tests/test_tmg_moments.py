@@ -12,7 +12,9 @@ package does not cancel against it.
 Also here: a field set's moment memo (one pass per grid, shared by
 CS_TMG and TWO_CS_TMG in a run scope), a fault the memo must still
 show, the solve faults both identities miss, and the block coordinates of `_solved_blocks`, which come from
-flat lattice indices instead of a grid-sized coordinate array.
+flat lattice indices instead of a grid-sized coordinate array.  Last,
+`cs_action_numeric` walks the same blocks, so its memory does not grow
+with the grid.
 """
 
 import math
@@ -25,7 +27,9 @@ import pytest
 from cartanforms import actions
 from cartanforms.actions import (
     CouplingConstants,
+    FieldSet,
     analytic_coframe,
+    cs_action_numeric,
     identity_residual,
     levi_civita_connection,
     _bracket,
@@ -109,9 +113,9 @@ def _count_calls(monkeypatch):
     real_moments = actions._tmg_moments
     real_solve = actions.LeviCivitaConnection.solve
 
-    def moments(alg, blocks, cs=False):
-        passes.append(cs)
-        return real_moments(alg, blocks, cs)
+    def moments(alg, blocks):
+        passes.append(alg.name)
+        return real_moments(alg, blocks)
 
     def solve(self, axes):
         solved.append(axes[0].size)
@@ -131,13 +135,13 @@ def test_tmg_pair_makes_one_moment_pass_in_a_run_scope(monkeypatch):
     alg = build_algebra("so22")
     alone = [identity_residual(i, alg, 3, cc, grid=17).residual
              for i, cc in _PAIR]
-    assert passes == [True, True] and solved == [4096, 817] * 2
+    assert len(passes) == 2 and solved == [4096, 817] * 2
     passes.clear()
     solved.clear()
     with actions.run_scope():
         shared = [identity_residual(i, alg, 3, cc, grid=17).residual
                   for i, cc in _PAIR]
-    assert passes == [True] and solved == [4096, 817]
+    assert len(passes) == 1 and solved == [4096, 817]
     assert shared == alone          # bit for bit
 
 
@@ -249,3 +253,22 @@ def test_streaming_blocks_keeps_no_grid_sized_array():
 
     # a grid-64 coordinate lattice alone is 6.3 MB, grid 32's 0.8 MB
     assert abs(peak(64) - peak(32)) <= 2 ** 20
+
+
+def test_cs_action_numeric_memory_does_not_grow_with_the_grid():
+    # evaluated as one grid^3 block, A traced 14.3 MB at grid 24 and
+    # 114.1 MB at grid 48; in QUADRATURE_BLOCK blocks, about 5 MB at both
+    alg = build_algebra("so31")
+    a = FieldSet(alg, 0, 1).connection.full()
+    form = killing_form(alg)
+    cs_action_numeric(a, form, grid=4)      # the per-algebra tables
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            cs_action_numeric(a, form, grid=grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(48) <= 1.5 * peak(24)

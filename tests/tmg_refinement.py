@@ -21,7 +21,7 @@ def tmg_value(lc, mu, grid):
 def tmg_means(alg, blocks, mu, cs_terms=()):
     """(S_TMG, [S_CS per term], min |det e|) over solved blocks; cs_terms
     lists (s, form) pairs, s = +1 for A(e) = w + e, s = -1 for ~A(e)."""
-    moments, min_det = _tmg_moments(alg, blocks, cs=bool(cs_terms))
+    moments, min_det = _tmg_moments(alg, blocks)
     values = [CartanConnection.float_value("cs_a" if s == 1 else "cs_a_t",
                                            _walk_sums(alg, moments,
                                                       form.gram_float))
