@@ -612,11 +612,8 @@ levi_civita_connection = LeviCivitaConnection
 def _lattice_blocks(grid):
     """The grid^3 lattice, QUADRATURE_BLOCK points at a time: per block,
     one coordinate array per axis, from its flat lattice indices, first
-    axis slowest, so nothing grid-sized is built.  Every quadrature walks
-    these blocks, so a grid that is not a positive int is refused here."""
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) \
-            or grid < 1:
-        raise ValueError(f"grid must be a positive int, got {grid!r}")
+    axis slowest, so nothing grid-sized is built.  _lattice_axis refuses a
+    grid that is not a positive int."""
     ax = _lattice_axis(grid)
     shape = (grid,) * 3
     for start in range(0, grid ** 3, QUADRATURE_BLOCK):

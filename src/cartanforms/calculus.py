@@ -988,7 +988,11 @@ def integrate(w):
 # a contiguous points vector or one matmul with a constant matrix.
 
 def _lattice_axis(n):
-    """The n coordinates 2 pi m/n of one axis of the uniform grid."""
+    """The n coordinates 2 pi m/n of one axis of the uniform grid.  Every
+    lattice walk and scan starts here, so a grid that is not a positive
+    int is refused here."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"grid must be a positive int, got {n!r}")
     return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
 
@@ -1029,51 +1033,6 @@ def _trig_table(freqs, axes):
     coefficients @ table are the values."""
     phase = freqs @ np.stack(axes)
     return np.concatenate([np.cos(phase), np.sin(phase)])
-
-
-def _lattice_factors(freqs, n):
-    """exp(i k_j x) at the n coordinates x = 2 pi m/n of each axis j of the
-    uniform lattice: (dim, nf, n) for freqs (nf, dim)."""
-    return np.exp(np.multiply.outer(freqs.T, (2j * math.pi / n) * np.arange(n)))
-
-
-def _lattice_table(factors):
-    """_trig_table(freqs, axes) on the n^dim uniform lattice, by outer
-    products of the _lattice_factors(freqs, n).
-
-    exp(i k.x) is the product over the axes of exp(i k_j x_j), so each
-    frequency needs the n phases of each axis once and every lattice point
-    costs only multiplies.  Points are in lattice order, the first axis
-    slowest; no frequencies give a (0, n^dim) table.
-    """
-    _, nf, n = factors.shape
-    table = np.ones((nf, 1), dtype=complex)
-    for axis in factors:
-        table = (table[:, :, None] * axis[:, None, :]).reshape(
-            nf, table.shape[1] * n)
-    return np.concatenate((table.real, table.imag))
-
-
-def _eval_on_lattice(freqs, coefs, n):
-    """Values on the n^dim lattice of the coefficient arrays `coefs` over
-    `freqs` (see _point_coefficients), one (..., n^dim) array per array,
-    without the full table.
-
-    The first axis folds into the weights: the value at x is
-    Re sum_k (A - iB) exp(i k_1 x_1) exp(i k'.x') over the other axes x',
-    so the weights (A, B) at k become (Re g, -Im g) per x_1, with
-    g = (A - iB) exp(i k_1 x_1), and one matmul with the _lattice_table of
-    the other axes gives the values.
-    """
-    nf = len(freqs)
-    factors = _lattice_factors(freqs, n)
-    rest = _lattice_table(factors[1:])                     # (2 nf, n^(dim-1))
-    values = []
-    for c in coefs:
-        g = (c[..., None, :nf] - 1j * c[..., None, nf:]) * factors[0].T
-        folded = np.concatenate((g.real, -g.imag), axis=-1)  # (..., n, 2 nf)
-        values.append((folded @ rest).reshape(c.shape[:-1] + (-1,)))
-    return values
 
 
 def _det_on_points(m, cols=None):

@@ -26,10 +26,10 @@ from .calculus import (
     _bracket_pairing_matrix,
     _d_pairing_matrix,
     _det_on_points,
-    _eval_on_lattice,
     _gram_blocks,
     _json_int,
     _json_number,
+    _lattice_axis,
     _load_json,
     _point_coefficients,
 )
@@ -284,10 +284,27 @@ def bianchi_residuals(conn):
 def _min_abs_det(freqs, coefs, grid_size):
     """Least |det e| on the grid_size^dim lattice, for e given by the
     coefficients of its p rows, (freqs, [coefficients]) as
-    calculus._point_coefficients returns them."""
-    (vals,) = _eval_on_lattice(freqs, coefs, grid_size)
-    dets = np.abs(_det_on_points(vals))
-    return float(dets.min()) if dets.size else 0.0
+    calculus._point_coefficients returns them.
+
+    exp(i k.x) is the product over the axes of exp(i k_j x_j), so the
+    cos/sin table of the other axes is outer products of per-axis factors,
+    first axis slowest, and no cos/sin is taken per point.  The first axis
+    folds into the weights: the value at x is Re sum_k g exp(i k'.x'), with
+    g = (A - iB) exp(i k_1 x_1) per x_1, so the weights (A, B) at k become
+    (Re g, -Im g) and one matmul with the table gives the values.
+    """
+    (c,) = coefs
+    nf, n = len(freqs), grid_size
+    factors = np.exp(1j * np.multiply.outer(freqs.T, _lattice_axis(n)))
+    rest = np.ones((nf, 1), dtype=complex)
+    for axis in factors[1:]:
+        rest = (rest[:, :, None] * axis[:, None, :]).reshape(
+            nf, rest.shape[1] * n)
+    rest = np.concatenate((rest.real, rest.imag))          # (2 nf, n^(dim-1))
+    g = (c[..., None, :nf] - 1j * c[..., None, nf:]) * factors[0].T
+    folded = np.concatenate((g.real, -g.imag), axis=-1)    # (..., n, 2 nf)
+    vals = (folded @ rest).reshape(c.shape[:-1] + (rest.shape[1] * n,))
+    return float(np.abs(_det_on_points(vals)).min())
 
 
 def _require_coframe(e):
@@ -302,13 +319,10 @@ def _require_coframe(e):
 
 
 def coframe_check(e, grid_size=16):
-    """Scan |det e(x)| over a uniform grid.
+    """Scan |det e(x)| of a translation-valued 1-form over a uniform grid.
 
-    Accepts a CartanConnection or a translation-valued 1-form.  Returns
-    {"nondegenerate": bool, "min_abs_det": float}.
+    Returns {"nondegenerate": bool, "min_abs_det": float}.
     """
-    if isinstance(e, CartanConnection):
-        e = e.coframe
     _require_coframe(e)
     min_det = _min_abs_det(
         *_point_coefficients([e], list(e.algebra.p_indices)), grid_size)

@@ -16,7 +16,7 @@ from cartanforms.calculus import (
     lie_bracket_forms,
     random_form,
 )
-from cartanforms.cartan import CartanConnection, CartanError
+from cartanforms.cartan import CartanConnection, CartanError, coframe_check
 from cartanforms.actions import (
     CouplingConstants,
     IdentityError,
@@ -130,10 +130,12 @@ def test_cs_numeric_refuses_a_form_of_another_algebra():
         cs_action_numeric(a, form, grid=4)
 
 
-@pytest.mark.parametrize("grid", [0, -3, 2.5, True])
+@pytest.mark.parametrize("grid", [0, -3, 2.5, True, "4"])
 def test_quadratures_refuse_a_grid_that_is_not_a_positive_int(grid):
     alg = build_algebra("so31")
     refusal = f"grid must be a positive int, got {grid!r}"
+    with pytest.raises(ValueError, match=refusal):
+        coframe_check(analytic_coframe(alg), grid_size=grid)
     with pytest.raises(ValueError, match=refusal):
         tmg_action(analytic_coframe(alg), 5, grid=grid)
     with pytest.raises(ValueError, match=refusal):
@@ -452,7 +454,6 @@ def test_topological_variation_check_zero():
 # ---------------------------------------------------------------------------
 
 def test_analytic_coframe_is_nondegenerate():
-    from cartanforms.cartan import coframe_check
     for name in ("so31", "so22"):
         alg = build_algebra(name)
         for seed in range(5):

@@ -203,6 +203,9 @@ def test_damaged_battery_matches_per_check_reference(monkeypatch, name):
                    for i in p for j in p)
 
 
+# no seed of 0..39 at cutoff 2 catches a mutant that cutoff 1 catches
+MISSED = frozenset()
+
 # algebra -> the seeds of 0..39 on which the default battery (default
 # couplings) fails with the DAMAGES constant, at cutoff 1 and at cutoff 2.
 # Every other seed passes the damaged algebra in silence: these are the
@@ -210,8 +213,8 @@ def test_damaged_battery_matches_per_check_reference(monkeypatch, name):
 # default fields keep these pins.
 CAUGHT_ON_SEEDS = {
     "so31": ({4, 11, 16, 18, 26, 37}, {23, 28}),
-    "so22": ({2, 5, 17, 19, 30, 37}, set()),
-    "iso21": ({1, 19, 28}, set()),
+    "so22": ({2, 5, 17, 19, 30, 37}, MISSED),
+    "iso21": ({1, 19, 28}, MISSED),
 }
 
 
@@ -226,6 +229,97 @@ def test_default_battery_catches_a_damage_on_few_seeds(monkeypatch, name):
         rows = suites._run_planned(plan)
         assert len(rows) == 5 * 3 * 40     # identities x couplings x seeds
         assert {row.seed for row in rows if not row.passed} == caught
+
+
+def _failing_seeds(cfg, identities):
+    plan = [check for identity_id in identities
+            for check in suites._plan_identity_battery(identity_id, cfg)]
+    return {row.seed for row in suites._run_planned(plan) if not row.passed}
+
+
+# block of the 3d table -> (damaged constant (i, j, k) of C_ij^k, algebra
+# -> the seeds of 0..39 on which the default battery fails, at cutoff 1 and
+# at cutoff 2).  One mutant per block; [h,p] -> p is DAMAGES's, pinned by
+# CAUGHT_ON_SEEDS.  ROADMAP item 1 measures the batteries by these pins.
+BLOCK_DAMAGES = {
+    # [M01, M02] -> M12
+    "[h,h]->h": ((0, 1, 2), {"so31": ({16, 18, 37}, {23}),
+                             "so22": ({1, 18}, {2}),
+                             "iso21": ({1, 19, 28}, MISSED)}),
+    # [P0, P1] -> M01, a zero constant in iso21
+    "[p,p]->h": ((3, 4, 0), {"so31": ({4, 11, 26}, {28}),
+                             "so22": ({12, 38}, {15, 39}),
+                             "iso21": ({19, 20}, {7})}),
+}
+
+
+@pytest.mark.parametrize("name", list(DAMAGES))
+@pytest.mark.parametrize("block", list(BLOCK_DAMAGES))
+def test_default_battery_catches_each_block_on_few_seeds(monkeypatch, block,
+                                                         name):
+    constant, caught_on = BLOCK_DAMAGES[block]
+    bad = _damaged(name, constant)
+    monkeypatch.setattr(suites, "algebra_factory", lambda _: bad)
+    for cutoff, caught in zip((1, 2), caught_on[name]):
+        cfg = _config([name], cutoff, seeds=(0, 39), custom=False)
+        assert _failing_seeds(cfg, suites.EXACT_3D_IDENTITIES) == caught
+
+
+def test_every_3d_pin_missed_at_cutoff_2_is_caught_at_cutoff_1():
+    pins = list(CAUGHT_ON_SEEDS.values()) + [
+        seeds for _, by_name in BLOCK_DAMAGES.values()
+        for seeds in by_name.values()]
+    assert len(pins) == 9
+    for at_1, at_2 in pins:
+        assert at_1 and (at_2 or at_2 is MISSED)
+
+
+# why mm_identities passes a damaged 4d table on every seed
+MM_EXPANSION_BY_DESIGN = "a graded table keeps [omega, e] in p"
+QUARTIC_ZERO_BY_DESIGN = "[e, e] reads only C_pp^h"
+MISSED_4D = "missed"
+# block of the 4d table -> (damaged constant, identity -> label): the
+# default battery on so41 and so32, seeds 0..19, fails on no seed
+MM_DAMAGES = {
+    # [M01, M02] -> M13, a zero constant
+    "[h,h]->h": ((0, 1, 4), {"MM_EXPANSION": MM_EXPANSION_BY_DESIGN,
+                             "QUARTIC_ZERO": QUARTIC_ZERO_BY_DESIGN}),
+    # [M01, P0] -> P1
+    "[h,p]->p": ((0, 6, 7), {"MM_EXPANSION": MM_EXPANSION_BY_DESIGN,
+                             "QUARTIC_ZERO": QUARTIC_ZERO_BY_DESIGN}),
+    # [P0, P1] -> M01
+    "[p,p]->h": ((6, 7, 0), {"MM_EXPANSION": MM_EXPANSION_BY_DESIGN,
+                             "QUARTIC_ZERO": MISSED_4D}),
+}
+
+
+@pytest.mark.parametrize("name", ["so41", "so32"])
+@pytest.mark.parametrize("block", list(MM_DAMAGES))
+def test_mm_identities_catch_no_damage(monkeypatch, block, name):
+    """Each zero carries its reason.  MM_EXPANSION by design: F_h of the
+    damaged table is exactly R + 1/2 [e, e] on every seed, which the
+    expansion assumes.  QUARTIC_ZERO by design: [e, e] is the same form
+    under the real and the damaged table on every seed.  Missed: the
+    damage reaches [e, e] on some seed and the identity still holds."""
+    constant, labels = MM_DAMAGES[block]
+    real, bad = build_algebra(name), _damaged(name, constant)
+    monkeypatch.setattr(suites, "algebra_factory", lambda _: bad)
+    cfg = suites.SuiteConfig(suites=["mm_identities"], algebras=[name],
+                             seed_start=0, seed_end=19)
+    assert _failing_seeds(cfg, labels) == set()
+    graded, same_ee = True, True
+    for seed in range(20):
+        # the fields of _exact_residual's 4d identities
+        fields = FieldSet(bad, seed)
+        omega = fields.random_form(1, "h", 0.35, dim=4)
+        e = fields.random_form(1, "p", 0.5, dim=4)
+        ee = lie_bracket_forms(e, e)
+        graded &= (cartan._field_strength(omega + e).h_part()
+                   == cartan._field_strength(omega) + ee.scale(HALF))
+        e_real = FieldSet(real, seed).random_form(1, "p", 0.5, dim=4)
+        same_ee &= ee.comps == lie_bracket_forms(e_real, e_real).comps
+    assert graded == (labels["MM_EXPANSION"] == MM_EXPANSION_BY_DESIGN)
+    assert same_ee == (labels["QUARTIC_ZERO"] == QUARTIC_ZERO_BY_DESIGN)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_coefficient_table_built_once_per_connection(monkeypatch):
 
     lc = LeviCivitaConnection(e)
     assert len(built) == 2
-    for module in (calculus, cartan):
-        monkeypatch.setattr(module, "_eval_on_lattice", refuse)
+    for module in (cartan, actions):
+        monkeypatch.setattr(module, "_min_abs_det", refuse)
     assert tmg_value(lc, 5, 40) == value
     assert len(built) == 2
